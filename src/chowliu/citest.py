@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import SampleSet, empirical_counts
+from .estimation import SampleSet, _sample_size, empirical_counts
 from .hardinstances import realizable_triple
 from .info import conditional_mi, mutual_information
 from .model import Alphabet, DenseJoint, sample_dense
@@ -74,60 +74,46 @@ class TestVerdict:
     n_samples: int
 
 
-def _floored_log(x: float) -> float:
-    return max(math.log(x), 1.0)
-
-
 def required_samples_cmi(cfg: TesterConfig) -> int:
     """Samples for the conditional test:
     ceil(c_sample * (k^3 / eps) * log(k / delta) * log(k * log(1/delta) / eps)),
     every log natural and floored at 1, and at least 1 overall."""
-    inner = _floored_log(1.0 / cfg.delta)
-    value = (
-        cfg.c_sample
-        * (cfg.k**3 / cfg.epsilon)
-        * _floored_log(cfg.k / cfg.delta)
-        * _floored_log(cfg.k * inner / cfg.epsilon)
-    )
-    return max(1, math.ceil(value))
+    return _sample_size(cfg.c_sample, cfg.k**3, cfg.k, cfg.epsilon, cfg.delta)
 
 
 def required_samples_mi(cfg: TesterConfig) -> int:
     """Unconditional variant: one factor of k fewer (k^2 in place of k^3)."""
-    inner = _floored_log(1.0 / cfg.delta)
-    value = (
-        cfg.c_sample
-        * (cfg.k**2 / cfg.epsilon)
-        * _floored_log(cfg.k / cfg.delta)
-        * _floored_log(cfg.k * inner / cfg.epsilon)
-    )
-    return max(1, math.ceil(value))
+    return _sample_size(cfg.c_sample, cfg.k**2, cfg.k, cfg.epsilon, cfg.delta)
+
+
+def _statistic(s: SampleSet) -> float:
+    """Plug-in MI of a 2-column set, or plug-in I(col0; col1 | col2) of a
+    3-column set."""
+    joint = empirical_counts(s, tuple(range(s.n_variables))).counts / s.n_samples
+    return mutual_information(joint) if s.n_variables == 2 else conditional_mi(joint)
+
+
+def _verdict(s: SampleSet, cfg: TesterConfig) -> TestVerdict:
+    if s.n_samples < 1:
+        raise ValueError("need at least one sample")
+    statistic = _statistic(s)
+    threshold = cfg.c_decision * cfg.epsilon
+    verdict = DEPENDENT if statistic >= threshold else INDEPENDENT
+    return TestVerdict(verdict, statistic, threshold, s.n_samples)
 
 
 def test_conditional_independence(s: SampleSet, cfg: TesterConfig) -> TestVerdict:
     """Plug-in conditional MI test on a 3-variable sample set (X, Y, Z)."""
     if s.n_variables != 3:
         raise ValueError("conditional test expects exactly 3 columns (X, Y, Z)")
-    if s.n_samples < 1:
-        raise ValueError("need at least one sample")
-    joint = empirical_counts(s, (0, 1, 2)).counts / s.n_samples
-    statistic = conditional_mi(joint)
-    threshold = cfg.c_decision * cfg.epsilon
-    verdict = DEPENDENT if statistic >= threshold else INDEPENDENT
-    return TestVerdict(verdict, statistic, threshold, s.n_samples)
+    return _verdict(s, cfg)
 
 
 def test_independence(s: SampleSet, cfg: TesterConfig) -> TestVerdict:
     """Plug-in MI test on a 2-variable sample set (X, Y)."""
     if s.n_variables != 2:
         raise ValueError("independence test expects exactly 2 columns (X, Y)")
-    if s.n_samples < 1:
-        raise ValueError("need at least one sample")
-    joint = empirical_counts(s, (0, 1)).counts / s.n_samples
-    statistic = mutual_information(joint)
-    threshold = cfg.c_decision * cfg.epsilon
-    verdict = DEPENDENT if statistic >= threshold else INDEPENDENT
-    return TestVerdict(verdict, statistic, threshold, s.n_samples)
+    return _verdict(s, cfg)
 
 
 # -- calibration ----------------------------------------------------------------
@@ -218,11 +204,6 @@ class CalibrationError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-def _statistic(s: SampleSet) -> float:
-    joint = empirical_counts(s, (0, 1, 2)).counts / s.n_samples
-    return conditional_mi(joint)
 
 
 def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=None) -> TesterConfig:

@@ -25,7 +25,7 @@ from .estimation import (
     write_binary,
     write_csv,
 )
-from .harness import ExperimentConfig, run_experiment
+from .harness import CSV_HEADER, ExperimentConfig, _csv_row, run_experiment
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
     root_at,
@@ -44,8 +44,12 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _is_binary(path, fmt: str | None) -> bool:
+    return fmt == "bin" or (fmt is None and str(path).endswith(".bin"))
+
+
 def _read_samples(path: str, fmt: str | None, k: int | None):
-    if fmt == "bin" or (fmt is None and str(path).endswith(".bin")):
+    if _is_binary(path, fmt):
         return read_binary(path)
     return read_csv(path, k=k)
 
@@ -65,7 +69,7 @@ def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str |
     with open(model_path) as fh:
         m = tree_model_from_json(fh.read())
     s = sample(m, count, seed)
-    if fmt == "bin" or (fmt is None and out_path.endswith(".bin")):
+    if _is_binary(out_path, fmt):
         write_binary(s, out_path)
     else:
         write_csv(s, out_path)
@@ -156,16 +160,9 @@ def cmd_experiment(config_path: str, out_path: str | None = None, timing: bool =
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
     if cfg.out_path is None:
-        from .harness import CSV_HEADER
-
         print(CSV_HEADER)
         for r in rows:
-            seconds = r.seconds if options.get("timing") else 0.0
-            print(
-                f"{r.n},{r.k},{repr(float(r.epsilon))},{r.n_samples},{r.trials},"
-                f"{repr(float(r.success_rate))},{repr(float(r.mean_excess))},"
-                f"{repr(float(r.p95_excess))},{repr(float(seconds))}"
-            )
+            print(_csv_row(r, bool(options.get("timing"))))
     else:
         _log(f"wrote {cfg.out_path}")
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Alphabet, RootedTree, TreeModel, kl_divergence, random_tree_model, sample, to_dense
+from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, kl_divergence, random_tree_model, sample, to_dense
 from .seeding import derive_seed
 
 __all__ = [
@@ -224,7 +224,10 @@ def read_binary(path) -> SampleSet:
     if len(blob) != expected:
         raise SampleFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     rows = np.frombuffer(blob, dtype=np.uint8, offset=header_size).reshape(count, n)
-    return SampleSet(Alphabet(int(k)), rows)
+    try:
+        return SampleSet(Alphabet(int(k)), rows)
+    except ValueError as err:  # bad alphabet size in the header, or a symbol >= k
+        raise SampleFormatError(f"{path}: {err}") from None
 
 
 # -- calibrated sample-complexity constants ------------------------------------
@@ -247,10 +250,20 @@ def add_one_risk_bound(k: int, delta: float, n_samples: int, constant: float) ->
     return constant * k * _floored_log(k / delta) * _floored_log(n_samples) / n_samples
 
 
-def _sample_counts(p: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(p)
-    idx = np.searchsorted(cum, rng.random(count), side="left")
-    return np.bincount(np.minimum(idx, len(p) - 1), minlength=len(p)).astype(np.int64)
+def _sample_size(constant: float, lead: int, scale: int, epsilon: float, delta: float) -> int:
+    """ceil(constant * (lead / epsilon) * log(scale / delta)
+    * log(scale * log(1 / delta) / epsilon)), every log natural and floored
+    at 1, and at least 1 overall."""
+    inner = _floored_log(1.0 / delta)
+    value = constant * (lead / epsilon) * _floored_log(scale / delta) * _floored_log(scale * inner / epsilon)
+    return max(1, math.ceil(value))
+
+
+def _add_one_kl(p: np.ndarray, count: int, rng: np.random.Generator) -> float:
+    """D(p || add-1 estimate) after `count` draws from p."""
+    counts = np.bincount(_inverse_cdf(p, rng.random(count)), minlength=len(p))
+    q = (counts + 1.0) / (count + len(p))
+    return float(np.sum(p * np.log(p / q)))
 
 
 def calibrate_add_one_constant(
@@ -275,11 +288,8 @@ def calibrate_add_one_constant(
         p = rng.dirichlet(np.ones(k))
         ratio = 0.0
         for count in sample_sizes:
-            counts = _sample_counts(p, count, rng)
-            q = (counts + 1.0) / (count + k)
-            d = float(np.sum(p * np.log(p / q)))
-            shape = k * _floored_log(k / delta) * _floored_log(count) / count
-            ratio = max(ratio, d / shape)
+            # The bound at constant 1 is the shape the constant scales.
+            ratio = max(ratio, _add_one_kl(p, count, rng) / add_one_risk_bound(k, delta, count, 1.0))
         worst[t] = ratio
     worst.sort()
     index = math.ceil((1.0 - delta) * trials) - 1
@@ -297,9 +307,7 @@ def fixed_structure_samples(
     epsilon additional KL with probability 1 - delta (calibrated constant)."""
     if epsilon <= 0 or not 0 < delta < 1:
         raise ValueError("need epsilon > 0 and delta in (0, 1)")
-    inner = _floored_log(1.0 / delta)
-    value = constant * (n * k * k / epsilon) * _floored_log(n * k / delta) * _floored_log(n * k * inner / epsilon)
-    return max(1, math.ceil(value))
+    return _sample_size(constant, n * k * k, n * k, epsilon, delta)
 
 
 def calibrate_fixed_structure_constant(

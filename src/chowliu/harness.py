@@ -25,9 +25,9 @@ from .citest import (
     required_samples_cmi,
     test_conditional_independence,
 )
-from .estimation import DEFAULT_ADD_ONE_CONSTANT, add_one_risk_bound, SampleSet
+from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, add_one_risk_bound
 from .hardinstances import nonrealizable_triple, realizable_triple
-from .info import mutual_information
+from .info import _pairwise_mi
 from .model import (
     Alphabet,
     DenseJoint,
@@ -147,18 +147,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_row(r: ExperimentRow, timing: bool) -> str:
+    """One CSV line without its newline; `seconds` is 0.0 unless timing."""
+    seconds = r.seconds if timing else 0.0
+    return (
+        f"{r.n},{r.k},{_fmt(r.epsilon)},{r.n_samples},{r.trials},"
+        f"{_fmt(r.success_rate)},{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},{_fmt(seconds)}"
+    )
+
+
 def write_rows_csv(rows, path, timing: bool = False) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            seconds = r.seconds if timing else 0.0
-            fh.write(
-                f"{r.n},{r.k},{_fmt(r.epsilon)},{r.n_samples},{r.trials},"
-                f"{_fmt(r.success_rate)},{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},{_fmt(seconds)}\n"
-            )
+            fh.write(_csv_row(r, timing) + "\n")
 
 
-def _aggregate(cell: ExperimentCell, trials: int, successes: int, excesses, seconds: float) -> ExperimentRow:
+def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
+    """Run trial(t) -> (success, excess) for t in range(trials) and
+    aggregate the cell's row, timing the whole loop."""
+    start = time.perf_counter()
+    successes = 0
+    excesses = []
+    for t in range(trials):
+        success, excess = trial(t)
+        successes += success
+        excesses.append(excess)
     arr = np.asarray(excesses, dtype=np.float64)
     return ExperimentRow(
         n=cell.n,
@@ -169,8 +183,14 @@ def _aggregate(cell: ExperimentCell, trials: int, successes: int, excesses, seco
         success_rate=successes / trials,
         mean_excess=float(arr.mean()),
         p95_excess=float(np.percentile(arr, 95)),
-        seconds=seconds,
+        seconds=time.perf_counter() - start,
     )
+
+
+def _shortfall(weights, s: SampleSet) -> float:
+    """True weight of the best tree minus that of the tree learned from s."""
+    best = tree_weight(weights, max_weight_spanning_tree(weights))
+    return best - tree_weight(weights, chow_liu_structure(s))
 
 
 # -- recovery kinds -------------------------------------------------------------
@@ -178,19 +198,14 @@ def _aggregate(cell: ExperimentCell, trials: int, successes: int, excesses, seco
 
 def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
     floor = float(options.get("cpt_floor", 0.05))
-    start = time.perf_counter()
-    successes = 0
-    excesses = []
-    for t in range(trials):
+
+    def trial(t):
         m = random_tree_model(cell.n, cell.k, derive_seed(master, "real", index, t, "model"), floor)
-        weights = exact_mi_matrix(m)
-        best = tree_weight(weights, max_weight_spanning_tree(weights))
         s = sample(m, cell.n_samples, derive_seed(master, "real", index, t, "data"))
-        learned = chow_liu_structure(s)
-        excess = best - tree_weight(weights, learned)
-        successes += excess <= cell.epsilon
-        excesses.append(excess)
-    return _aggregate(cell, trials, successes, excesses, time.perf_counter() - start)
+        excess = _shortfall(exact_mi_matrix(m), s)
+        return excess <= cell.epsilon, excess
+
+    return _run_trials(cell, trials, trial)
 
 
 def _block_mi_matrix(blocks) -> np.ndarray:
@@ -200,11 +215,7 @@ def _block_mi_matrix(blocks) -> np.ndarray:
     w = np.zeros((n, n))
     offset = 0
     for b in blocks:
-        for i in range(b.n):
-            for j in range(i + 1, b.n):
-                w[offset + i, offset + j] = w[offset + j, offset + i] = mutual_information(
-                    b.marginal((i, j))
-                )
+        w[offset : offset + b.n, offset : offset + b.n] = _pairwise_mi(b.n, lambda i, j: b.marginal((i, j)))
         offset += b.n
     return w
 
@@ -220,20 +231,15 @@ def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: i
     if cell.k != 2:
         raise ValueError("the hard-instance families are binary")
     instance_eps = float(options.get("instance_epsilon", cell.epsilon))
-    start = time.perf_counter()
-    successes = 0
-    excesses = []
-    for t in range(trials):
+
+    def trial(t):
         rng = np.random.default_rng(derive_seed(master, "nonreal", index, t, "pick"))
         blocks = [nonrealizable_triple(int(rng.integers(1, 4)), instance_eps) for _ in range(cell.n // 3)]
-        weights = _block_mi_matrix(blocks)
-        best = tree_weight(weights, max_weight_spanning_tree(weights))
         s = _sample_blocks(blocks, cell.n_samples, derive_seed(master, "nonreal", index, t, "data"))
-        learned = chow_liu_structure(s)
-        excess = best - tree_weight(weights, learned)
-        successes += excess <= cell.epsilon
-        excesses.append(excess)
-    return _aggregate(cell, trials, successes, excesses, time.perf_counter() - start)
+        excess = _shortfall(_block_mi_matrix(blocks), s)
+        return excess <= cell.epsilon, excess
+
+    return _run_trials(cell, trials, trial)
 
 
 # -- separation curve -----------------------------------------------------------
@@ -302,28 +308,19 @@ def separation_curve(
         instances = []
         for index in (1, 2, 3):
             joint = make(index, eps)
-            weights = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    weights[i, j] = weights[j, i] = mutual_information(joint.marginal((i, j)))
-            best = tree_weight(weights, max_weight_spanning_tree(weights))
-            instances.append((joint, weights, best))
+            instances.append((joint, _pairwise_mi(3, lambda i, j: joint.marginal((i, j)))))
         n_star = None
         for count in _sample_size_grid(start, max_samples):
-            begin = time.perf_counter()
-            successes = 0
-            excesses = []
-            for t in range(trials):
+
+            def trial(t):
                 worst = 0.0
-                for index, (joint, weights, best) in enumerate(instances):
+                for index, (joint, weights) in enumerate(instances):
                     s = sample_dense(joint, count, derive_seed(seed, regime, eps, count, t, index))
-                    excess = best - tree_weight(weights, chow_liu_structure(s))
-                    worst = max(worst, excess)
-                successes += worst <= eps
-                excesses.append(worst)
-            cell = ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count)
-            rows.append(_aggregate(cell, trials, successes, excesses, time.perf_counter() - begin))
-            if successes / trials >= target_rate:
+                    worst = max(worst, _shortfall(weights, s))
+                return worst <= eps, worst
+
+            rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, trial))
+            if rows[-1].success_rate >= target_rate:
                 n_star = count
                 break
         if n_star is None:
@@ -342,21 +339,14 @@ def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, optio
     stays under the calibrated bound."""
     delta = cell.epsilon
     constant = float(options.get("constant", DEFAULT_ADD_ONE_CONSTANT))
-    start = time.perf_counter()
-    successes = 0
-    excesses = []
     bound = add_one_risk_bound(cell.k, delta, cell.n_samples, constant)
-    for t in range(trials):
+
+    def trial(t):
         rng = np.random.default_rng(derive_seed(master, "add1", index, t))
-        p = rng.dirichlet(np.ones(cell.k))
-        cum = np.cumsum(p)
-        draws = np.searchsorted(cum, rng.random(cell.n_samples), side="left")
-        counts = np.bincount(np.minimum(draws, cell.k - 1), minlength=cell.k)
-        q = (counts + 1.0) / (cell.n_samples + cell.k)
-        d = float(np.sum(p * np.log(p / q)))
-        successes += d <= bound
-        excesses.append(d - bound)
-    return _aggregate(cell, trials, successes, excesses, time.perf_counter() - start)
+        d = _add_one_kl(rng.dirichlet(np.ones(cell.k)), cell.n_samples, rng)
+        return d <= bound, d - bound
+
+    return _run_trials(cell, trials, trial)
 
 
 def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
@@ -373,18 +363,15 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, o
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
     ci = family["ci-common-cause"]
     dep = family["dep-borderline"]
-    start = time.perf_counter()
-    successes = 0
-    excesses = []
-    for t in range(trials):
+
+    def trial(t):
         s_ci = sample_dense(ci.joint, count, derive_seed(master, "citest", index, t, "ci"))
         s_dep = sample_dense(dep.joint, count, derive_seed(master, "citest", index, t, "dep"))
         v_ci = test_conditional_independence(s_ci, cfg)
         v_dep = test_conditional_independence(s_dep, cfg)
-        successes += (v_ci.verdict == INDEPENDENT) and (v_dep.verdict != INDEPENDENT)
-        excesses.append(v_ci.statistic - cell.epsilon)
-    cell = ExperimentCell(cell.n, cell.k, cell.epsilon, count)
-    return _aggregate(cell, trials, successes, excesses, time.perf_counter() - start)
+        return (v_ci.verdict == INDEPENDENT) and (v_dep.verdict != INDEPENDENT), v_ci.statistic - cell.epsilon
+
+    return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, trial)
 
 
 def _separation_kind(cfg: ExperimentConfig) -> list:

@@ -123,6 +123,27 @@ def mutual_information(table) -> float:
     return _mi(_joint_of(table, 2))
 
 
+def _pairwise_mi(n: int, pair) -> np.ndarray:
+    """Symmetric n x n matrix of mutual_information(pair(i, j)) over all
+    i < j, with a zero diagonal."""
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = mutual_information(pair(i, j))
+    return w
+
+
+def _clamped_deviation(delta: float, base: float) -> float:
+    """Check that (delta, base) lies in the domain, up to rounding slack, and
+    clamp delta into [-base, 1 - base]."""
+    if not 0.0 <= base <= 1.0:
+        raise ValueError(f"base must lie in [0, 1], got {base!r}")
+    lo, hi = -base, 1.0 - base
+    if delta < lo - _DOMAIN_TOL or delta > hi + _DOMAIN_TOL:
+        raise ValueError(f"deviation {delta!r} outside [{lo!r}, {hi!r}]")
+    return min(max(delta, lo), hi)
+
+
 def kl_deviation_term(delta: float, base: float) -> float:
     """One cell's contribution to a KL-style divergence as a function of its
     deviation from a reference mass.
@@ -133,15 +154,10 @@ def kl_deviation_term(delta: float, base: float) -> float:
     (value 0).  The domain is ``base`` in [0, 1], ``delta`` in
     [-base, 1 - base].
     """
-    if not 0.0 <= base <= 1.0:
-        raise ValueError(f"base must lie in [0, 1], got {base!r}")
-    lo, hi = -base, 1.0 - base
-    if delta < lo - _DOMAIN_TOL or delta > hi + _DOMAIN_TOL:
-        raise ValueError(f"deviation {delta!r} outside [{lo!r}, {hi!r}]")
-    delta = min(max(delta, lo), hi)
+    delta = _clamped_deviation(delta, base)
     if base == 0.0:
         return 0.0 if delta == 0.0 else math.inf
-    if delta == lo:
+    if delta == -base:
         return base
     value = (delta + base) * math.log1p(delta / base) - delta
     return value if value > 0.0 else 0.0
@@ -158,12 +174,7 @@ class DeviationBounds:
 
 
 def kl_deviation_bounds(delta: float, base: float) -> DeviationBounds:
-    if not 0.0 <= base <= 1.0:
-        raise ValueError(f"base must lie in [0, 1], got {base!r}")
-    lo, hi = -base, 1.0 - base
-    if delta < lo - _DOMAIN_TOL or delta > hi + _DOMAIN_TOL:
-        raise ValueError(f"deviation {delta!r} outside [{lo!r}, {hi!r}]")
-    delta = min(max(delta, lo), hi)
+    delta = _clamped_deviation(delta, base)
     if delta == 0.0:
         g = 0.0
     elif base == 0.0:

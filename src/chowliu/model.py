@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import entropy, mutual_information
+from .info import _pairwise_mi, entropy, mutual_information
 
 DENSE_CAP = 2**24  # largest dense table the oracle will materialize
 
@@ -125,24 +125,6 @@ class DenseJoint:
         return np.transpose(t, perm) if perm != tuple(range(len(vs))) else t
 
 
-def _assert_connected_tree(n: int, edges) -> None:
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = [False] * n
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    if not all(seen):
-        raise ValueError("edges do not connect all nodes")
-
-
 @dataclass(frozen=True)
 class UndirectedTree:
     """Spanning tree on nodes 0..n-1; edges stored as (u, v) with u < v,
@@ -167,8 +149,9 @@ class UndirectedTree:
             raise ValueError("duplicate edge")
         if len(norm) != self.n - 1:
             raise ValueError(f"a spanning tree on {self.n} nodes has {self.n - 1} edges, got {len(norm)}")
-        _assert_connected_tree(self.n, norm)
         object.__setattr__(self, "edges", tuple(norm))
+        if -2 in _bfs_parents(self.n, self.adjacency(), 0):
+            raise ValueError("edges do not connect all nodes")
 
     def adjacency(self) -> list:
         out = [[] for _ in range(self.n)]
@@ -220,14 +203,13 @@ class RootedTree:
                 raise ValueError(f"parent of node {i} out of range: {p}")
             if p == i:
                 raise ValueError(f"cycle: node {i} is its own parent")
-        for i in range(self.n):
-            x, hops = i, 0
-            while x != self.root:
-                x = parent[x]
-                hops += 1
-                if hops > self.n:
-                    raise ValueError(f"cycle in parent map involving node {i}")
         object.__setattr__(self, "parent", parent)
+        # A node is unreachable from the root exactly when its parent chain
+        # runs into a cycle.
+        reached = set(self.topological_order())
+        if len(reached) < self.n:
+            node = next(i for i in range(self.n) if i not in reached)
+            raise ValueError(f"cycle in parent map involving node {node}")
 
     def children(self) -> list:
         out = [[] for _ in range(self.n)]
@@ -380,26 +362,31 @@ def to_dense(m: TreeModel) -> DenseJoint:
     return DenseJoint(n, m.alphabet, joint.reshape(-1))
 
 
-def _flip_conditional(child_marginal, parent_marginal_unused, cond):
-    """Reverse the orientation of one edge.
-
-    `cond` holds P(other | this) with rows indexed by this node's symbol;
-    returns P(this | other) rows indexed by the other node's symbol, together
-    with the list of other-symbols whose marginal mass is zero (those rows are
-    set to uniform).
-    """
-    k = cond.shape[0]
-    joint = child_marginal[:, None] * cond  # axes (this, other)
+def _conditional_rows(joint: np.ndarray) -> tuple:
+    """Rows of P(second | first) from a pair table with the conditioning
+    variable on axis 0, together with the list of conditioning symbols whose
+    mass is zero (those rows are set to uniform)."""
+    k = joint.shape[0]
     rows = np.empty((k, k))
     degenerate = []
-    for b in range(k):
-        mass = float(joint[:, b].sum())
+    for a in range(k):
+        mass = float(joint[a].sum())
         if mass <= 0.0:
-            rows[b] = 1.0 / k
-            degenerate.append(b)
+            rows[a] = 1.0 / k
+            degenerate.append(a)
         else:
-            rows[b] = joint[:, b] / mass
+            rows[a] = joint[a] / mass
     return rows, degenerate
+
+
+def _step_matrix(m: TreeModel, marginals: np.ndarray, a: int, b: int) -> tuple:
+    """Transition P(X_b | X_a) for adjacent nodes a, b, and the a-symbols of
+    zero mass whose rows were set to uniform."""
+    if m.tree.parent[b] == a:
+        return m.cpt[b], []
+    # a is the child of b: invert the stored conditional through the joint.
+    # Zero-mass a-symbols never occur; a uniform row keeps the matrix stochastic.
+    return _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)
 
 
 def reroot(m: TreeModel, new_root: int) -> TreeModel:
@@ -413,23 +400,27 @@ def reroot(m: TreeModel, new_root: int) -> TreeModel:
     if new_root == m.tree.root:
         return m
     marginals = node_marginals(m)
-    adjacency = m.tree.skeleton().adjacency()
-    parent = _bfs_parents(m.n, adjacency, new_root)
-    tree = RootedTree(m.n, new_root, parent)
+    tree = root_at(m.tree.skeleton(), new_root)
     cpt = {}
     flags = []
     for node in range(m.n):
         if node == new_root:
             continue
-        p = parent[node]
-        if m.tree.parent[node] == p:
-            cpt[node] = m.cpt[node]
-        else:
-            # The edge flips: previously node was the parent of p.
-            rows, degenerate = _flip_conditional(marginals[node], marginals[p], m.cpt[p])
-            cpt[node] = rows
-            flags.extend((node, b) for b in degenerate)
+        cpt[node], degenerate = _step_matrix(m, marginals, tree.parent[node], node)
+        flags.extend((node, b) for b in degenerate)
     return TreeModel(tree, m.alphabet, marginals[new_root], cpt, tuple(flags))
+
+
+def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform in u, the first index whose running
+    total reaches it, capped at the last index.  `probs` is one distribution,
+    or a table of rows of which draw i uses row given[i]."""
+    cum = np.cumsum(probs, axis=-1)
+    if given is None:
+        idx = np.searchsorted(cum, u, side="left")
+    else:
+        idx = (cum[given] < u[:, None]).sum(axis=1)
+    return np.minimum(idx, cum.shape[-1] - 1)
 
 
 def sample(m: TreeModel, count: int, seed: int):
@@ -441,19 +432,15 @@ def sample(m: TreeModel, count: int, seed: int):
 
     if count < 0:
         raise ValueError("count must be >= 0")
-    k, n = m.k, m.n
-    rows = np.zeros((count, n), dtype=np.uint8)
+    rows = np.zeros((count, m.n), dtype=np.uint8)
     rng = np.random.default_rng(seed)
     for node in m.tree.topological_order():
         u = rng.random(count)
         if node == m.tree.root:
-            cum = np.cumsum(m.root_marginal)
-            idx = (cum[None, :] < u[:, None]).sum(axis=1)
+            rows[:, node] = _inverse_cdf(m.root_marginal, u)
         else:
-            cum = np.cumsum(m.cpt[node], axis=1)
             parent_sym = rows[:, m.tree.parent[node]].astype(np.intp)
-            idx = (cum[parent_sym] < u[:, None]).sum(axis=1)
-        rows[:, node] = np.minimum(idx, k - 1)
+            rows[:, node] = _inverse_cdf(m.cpt[node], u, parent_sym)
     return SampleSet(m.alphabet, rows)
 
 
@@ -465,32 +452,13 @@ def sample_dense(p: DenseJoint, count: int, seed: int):
         raise ValueError("count must be >= 0")
     if p.k > 256:
         raise ValueError("sample sets store one byte per symbol; alphabet too large")
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(p.probs)
-    flat = np.searchsorted(cum, rng.random(count), side="left")
-    flat = np.minimum(flat, p.probs.shape[0] - 1)
+    flat = _inverse_cdf(p.probs, np.random.default_rng(seed).random(count))
     rows = np.empty((count, p.n), dtype=np.uint8)
     rem = flat.astype(np.int64)
     for j in range(p.n - 1, -1, -1):
         rows[:, j] = rem % p.k
         rem //= p.k
     return SampleSet(p.alphabet, rows)
-
-
-def _step_matrix(m: TreeModel, marginals: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Transition P(X_b | X_a) for adjacent nodes a, b."""
-    k = m.k
-    if m.tree.parent[b] == a:
-        return m.cpt[b]
-    # a is the child of b: invert the stored conditional through the joint.
-    joint = marginals[b][:, None] * m.cpt[a]  # axes (b, a)
-    out = np.empty((k, k))
-    for x in range(k):
-        mass = float(joint[:, x].sum())
-        # Zero-mass symbols never occur, so their outgoing row is irrelevant;
-        # uniform keeps the matrix stochastic.
-        out[x] = joint[:, x] / mass if mass > 0.0 else 1.0 / k
-    return out
 
 
 def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
@@ -505,17 +473,13 @@ def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
     path = m.tree.path(u, v)
     trans = np.eye(m.k)
     for a, b in zip(path, path[1:]):
-        trans = trans @ _step_matrix(m, marginals, a, b)
+        trans = trans @ _step_matrix(m, marginals, a, b)[0]
     return marginals[u][:, None] * trans
 
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
     """Pairwise mutual information of all variable pairs under the model."""
-    w = np.zeros((m.n, m.n))
-    for u in range(m.n):
-        for v in range(u + 1, m.n):
-            w[u, v] = w[v, u] = mutual_information(pair_marginal(m, u, v))
-    return w
+    return _pairwise_mi(m.n, lambda u, v: pair_marginal(m, u, v))
 
 
 def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:
@@ -527,26 +491,14 @@ def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:
     """
     if p.n != t.n:
         raise ValueError(f"joint has {p.n} variables but tree has {t.n} nodes")
-    if not 0 <= root < p.n:
-        raise ValueError(f"root {root} out of range")
-    parent = _bfs_parents(p.n, t.adjacency(), root)
-    tree = RootedTree(p.n, root, parent)
-    k = p.k
+    tree = root_at(t, root)
     cpt = {}
     flags = []
     for node in range(p.n):
         if node == root:
             continue
-        pm = p.marginal((parent[node], node))
-        rows = np.empty((k, k))
-        for a in range(k):
-            mass = float(pm[a].sum())
-            if mass <= 0.0:
-                rows[a] = 1.0 / k
-                flags.append((node, a))
-            else:
-                rows[a] = pm[a] / mass
-        cpt[node] = rows
+        cpt[node], degenerate = _conditional_rows(p.marginal((tree.parent[node], node)))
+        flags.extend((node, a) for a in degenerate)
     return TreeModel(tree, p.alphabet, p.marginal((root,)), cpt, tuple(flags))
 
 
@@ -558,6 +510,10 @@ def _kl_arrays(p, q) -> float:
         return math.inf
     pm = p[mask]
     return float(np.sum(pm * np.log(pm / q[mask])))
+
+
+def _total_correlation(p: DenseJoint) -> float:
+    return sum(entropy(p.marginal((v,))) for v in range(p.n)) - entropy(p.probs)
 
 
 def kl_divergence(p: DenseJoint, q: DenseJoint) -> float:
@@ -582,7 +538,7 @@ def kl_to_tree_projection(p: DenseJoint, t: UndirectedTree) -> ProjectionReport:
     where the weight is the sum of pairwise MI over the tree's edges."""
     if p.n != t.n:
         raise ValueError(f"joint has {p.n} variables but tree has {t.n} nodes")
-    total_corr = sum(entropy(p.marginal((v,))) for v in range(p.n)) - entropy(p.probs)
+    total_corr = _total_correlation(p)
     weight = sum(mutual_information(p.marginal(e)) for e in t.edges)
     return ProjectionReport(total_correlation=total_corr, tree_weight=weight, kl=total_corr - weight)
 
@@ -603,7 +559,7 @@ class KLDecomposition:
 def kl_decomposition(p: DenseJoint, m: TreeModel) -> KLDecomposition:
     if p.n != m.n or p.k != m.k:
         raise ValueError("distributions live on different spaces")
-    base = sum(entropy(p.marginal((v,))) for v in range(p.n)) - entropy(p.probs)
+    base = _total_correlation(p)
     weight = 0.0
     conditional = _kl_arrays(p.marginal((m.tree.root,)), m.root_marginal)
     for node in range(p.n):
@@ -680,9 +636,7 @@ def random_tree_model(n: int, k: int, seed: int, cpt_floor: float = 0.05) -> Tre
     if not 0.0 <= cpt_floor * k < 1.0:
         raise ValueError(f"cpt floor {cpt_floor} infeasible for alphabet size {k}")
     rng = np.random.default_rng(seed)
-    skeleton = random_spanning_tree(n, rng)
-    parent = _bfs_parents(n, skeleton.adjacency(), 0)
-    tree = RootedTree(n, 0, parent)
+    tree = root_at(random_spanning_tree(n, rng), 0)
     scale = 1.0 - k * cpt_floor
 
     def row():
@@ -741,4 +695,6 @@ def tree_model_from_json(text: str) -> TreeModel:
     k = int(doc["k"])
     tree = RootedTree(n, int(doc["root"]), tuple(int(p) for p in doc["parents"]))
     cpt = {int(node): np.array(rows, dtype=np.float64) for node, rows in doc["cpt"].items()}
-    return TreeModel(tree, Alphabet(k), np.array(doc["root_marginal"], dtype=np.float64), cpt)
+    m = TreeModel(tree, Alphabet(k), np.array(doc["root_marginal"], dtype=np.float64), cpt)
+    validate_tree_model(m)
+    return m

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import SampleSet, empirical_counts, learn_parameters
-from .info import mutual_information
+from .info import _pairwise_mi
 from .model import TreeModel, UndirectedTree, root_at
 
 __all__ = [
@@ -55,13 +55,8 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     """Plug-in mutual information for every variable pair of a sample set."""
     if s.n_samples < 1:
         raise ValueError("need at least one sample")
-    n = s.n_variables
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            joint = empirical_counts(s, (i, j)).counts / s.n_samples
-            w[i, j] = w[j, i] = mutual_information(joint)
-    return MIMatrix(w)
+    pair = lambda i, j: empirical_counts(s, (i, j)).counts / s.n_samples
+    return MIMatrix(_pairwise_mi(s.n_variables, pair))
 
 
 class _UnionFind:
@@ -126,49 +121,6 @@ def learn_tree_distribution(s: SampleSet) -> TreeModel:
     return learn_parameters(s, root_at(chow_liu_structure(s), 0))
 
 
-def _component(n: int, edges, start: int) -> set:
-    adjacency = {i: [] for i in range(n)}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _path_nodes(n: int, edges, start: int, goal: int) -> list:
-    adjacency = {i: [] for i in range(n)}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for neighbors in adjacency.values():
-        neighbors.sort()
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for x in queue:
-            if x == goal:
-                queue = []
-                nxt = []
-                break
-            for y in adjacency[x]:
-                if y not in prev:
-                    prev[y] = x
-                    nxt.append(y)
-        queue = nxt
-    path = [goal]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def exchange_pairing(t1: UndirectedTree, t2: UndirectedTree) -> list:
     """Pair the edges of t1 \\ t2 with the edges of t2 \\ t1 so that swapping
     any single pair (drop e from t1, add its partner f) again yields a
@@ -188,8 +140,13 @@ def exchange_pairing(t1: UndirectedTree, t2: UndirectedTree) -> list:
     while base - current:
         e = min(base - current)
         u, v = e
-        side = _component(t1.n, base - {e}, u)
-        path = _path_nodes(t1.n, current, u, v)
+        # u's side of e in t1: u and its descendants when t1 hangs from v.
+        split = root_at(t1, v)
+        side = {u}
+        for x in split.topological_order():
+            if split.parent[x] in side:
+                side.add(x)
+        path = root_at(UndirectedTree(t1.n, tuple(current)), u).path(u, v)
         partner = None
         for a, b in zip(path, path[1:]):
             if (a in side) != (b in side):

@@ -163,3 +163,53 @@ def enumerate_realizable(index: int, epsilon: float) -> np.ndarray:
 def random_joint_table(n: int, k: int, rng) -> np.ndarray:
     """Dirichlet(1) point on the full k^n simplex, shaped (k,) * n."""
     return rng.dirichlet(np.ones(k**n)).reshape((k,) * n)
+
+
+# -- sampling -------------------------------------------------------------------
+#
+# Both samplers draw by inverse CDF: a uniform u in [0, 1) picks the first
+# symbol whose running total (added left to right, as np.cumsum does) reaches
+# u, or the last symbol when rounding leaves every total below u.
+
+def inverse_cdf_index(probs, u: float) -> int:
+    total = 0.0
+    for index, p in enumerate(probs):
+        total += float(p)
+        if total >= u:
+            return index
+    return len(probs) - 1
+
+
+def ancestral_sample(parents, root_marginal, cpt, count: int, seed: int) -> list:
+    """Rows of `count` ancestral draws.  parents[i] is node i's parent (-1 at
+    the root) and cpt[i][a] is node i's distribution given parent symbol a.
+    Nodes are drawn breadth-first from the root, children in increasing
+    index order, and each node consumes one rng.random(count) block of
+    np.random.default_rng(seed)."""
+    n = len(parents)
+    root = list(parents).index(-1)
+    order = [root]
+    for x in order:  # grows while iterated: a breadth-first walk
+        order.extend(i for i in range(n) if parents[i] == x)
+    rng = np.random.default_rng(seed)
+    rows = [[0] * n for _ in range(count)]
+    for node in order:
+        block = rng.random(count)
+        for row, u in zip(rows, block):
+            probs = root_marginal if node == root else cpt[node][row[parents[node]]]
+            row[node] = inverse_cdf_index(probs, float(u))
+    return rows
+
+
+def flat_table_sample(probs, n: int, k: int, count: int, seed: int) -> list:
+    """Rows of `count` draws from a flat table over k**n assignments, variable
+    0 the most significant digit, using one rng.random(count) block."""
+    rows = []
+    for u in np.random.default_rng(seed).random(count):
+        flat = inverse_cdf_index(probs, float(u))
+        digits = []
+        for _ in range(n):
+            digits.append(flat % k)
+            flat //= k
+        rows.append(digits[::-1])
+    return rows

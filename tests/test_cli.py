@@ -15,6 +15,7 @@ Core claims:
 """
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -301,6 +302,39 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_invalid_model_json_exits_1_without_sampling(model_path, tmp_path, capsys):
+    doc = json.loads(model_path.read_text())
+    doc["root_marginal"] = [2.0, -1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(bad), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: negative entry in root marginal"]
+    assert not out.exists()
+
+
+def write_cls1(path, n: int, k: int, payload: bytes) -> None:
+    path.write_bytes(struct.pack("<4sIIQ", b"CLS1", n, k, len(payload) // n) + payload)
+
+
+@pytest.mark.parametrize(
+    "k,payload,message",
+    [
+        (2, bytes([0, 1, 5, 1]), "symbol out of range"),
+        (1, bytes([0, 0, 0, 0]), "alphabet size must be an int >= 2"),
+        (300, bytes([0, 1, 2, 3]), "alphabet too large"),
+    ],
+    ids=["symbol-out-of-range", "k-below-2", "k-above-256"],
+)
+def test_malformed_binary_header_or_symbols_exit_2(tmp_path, capsys, k, payload, message):
+    path = tmp_path / "bad.bin"
+    write_cls1(path, 2, k, payload)
+    assert main(["learn", "--samples", str(path), "--mode", "full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 # ---------------------------------------------------------------- subprocess

@@ -1,0 +1,74 @@
+"""The samplers' RNG streams, pinned against an import-free reference.
+
+Core claims:
+    - `sample` draws exactly the rows of the reference ancestral sampler:
+      breadth-first node order, one rng.random(count) block per node, and
+      inverse CDF on the running totals of each row;
+    - `sample_dense` draws exactly the rows of the reference flat-table
+      sampler: one rng.random(count) block, inverse CDF on the flat table,
+      mixed-radix decoding;
+    - both hold for k in {2, 3, 9} and for tables with zero-probability
+      entries, including a zero last entry.
+"""
+
+import numpy as np
+import pytest
+
+from chowliu import Alphabet, DenseJoint, RootedTree, TreeModel, sample, sample_dense
+
+from oracles import ancestral_sample, flat_table_sample
+
+PARENTS = (2, 2, -1, 1, 1, 3)  # root 2, so the breadth-first order is not 0..n-1
+
+
+def sparse_rows(rng, shape, k: int) -> np.ndarray:
+    """Dirichlet rows with roughly a third of the entries zeroed, every
+    row's last entry among them, renormalized."""
+    rows = rng.dirichlet(np.ones(k), size=shape)
+    mask = rng.random(rows.shape) < 0.35
+    mask[..., -1] = True
+    mask[..., 0] = False  # keep every row's mass positive
+    rows[mask] = 0.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def sparse_model(k: int, seed: int) -> TreeModel:
+    rng = np.random.default_rng(seed)
+    cpt = {node: sparse_rows(rng, (k,), k) for node, p in enumerate(PARENTS) if p >= 0}
+    root_marginal = sparse_rows(rng, (), k)
+    return TreeModel(RootedTree(len(PARENTS), 2, PARENTS), Alphabet(k), root_marginal, cpt)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sample_matches_reference_stream(k, sparse):
+    if sparse:
+        m = sparse_model(k, seed=k)
+    else:
+        rng = np.random.default_rng(k)
+        cpt = {node: rng.dirichlet(np.ones(k), size=k) for node, p in enumerate(PARENTS) if p >= 0}
+        m = TreeModel(RootedTree(len(PARENTS), 2, PARENTS), Alphabet(k), rng.dirichlet(np.ones(k)), cpt)
+    cpt = {node: m.cpt[node].tolist() for node in m.cpt}
+    for seed in (0, 17):
+        got = sample(m, 400, seed).rows
+        want = ancestral_sample(PARENTS, m.root_marginal.tolist(), cpt, 400, seed)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (9, 2)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sample_dense_matches_reference_stream(k, n, sparse):
+    rng = np.random.default_rng(100 + k)
+    probs = sparse_rows(rng, (), k**n) if sparse else rng.dirichlet(np.ones(k**n))
+    p = DenseJoint(n, Alphabet(k), probs)
+    for seed in (0, 17):
+        got = sample_dense(p, 400, seed).rows
+        assert got.tolist() == flat_table_sample(p.probs.tolist(), n, k, 400, seed)
+
+
+def test_sample_dense_never_draws_zero_mass_assignments():
+    probs = np.zeros(27)
+    probs[[0, 5, 13]] = (0.25, 0.5, 0.25)
+    rows = sample_dense(DenseJoint(3, Alphabet(3), probs), 2000, 3).rows
+    flat = rows[:, 0].astype(int) * 9 + rows[:, 1] * 3 + rows[:, 2]
+    assert set(flat.tolist()) <= {0, 5, 13}

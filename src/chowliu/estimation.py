@@ -9,6 +9,7 @@ strictly positive and exactly normalized.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -113,6 +114,70 @@ def empirical_counts(s: SampleSet, variables) -> CountTable:
     return CountTable(vs, counts.reshape(shape), s.n_samples)
 
 
+# The one-hot product costs O(N (nk)^2) and a bincount per pair O(N n^2).
+# Counting all pairs of n=40 variables in N=2e4 rows on a 2-core x86 VM took
+# 0.018 s against 0.065 s at k=4, 0.05 s against 0.066 s at k=10, 0.075 s
+# against 0.063-0.074 s at k=11 and 0.14 s against 0.071 s at k=16, so k=10
+# is the crossover.
+_ONE_HOT_MAX_K = 10
+# Extra memory of the one-hot pass, whatever n and k are: a third for the
+# float32 row chunk, two thirds for the int64 count block and its float32
+# chunk product (12 bytes per entry), so n*k up to 418 fits in one block.
+# A chunk thus holds far fewer than the 2^24 rows up to which float32 sums of
+# ones are exact.
+_COUNT_BUDGET_BYTES = 3 << 20
+
+
+def _count_plan(n: int, k: int) -> tuple:
+    """(rows per chunk, source variables per block) of the one-hot pass."""
+    rows = max(1, _COUNT_BUDGET_BYTES // 3 // (4 * n * k))
+    block = max(1, _COUNT_BUDGET_BYTES * 2 // 3 // (12 * k * n * k))
+    return rows, block
+
+
+def _one_hot_blocks(s: SampleSet):
+    """Yield (lo, hi, counts) for consecutive blocks [lo, hi) of source
+    variables, where counts[i - lo, :, j - lo, :] is the joint count table of
+    variables i and j for lo <= i < hi and lo <= j < n.
+
+    Each chunk of rows becomes a float32 one-hot matrix X, one column per
+    (variable, symbol); X_src^T X holds the chunk's co-occurrence counts
+    exactly, and the chunks add up in an int64 block."""
+    n, k = s.n_variables, s.alphabet.size
+    rows, block = _count_plan(n, k)
+    symbols = np.arange(k, dtype=np.uint8)
+    buffer = np.empty(rows * n * k, dtype=np.float32)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        width = (n - lo) * k
+        counts = np.zeros(((hi - lo) * k, width), dtype=np.int64)
+        product = np.empty(counts.shape, dtype=np.float32)
+        for start in range(0, s.n_samples, rows):
+            chunk = s.rows[start:start + rows, lo:]
+            one_hot = buffer[: chunk.shape[0] * width].reshape(chunk.shape[0], width)
+            np.equal(chunk[:, :, None], symbols, out=one_hot.reshape(*chunk.shape, k))
+            np.matmul(one_hot[:, : (hi - lo) * k].T, one_hot, out=product)
+            np.add(counts, product, out=counts, casting="unsafe")
+        yield lo, hi, counts.reshape(hi - lo, k, n - lo, k)
+
+
+def _pair_counts(s: SampleSet):
+    """Yield ((i, j), counts) for every pair i < j, by i and then j ascending,
+    where counts equals empirical_counts(s, (i, j)).counts: a C-contiguous
+    int64 k x k table.  Alphabets up to _ONE_HOT_MAX_K are counted by
+    one-hot products over row chunks, larger ones with a bincount per pair."""
+    n = s.n_variables
+    if s.alphabet.size > _ONE_HOT_MAX_K:
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield (i, j), empirical_counts(s, (i, j)).counts
+        return
+    for lo, hi, counts in _one_hot_blocks(s):
+        for i in range(lo, hi):
+            for j in range(i + 1, n):
+                yield (i, j), counts[i - lo, :, j - lo, :].copy()
+
+
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
     """Add-1 smoothed distribution (t_i + 1) / (N + k) from a count vector."""
     if isinstance(counts, CountTable):
@@ -173,6 +238,7 @@ def read_csv(path, k: int | None = None) -> SampleSet:
     """
     rows = []
     width = None
+    limit = 256 if k is None else k  # symbols are stored in one byte
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -190,9 +256,11 @@ def read_csv(path, k: int | None = None) -> SampleSet:
                     f"{path}:{lineno}: expected {width} columns, got {len(values)}"
                 )
             for v in values:
-                if v < 0:
-                    raise SampleFormatError(f"{path}:{lineno}: negative symbol {v}")
-                if k is not None and v >= k:
+                if not 0 <= v < limit:
+                    if v < 0:
+                        raise SampleFormatError(f"{path}:{lineno}: negative symbol {v}")
+                    if k is None:
+                        raise SampleFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
                     raise SampleFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
             rows.append(values)
     if width is None:
@@ -212,18 +280,21 @@ def write_binary(s: SampleSet, path) -> None:
 
 
 def read_binary(path) -> SampleSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
     header_size = struct.calcsize("<4sIIQ")
-    if len(blob) < header_size:
-        raise SampleFormatError(f"{path}: truncated header")
-    magic, n, k, count = struct.unpack_from("<4sIIQ", blob)
-    if magic != _BINARY_MAGIC:
-        raise SampleFormatError(f"{path}: bad magic {magic!r}")
-    expected = header_size + count * n
-    if len(blob) != expected:
-        raise SampleFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    rows = np.frombuffer(blob, dtype=np.uint8, offset=header_size).reshape(count, n)
+    with open(path, "rb") as fh:
+        header = fh.read(header_size)
+        if len(header) < header_size:
+            raise SampleFormatError(f"{path}: truncated header")
+        magic, n, k, count = struct.unpack("<4sIIQ", header)
+        if magic != _BINARY_MAGIC:
+            raise SampleFormatError(f"{path}: bad magic {magic!r}")
+        # Check the size the header claims before reading a body of that size.
+        expected = header_size + count * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise SampleFormatError(f"{path}: expected {expected} bytes, got {size}")
+        body = fh.read(count * n)
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(count, n)
     try:
         return SampleSet(Alphabet(int(k)), rows)
     except ValueError as err:  # bad alphabet size in the header, or a symbol >= k

@@ -31,6 +31,7 @@ from .info import _pairwise_mi
 from .model import (
     Alphabet,
     DenseJoint,
+    _json_object,
     exact_mi_matrix,
     random_tree_model,
     sample,
@@ -92,7 +93,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        doc = json.loads(text)
+        doc = _json_object(json.loads(text), "experiment config", ("kind", "grid", "trials", "seed"))
+        cells = [_json_object(c, "experiment grid cell", ("n", "k", "epsilon")) for c in doc["grid"]]
         grid = tuple(
             ExperimentCell(
                 n=int(c["n"]),
@@ -100,7 +102,7 @@ class ExperimentConfig:
                 epsilon=float(c["epsilon"]),
                 n_samples=int(c.get("N", 0)),
             )
-            for c in doc["grid"]
+            for c in cells
         )
         return ExperimentConfig(
             kind=doc["kind"],

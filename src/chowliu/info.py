@@ -125,7 +125,7 @@ def mutual_information(table) -> float:
 
 def _pairwise_mi(n: int, pair) -> np.ndarray:
     """Symmetric n x n matrix of mutual_information(pair(i, j)) over all
-    i < j, with a zero diagonal."""
+    i < j, visited by i and then j ascending, with a zero diagonal."""
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

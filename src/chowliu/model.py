@@ -662,8 +662,18 @@ def dense_joint_to_json(p: DenseJoint, indent=None) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _json_object(doc, what: str, keys) -> dict:
+    """doc, checked to be a JSON object that holds every one of `keys`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return doc
+
+
 def dense_joint_from_json(text: str) -> DenseJoint:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "dense joint", ("n", "k", "probs"))
     return DenseJoint(int(doc["n"]), Alphabet(int(doc["k"])), np.array(doc["probs"], dtype=np.float64))
 
 
@@ -673,7 +683,7 @@ def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
 
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "tree", ("n", "edges"))
     return UndirectedTree(int(doc["n"]), tuple((int(u), int(v)) for u, v in doc["edges"]))
 
 
@@ -690,7 +700,7 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
 
 
 def tree_model_from_json(text: str) -> TreeModel:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "model", ("n", "k", "root", "parents", "root_marginal", "cpt"))
     n = int(doc["n"])
     k = int(doc["k"])
     tree = RootedTree(n, int(doc["root"]), tuple(int(p) for p in doc["parents"]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import SampleSet, empirical_counts, learn_parameters
+from .estimation import SampleSet, _pair_counts, learn_parameters
 from .info import _pairwise_mi
 from .model import TreeModel, UndirectedTree, root_at
 
@@ -55,7 +55,14 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     """Plug-in mutual information for every variable pair of a sample set."""
     if s.n_samples < 1:
         raise ValueError("need at least one sample")
-    pair = lambda i, j: empirical_counts(s, (i, j)).counts / s.n_samples
+    tables = _pair_counts(s)
+
+    def pair(i, j):
+        ij, counts = next(tables)
+        if ij != (i, j):  # _pairwise_mi must visit pairs in the order they are counted
+            raise RuntimeError(f"count pass gave pair {ij}, expected {(i, j)}")
+        return counts / s.n_samples
+
     return MIMatrix(_pairwise_mi(s.n_variables, pair))
 
 

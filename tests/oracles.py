@@ -61,6 +61,28 @@ def direct_kl(p, q) -> float:
     return total
 
 
+def _numpy_entropy(probs) -> float:
+    nz = probs.reshape(-1)
+    nz = nz[nz > 0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def pairwise_plug_in_mi(rows, k: int) -> np.ndarray:
+    """Plug-in MI of every column pair by the per-pair loop: one bincount per
+    pair i < j, then H(X) + H(Y) - H(X, Y) clamped at zero.  The numpy
+    reductions are the package's own, so this agrees with mi_matrix bit for
+    bit however the package counts."""
+    rows = np.asarray(rows, dtype=np.int64)
+    count, n = rows.shape
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            joint = np.bincount(rows[:, i] * k + rows[:, j], minlength=k * k).reshape(k, k) / count
+            value = _numpy_entropy(joint.sum(axis=1)) + _numpy_entropy(joint.sum(axis=0)) - _numpy_entropy(joint)
+            w[i, j] = w[j, i] = value if value > 0.0 else 0.0
+    return w
+
+
 # -- labeled trees ------------------------------------------------------------
 
 def sequence_tree(seq, n: int) -> list:

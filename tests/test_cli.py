@@ -316,6 +316,49 @@ def test_invalid_model_json_exits_1_without_sampling(model_path, tmp_path, capsy
     assert not out.exists()
 
 
+def test_model_json_missing_key_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "k": 2}))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(bad), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: model is missing key 'root'"]
+    assert not out.exists()
+
+
+def test_tree_json_missing_key_exits_1(model_path, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model_path), "--count", "50", "--seed", "1", "--out", str(data)]) == 0
+    bad = tmp_path / "tree.json"
+    bad.write_text(json.dumps({"n": 3}))
+    capsys.readouterr()
+    assert main(["learn", "--samples", str(data), "--mode", "params", "--tree", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: tree is missing key 'edges'"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"kind": "RealizableRecovery"}, "experiment config is missing key 'grid'"),
+        ({"kind": "Add1Risk", "grid": [{"n": 1, "k": 3}], "trials": 2, "seed": 1},
+         "experiment grid cell is missing key 'epsilon'"),
+        ([1, 2], "experiment config must be a JSON object"),
+    ],
+    ids=["config-key", "cell-key", "not-an-object"],
+)
+def test_experiment_json_missing_key_exits_1(tmp_path, capsys, doc, message):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_csv_symbol_above_255_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("0,1\n300,2\n")
+    assert main(["learn", "--samples", str(path), "--mode", "full"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:2: symbol 300 above 255, the largest one-byte symbol"]
+
+
 def write_cls1(path, n: int, k: int, payload: bytes) -> None:
     path.write_bytes(struct.pack("<4sIIQ", b"CLS1", n, k, len(payload) // n) + payload)
 

@@ -250,6 +250,16 @@ def test_binary_rejects_garbage(tmp_path):
         read_binary(path)
 
 
+def test_binary_header_claiming_more_rows_than_the_file_holds(tmp_path):
+    path = tmp_path / "short.bin"
+    write_binary(SampleSet(Alphabet(2), [[0, 1], [1, 0]]), path)
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = (10**12).to_bytes(8, "little")  # u64 sample count
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SampleFormatError, match=f"expected {20 + 2 * 10**12} bytes, got 24"):
+        read_binary(path)
+
+
 # -- calibrated bounds ------------------------------------------------------------------
 
 def test_add_one_risk_bound_shape():

@@ -564,6 +564,13 @@ def test_dense_joint_json_round_trip():
     assert np.array_equal(again.probs, p.probs)
 
 
+def test_dense_joint_json_names_a_missing_key():
+    with pytest.raises(ValueError, match="dense joint is missing key 'probs'"):
+        dense_joint_from_json(json.dumps({"n": 1, "k": 2}))
+    with pytest.raises(ValueError, match="dense joint must be a JSON object"):
+        dense_joint_from_json("[]")
+
+
 def test_undirected_tree_json_round_trip():
     t = UndirectedTree(4, ((2, 3), (0, 2), (1, 2)))
     text = undirected_tree_to_json(t)

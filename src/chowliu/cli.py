@@ -28,6 +28,8 @@ from .estimation import (
 from .harness import CSV_HEADER, ExperimentConfig, _csv_row, run_experiment
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
+    _json_field,
+    _json_object,
     root_at,
     sample,
     tree_model_from_json,
@@ -109,13 +111,13 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
     overrides = {}
     if config_path is not None:
         with open(config_path) as fh:
-            overrides = json.load(fh)
+            overrides = _json_object(json.load(fh), "tester config", ())
     cfg = citest_mod.TesterConfig(
         epsilon=epsilon,
         delta=delta,
         k=k if k is not None else s.alphabet.size,
-        c_sample=float(overrides.get("c_sample", citest_mod.DEFAULT_C_SAMPLE)),
-        c_decision=float(overrides.get("c_decision", 0.5)),
+        c_sample=_json_field(overrides, "tester config", "c_sample", float, citest_mod.DEFAULT_C_SAMPLE),
+        c_decision=_json_field(overrides, "tester config", "c_decision", float, 0.5),
     )
     if s.n_variables == 3:
         verdict = citest_mod.test_conditional_independence(s, cfg)

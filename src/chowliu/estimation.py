@@ -222,12 +222,30 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 # -- file formats --------------------------------------------------------------
 
 
+# Sets the extra memory of CSV reading and writing, whatever the file size:
+# the reader parses about this many bytes of the file at a time, with 11-15
+# times as much in numpy temporaries; the writer formats about this many
+# bytes of symbol text at a time, with 5-9 times as much in temporaries.
+_CSV_CHUNK_BYTES = 1 << 20
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# Row i holds the text of symbol i followed by a comma, padded with zero bytes.
+_SYMBOL_TEXT = np.array([list(f"{v},".encode().ljust(4, b"\0")) for v in range(256)], dtype=np.uint8)
+
+
 def write_csv(s: SampleSet, path) -> None:
     """Plain integer CSV, one sample per line, no header."""
-    with open(path, "w", newline="") as fh:
-        for row in s.rows:
-            fh.write(",".join(str(int(x)) for x in row))
-            fh.write("\n")
+    count, n = s.rows.shape
+    with open(path, "wb") as fh:
+        if n == 0:
+            for start in range(0, count, _CSV_CHUNK_BYTES):
+                fh.write(b"\n" * min(_CSV_CHUNK_BYTES, count - start))
+            return
+        step = max(1, _CSV_CHUNK_BYTES // (4 * n))
+        for start in range(0, count, step):
+            cells = _SYMBOL_TEXT.take(s.rows[start:start + step], axis=0)
+            last = cells[:, -1, :]
+            last[last == _COMMA] = _NEWLINE
+            fh.write(np.extract(cells, cells))  # the nonzero bytes: text without padding
 
 
 def read_csv(path, k: int | None = None) -> SampleSet:
@@ -235,11 +253,105 @@ def read_csv(path, k: int | None = None) -> SampleSet:
 
     The alphabet size is inferred as max(symbol) + 1 (at least 2) unless `k`
     is given.  Malformed content raises SampleFormatError naming the line.
+    A file in the form write_csv writes is parsed in chunks with numpy; any
+    other file is read line by line, with Python int() semantics per field.
     """
+    rows = _read_canonical_csv(path, 256 if k is None else min(k, 256))
+    if rows is None:
+        rows = _read_csv_lines(path, k)
+    size = k if k is not None else max(2, int(rows.max()) + 1)
+    return SampleSet(Alphabet(size), rows)
+
+
+def _read_canonical_csv(path, limit):
+    """The rows of a CSV file as a uint8 array, read in chunks of about
+    _CSV_CHUNK_BYTES, or None unless every chunk is canonical (see
+    _canonical_block) and the file holds at least one row."""
+    blocks = []
+    width = None
+    pending = []  # bytes read since the last newline
+    with open(path, "rb") as fh:
+        while True:
+            data = fh.read(_CSV_CHUNK_BYTES)
+            if data:
+                cut = data.rfind(b"\n") + 1
+                if cut == 0:
+                    pending.append(data)
+                    continue
+                pending.append(memoryview(data)[:cut])
+                chunk, pending = b"".join(pending), [data[cut:]]
+            else:
+                chunk = b"".join(pending)
+                if not chunk:
+                    break
+                chunk += b"\n"  # a last line without a newline still counts
+                pending = []
+            block = _canonical_block(chunk, width, limit)
+            if block is None:
+                return None
+            if len(block):
+                blocks.append(block)
+                width = block.shape[1]
+    if not blocks:
+        return None
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _canonical_block(chunk: bytes, width: int | None, limit):
+    """The rows of `chunk`, whole lines each ending in a newline, as a uint8
+    array; or None unless every line is canonical.  Canonical lines hold only
+    ASCII digits, commas and the newline; every field has 1-3 digits; every
+    non-blank line has `width` fields (the first line's count when `width` is
+    None); every value is below `limit`.  Blank lines are skipped."""
+    text = np.frombuffer(chunk, dtype=np.uint8)
+    newline = text == _NEWLINE
+    blank = newline.copy()  # a newline at the start or after a newline
+    blank[1:] &= newline[:-1]
+    if blank.any():
+        text, newline = text[~blank], newline[~blank]
+        if not text.size:
+            return np.empty((0, width or 0), dtype=np.uint8)
+    digit = text - ord("0")  # wraps round for bytes below "0"
+    is_digit = digit < 10
+    if not (is_digit | newline | (text == _COMMA)).all():
+        return None
+    separator = ~is_digit
+    # One separator ends each field, so no two are adjacent and none leads.
+    if separator[0] or (separator[1:] & separator[:-1]).any():
+        return None
+    ends = np.flatnonzero(separator)  # the separator that ends each field
+    ends_line = newline.take(ends)
+    if width is None:
+        width = int(np.argmax(ends_line)) + 1
+    rows = int(np.count_nonzero(newline))
+    if ends.size != rows * width or not ends_line[width - 1::width].all():
+        return None
+    value = digit
+    longer = is_digit[1:] & is_digit[:-1]  # a digit follows a digit
+    if longer.any():
+        if (longer[2:] & longer[1:-1] & longer[:-2]).any():  # four digits in a row
+            return None
+        # Horner's rule along each field, restarting after every separator.
+        tail = np.where(is_digit, digit, 0).astype(np.uint16)
+        value = tail.copy()
+        for _ in range(2):
+            value[1:] = (tail[1:] + 10 * value[:-1]) * is_digit[1:]
+    ends -= 1
+    values = value.take(ends)  # a field's value sits at its last digit
+    if int(values.max()) >= limit:
+        return None
+    return values.astype(np.uint8, copy=False).reshape(rows, width)
+
+
+def _read_csv_lines(path, k: int | None) -> np.ndarray:
+    """The per-line reader: Python int() semantics for every field, and the
+    one place that words CSV format errors."""
     rows = []
     width = None
     limit = 256 if k is None else k  # symbols are stored in one byte
-    with open(path, "r") as fh:
+    # Undecodable bytes become lone surrogates, which no field accepts, so the
+    # line that holds them is found and named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -248,6 +360,8 @@ def read_csv(path, k: int | None = None) -> SampleSet:
             try:
                 values = [int(p) for p in parts]
             except ValueError:
+                if any("\udc80" <= c <= "\udcff" for c in text):
+                    raise SampleFormatError(f"{path}:{lineno}: bytes that are not valid UTF-8") from None
                 raise SampleFormatError(f"{path}:{lineno}: non-integer symbol in {text!r}") from None
             if width is None:
                 width = len(values)
@@ -265,9 +379,7 @@ def read_csv(path, k: int | None = None) -> SampleSet:
             rows.append(values)
     if width is None:
         raise SampleFormatError(f"{path}: no samples")
-    arr = np.array(rows, dtype=np.int64)
-    size = k if k is not None else max(2, int(arr.max()) + 1)
-    return SampleSet(Alphabet(size), arr)
+    return np.array(rows, dtype=np.int64)
 
 
 def write_binary(s: SampleSet, path) -> None:
@@ -294,10 +406,10 @@ def read_binary(path) -> SampleSet:
         if size != expected:
             raise SampleFormatError(f"{path}: expected {expected} bytes, got {size}")
         body = fh.read(count * n)
-    rows = np.frombuffer(body, dtype=np.uint8).reshape(count, n)
     try:
+        rows = np.frombuffer(body, dtype=np.uint8).reshape(count, n)
         return SampleSet(Alphabet(int(k)), rows)
-    except ValueError as err:  # bad alphabet size in the header, or a symbol >= k
+    except ValueError as err:  # bad alphabet size in the header, a symbol >= k, or 2^63 empty rows
         raise SampleFormatError(f"{path}: {err}") from None
 
 

@@ -31,6 +31,7 @@ from .info import _pairwise_mi
 from .model import (
     Alphabet,
     DenseJoint,
+    _json_field,
     _json_object,
     exact_mi_matrix,
     random_tree_model,
@@ -65,6 +66,12 @@ KINDS = (
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 
 
+def _path_or_none(value):
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentCell:
     n: int
@@ -93,24 +100,28 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        doc = _json_object(json.loads(text), "experiment config", ("kind", "grid", "trials", "seed"))
-        cells = [_json_object(c, "experiment grid cell", ("n", "k", "epsilon")) for c in doc["grid"]]
+        what = "experiment config"
+        doc = _json_object(json.loads(text), what, ("kind", "grid", "trials", "seed"))
+        cells = [
+            _json_object(c, "experiment grid cell", ("n", "k", "epsilon"))
+            for c in _json_field(doc, what, "grid", list)
+        ]
         grid = tuple(
             ExperimentCell(
-                n=int(c["n"]),
-                k=int(c["k"]),
-                epsilon=float(c["epsilon"]),
-                n_samples=int(c.get("N", 0)),
+                n=_json_field(c, "experiment grid cell", "n", int),
+                k=_json_field(c, "experiment grid cell", "k", int),
+                epsilon=_json_field(c, "experiment grid cell", "epsilon", float),
+                n_samples=_json_field(c, "experiment grid cell", "N", int, 0),
             )
             for c in cells
         )
         return ExperimentConfig(
             kind=doc["kind"],
             grid=grid,
-            trials=int(doc["trials"]),
-            seed=int(doc["seed"]),
-            out_path=doc.get("out"),
-            options=dict(doc.get("options", {})),
+            trials=_json_field(doc, what, "trials", int),
+            seed=_json_field(doc, what, "seed", int),
+            out_path=_json_field(doc, what, "out", _path_or_none),
+            options=_json_field(doc, what, "options", dict, {}),
         )
 
     def to_json(self, indent=2) -> str:

@@ -672,9 +672,24 @@ def _json_object(doc, what: str, keys) -> dict:
     return doc
 
 
+def _json_field(doc: dict, what: str, key: str, convert, default=None):
+    """convert(doc.get(key, default)), where a value of the wrong type or form
+    raises a ValueError naming the key."""
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValueError(f"{what} has a bad value for key {key!r}: {err}") from None
+
+
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
 def dense_joint_from_json(text: str) -> DenseJoint:
     doc = _json_object(json.loads(text), "dense joint", ("n", "k", "probs"))
-    return DenseJoint(int(doc["n"]), Alphabet(int(doc["k"])), np.array(doc["probs"], dtype=np.float64))
+    n = _json_field(doc, "dense joint", "n", int)
+    k = _json_field(doc, "dense joint", "k", int)
+    return DenseJoint(n, Alphabet(k), _json_field(doc, "dense joint", "probs", _float_array))
 
 
 def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
@@ -684,7 +699,9 @@ def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
     doc = _json_object(json.loads(text), "tree", ("n", "edges"))
-    return UndirectedTree(int(doc["n"]), tuple((int(u), int(v)) for u, v in doc["edges"]))
+    n = _json_field(doc, "tree", "n", int)
+    edges = _json_field(doc, "tree", "edges", lambda edges: tuple((int(u), int(v)) for u, v in edges))
+    return UndirectedTree(n, edges)
 
 
 def tree_model_to_json(m: TreeModel, indent=None) -> str:
@@ -701,10 +718,10 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
 
 def tree_model_from_json(text: str) -> TreeModel:
     doc = _json_object(json.loads(text), "model", ("n", "k", "root", "parents", "root_marginal", "cpt"))
-    n = int(doc["n"])
-    k = int(doc["k"])
-    tree = RootedTree(n, int(doc["root"]), tuple(int(p) for p in doc["parents"]))
-    cpt = {int(node): np.array(rows, dtype=np.float64) for node, rows in doc["cpt"].items()}
-    m = TreeModel(tree, Alphabet(k), np.array(doc["root_marginal"], dtype=np.float64), cpt)
+    n, k, root = (_json_field(doc, "model", key, int) for key in ("n", "k", "root"))
+    parents = _json_field(doc, "model", "parents", lambda parents: tuple(int(p) for p in parents))
+    cpt = _json_field(doc, "model", "cpt", lambda cpt: {int(node): _float_array(rows) for node, rows in cpt.items()})
+    root_marginal = _json_field(doc, "model", "root_marginal", _float_array)
+    m = TreeModel(RootedTree(n, root, parents), Alphabet(k), root_marginal, cpt)
     validate_tree_model(m)
     return m

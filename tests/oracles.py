@@ -235,3 +235,52 @@ def flat_table_sample(probs, n: int, k: int, count: int, seed: int) -> list:
             flat //= k
         rows.append(digits[::-1])
     return rows
+
+
+# -- CSV sample files ---------------------------------------------------------
+
+class ReferenceFormatError(ValueError):
+    """What the reference CSV reader raises for malformed files; the library
+    raises its SampleFormatError with the same message."""
+
+
+def reference_write_csv(rows, path) -> None:
+    """The join-based CSV writer: one line per row, symbols joined by commas."""
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            fh.write(",".join(str(int(x)) for x in row))
+            fh.write("\n")
+
+
+def reference_read_csv(path, k=None):
+    """The per-line CSV reader: (int64 rows, alphabet size) with Python int()
+    semantics for every field, universal newlines and stripped whitespace."""
+    rows = []
+    width = None
+    limit = 256 if k is None else k
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            try:
+                values = [int(p) for p in parts]
+            except ValueError:
+                raise ReferenceFormatError(f"{path}:{lineno}: non-integer symbol in {text!r}") from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ReferenceFormatError(f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+            for v in values:
+                if not 0 <= v < limit:
+                    if v < 0:
+                        raise ReferenceFormatError(f"{path}:{lineno}: negative symbol {v}")
+                    if k is None:
+                        raise ReferenceFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
+                    raise ReferenceFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
+            rows.append(values)
+    if width is None:
+        raise ReferenceFormatError(f"{path}: no samples")
+    arr = np.array(rows, dtype=np.int64)
+    return arr, (k if k is not None else max(2, int(arr.max()) + 1))

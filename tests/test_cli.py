@@ -352,6 +352,78 @@ def test_experiment_json_missing_key_exits_1(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_tree_json_value_of_wrong_type_exits_1(model_path, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model_path), "--count", "50", "--seed", "1", "--out", str(data)]) == 0
+    bad = tmp_path / "tree.json"
+    bad.write_text(json.dumps({"n": 3, "edges": 5}))
+    capsys.readouterr()
+    assert main(["learn", "--samples", str(data), "--mode", "params", "--tree", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: tree has a bad value for key 'edges': 'int' object is not iterable"
+    )
+
+
+def test_model_json_value_of_wrong_type_exits_1(model_path, tmp_path, capsys):
+    doc = json.loads(model_path.read_text())
+    doc["parents"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(bad), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: model has a bad value for key 'parents': 'int' object is not iterable"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"kind": "Add1Risk", "grid": 5, "trials": 2, "seed": 1},
+         "experiment config has a bad value for key 'grid': 'int' object is not iterable"),
+        ({"kind": "Add1Risk", "grid": [{"n": 1, "k": [4], "epsilon": 0.1}], "trials": 2, "seed": 1},
+         "experiment grid cell has a bad value for key 'k': int() argument must be a string, "
+         "a bytes-like object or a real number, not 'list'"),
+        ({"kind": "Add1Risk", "grid": [{"n": 1, "k": 4, "epsilon": 0.1}], "trials": 2, "seed": 1, "out": 5},
+         "experiment config has a bad value for key 'out': expected a path string, got int"),
+    ],
+    ids=["grid", "cell-k", "out"],
+)
+def test_experiment_json_value_of_wrong_type_exits_1(tmp_path, capsys, doc, message):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1], "tester config must be a JSON object"),
+        ({"c_sample": [1]}, "tester config has a bad value for key 'c_sample': float() argument must be "
+                            "a string or a real number, not 'list'"),
+    ],
+    ids=["not-an-object", "c_sample"],
+)
+def test_citest_config_of_wrong_type_exits_1(tmp_path, capsys, doc, message):
+    x = np.arange(40) % 2
+    samples = tmp_path / "pair.csv"
+    write_csv(columns(x, x), samples)
+    config = tmp_path / "tester.json"
+    config.write_text(json.dumps(doc))
+    args = ["citest", "--samples", str(samples), "--epsilon", "0.2", "--delta", "0.1", "--config", str(config)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_csv_bytes_that_are_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"0,1\n1,\xff\n")
+    assert main(["learn", "--samples", str(path), "--mode", "structure"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:2: bytes that are not valid UTF-8"]
+
+
 def test_csv_symbol_above_255_exits_2(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     path.write_text("0,1\n300,2\n")

@@ -48,6 +48,7 @@ from chowliu import (
     validate_tree_model,
 )
 from chowliu.hardinstances import block_product
+from chowliu.harness import ExperimentConfig
 from chowliu.model import (
     DENSE_CAP,
     dense_joint_from_json,
@@ -569,6 +570,31 @@ def test_dense_joint_json_names_a_missing_key():
         dense_joint_from_json(json.dumps({"n": 1, "k": 2}))
     with pytest.raises(ValueError, match="dense joint must be a JSON object"):
         dense_joint_from_json("[]")
+
+
+WRONG_TYPES = [5, 1.5, "x", None, True, [], {}, [5], [[5]], [[0, 1, 2]], {"a": 1}, {"1": 5}, [None]]
+
+
+def test_json_loaders_reject_values_of_the_wrong_type_with_value_error():
+    m = random_tree_model(3, 2, seed=1)
+    cell = {"n": 1, "k": 4, "epsilon": 0.05, "N": 10}
+    documents = [
+        (json.loads(tree_model_to_json(m)), tree_model_from_json),
+        (json.loads(undirected_tree_to_json(m.tree.skeleton())), undirected_tree_from_json),
+        (json.loads(dense_joint_to_json(random_dense(2, 2, np.random.default_rng(1)))), dense_joint_from_json),
+        ({"kind": "Add1Risk", "grid": [cell], "trials": 2, "seed": 1, "options": {}, "out": None},
+         ExperimentConfig.from_json),
+        (cell, lambda text: ExperimentConfig.from_json(
+            json.dumps({"kind": "Add1Risk", "grid": [json.loads(text)], "trials": 2, "seed": 1}))),
+    ]
+    for doc, load in documents:
+        load(json.dumps(doc))
+        for key in doc:
+            for value in WRONG_TYPES:
+                try:
+                    load(json.dumps({**doc, key: value}))
+                except ValueError:
+                    pass
 
 
 def test_undirected_tree_json_round_trip():

@@ -25,11 +25,10 @@ from .estimation import (
     write_binary,
     write_csv,
 )
-from .harness import CSV_HEADER, ExperimentConfig, _csv_row, run_experiment
+from .harness import ExperimentConfig, _csv_text, run_experiment
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
-    _json_field,
-    _json_object,
+    _json_fields,
     root_at,
     sample,
     tree_model_from_json,
@@ -111,14 +110,11 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
     overrides = {}
     if config_path is not None:
         with open(config_path) as fh:
-            overrides = _json_object(json.load(fh), "tester config", ())
-    cfg = citest_mod.TesterConfig(
-        epsilon=epsilon,
-        delta=delta,
-        k=k if k is not None else s.alphabet.size,
-        c_sample=_json_field(overrides, "tester config", "c_sample", float, citest_mod.DEFAULT_C_SAMPLE),
-        c_decision=_json_field(overrides, "tester config", "c_decision", float, 0.5),
+            overrides = json.load(fh)
+    c_sample, c_decision = _json_fields(
+        overrides, "tester config", {"c_sample": (float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (float, 0.5)}
     )
+    cfg = citest_mod.TesterConfig(epsilon, delta, k if k is not None else s.alphabet.size, c_sample, c_decision)
     if s.n_variables == 3:
         verdict = citest_mod.test_conditional_independence(s, cfg)
         kind = "conditional"
@@ -129,20 +125,8 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
         recommended = citest_mod.required_samples_mi(cfg)
     else:
         raise SystemExit(f"citest expects 2 or 3 columns, got {s.n_variables}")
-    doc = {
-        "kind": kind,
-        "verdict": verdict.verdict,
-        "statistic": verdict.statistic,
-        "threshold": verdict.threshold,
-        "n_samples": verdict.n_samples,
-        "recommended_samples": recommended,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "k": cfg.k,
-        "c_sample": cfg.c_sample,
-        "c_decision": cfg.c_decision,
-    }
-    print(json.dumps(doc))
+    print(json.dumps({"kind": kind, **dataclasses.asdict(verdict), "recommended_samples": recommended,
+                      **dataclasses.asdict(cfg)}))
     if verdict.n_samples < recommended:
         _log(f"warning: N={verdict.n_samples} is below the recommended {recommended} for these parameters")
     return 0
@@ -162,9 +146,7 @@ def cmd_experiment(config_path: str, out_path: str | None = None, timing: bool =
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
     if cfg.out_path is None:
-        print(CSV_HEADER)
-        for r in rows:
-            print(_csv_row(r, bool(options.get("timing"))))
+        print(_csv_text(rows, bool(options.get("timing"))), end="")
     else:
         _log(f"wrote {cfg.out_path}")
     return 0
@@ -198,16 +180,11 @@ def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
         for candidate, rates in err.diagnostics.items():
             _log(f"  c_sample={candidate}: " + ", ".join(f"{n}={r:.3f}" for n, r in rates.items()))
         return 1
-    doc = {
-        "epsilon": tuned.epsilon,
-        "delta": tuned.delta,
-        "k": tuned.k,
-        "c_sample": tuned.c_sample,
-        "c_decision": tuned.c_decision,
+    payload = json.dumps({
+        **dataclasses.asdict(tuned),
         "required_samples_cmi": citest_mod.required_samples_cmi(tuned),
         "required_samples_mi": citest_mod.required_samples_mi(tuned),
-    }
-    payload = json.dumps(doc)
+    })
     print(payload)
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:

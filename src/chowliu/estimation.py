@@ -269,23 +269,11 @@ def _read_canonical_csv(path, limit):
     _canonical_block) and the file holds at least one row."""
     blocks = []
     width = None
-    pending = []  # bytes read since the last newline
     with open(path, "rb") as fh:
-        while True:
-            data = fh.read(_CSV_CHUNK_BYTES)
-            if data:
-                cut = data.rfind(b"\n") + 1
-                if cut == 0:
-                    pending.append(data)
-                    continue
-                pending.append(memoryview(data)[:cut])
-                chunk, pending = b"".join(pending), [data[cut:]]
-            else:
-                chunk = b"".join(pending)
-                if not chunk:
-                    break
+        while chunk := fh.read(_CSV_CHUNK_BYTES):
+            chunk += fh.readline()  # finish the chunk's last line
+            if not chunk.endswith(b"\n"):
                 chunk += b"\n"  # a last line without a newline still counts
-                pending = []
             block = _canonical_block(chunk, width, limit)
             if block is None:
                 return None

@@ -31,8 +31,7 @@ from .info import _pairwise_mi
 from .model import (
     Alphabet,
     DenseJoint,
-    _json_field,
-    _json_object,
+    _json_fields,
     exact_mi_matrix,
     random_tree_model,
     sample,
@@ -100,29 +99,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        what = "experiment config"
-        doc = _json_object(json.loads(text), what, ("kind", "grid", "trials", "seed"))
-        cells = [
-            _json_object(c, "experiment grid cell", ("n", "k", "epsilon"))
-            for c in _json_field(doc, what, "grid", list)
-        ]
-        grid = tuple(
-            ExperimentCell(
-                n=_json_field(c, "experiment grid cell", "n", int),
-                k=_json_field(c, "experiment grid cell", "k", int),
-                epsilon=_json_field(c, "experiment grid cell", "epsilon", float),
-                n_samples=_json_field(c, "experiment grid cell", "N", int, 0),
-            )
-            for c in cells
-        )
-        return ExperimentConfig(
-            kind=doc["kind"],
-            grid=grid,
-            trials=_json_field(doc, what, "trials", int),
-            seed=_json_field(doc, what, "seed", int),
-            out_path=_json_field(doc, what, "out", _path_or_none),
-            options=_json_field(doc, what, "options", dict, {}),
-        )
+        kind, cells, trials, seed, out_path, options = _json_fields(json.loads(text), "experiment config", {
+            "kind": lambda kind: kind,  # checked against KINDS when the config is built
+            "grid": list,
+            "trials": int,
+            "seed": int,
+            "out": (_path_or_none, None),
+            "options": (dict, {}),
+        })
+        cell = {"n": int, "k": int, "epsilon": float, "N": (int, 0)}
+        grid = tuple(ExperimentCell(*_json_fields(c, "experiment grid cell", cell)) for c in cells)
+        return ExperimentConfig(kind, grid, trials, seed, out_path, options)
 
     def to_json(self, indent=2) -> str:
         doc = {
@@ -160,20 +147,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_row(r: ExperimentRow, timing: bool) -> str:
-    """One CSV line without its newline; `seconds` is 0.0 unless timing."""
-    seconds = r.seconds if timing else 0.0
-    return (
-        f"{r.n},{r.k},{_fmt(r.epsilon)},{r.n_samples},{r.trials},"
-        f"{_fmt(r.success_rate)},{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},{_fmt(seconds)}"
+def _csv_text(rows, timing: bool) -> str:
+    """The experiment CSV: the header, then one line per row; `seconds` is
+    0.0 unless timing."""
+    return CSV_HEADER + "\n" + "".join(
+        f"{r.n},{r.k},{_fmt(r.epsilon)},{r.n_samples},{r.trials},{_fmt(r.success_rate)},"
+        f"{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},{_fmt(r.seconds if timing else 0.0)}\n"
+        for r in rows
     )
 
 
 def write_rows_csv(rows, path, timing: bool = False) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(_csv_row(r, timing) + "\n")
+        fh.write(_csv_text(rows, timing))
 
 
 def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
@@ -412,6 +398,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         "Add1Risk": _add1_cell,
         "CITesterRates": _citester_cell,
     }
+    if cfg.kind in ("RealizableRecovery", "NonRealizableRecovery", "Add1Risk"):  # they draw N samples
+        for index, cell in enumerate(cfg.grid):
+            if cell.n_samples < 1:
+                raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least 1, got {cell.n_samples}")
     if cfg.kind == "SeparationCurve":
         rows = _separation_kind(cfg)
     else:

@@ -87,6 +87,8 @@ class DenseJoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one variable")
+        if self.n >= DENSE_CAP.bit_length():  # k >= 2, so k**n > DENSE_CAP: skip the power
+            raise ValueError(f"dense table of {self.alphabet.size}**{self.n} entries exceeds cap {DENSE_CAP}")
         size = self.alphabet.size**self.n
         if size > DENSE_CAP:
             raise ValueError(f"dense table of {size} entries exceeds cap {DENSE_CAP}")
@@ -570,15 +572,8 @@ def kl_decomposition(p: DenseJoint, m: TreeModel) -> KLDecomposition:
         weight += mutual_information(pm)
         pa_marginal = pm.sum(axis=1)
         for a in range(p.k):
-            if pa_marginal[a] <= 0.0:
-                continue
-            term = _kl_arrays(pm[a] / pa_marginal[a], m.cpt[node][a])
-            if math.isinf(term):
-                conditional = math.inf
-                break
-            conditional += float(pa_marginal[a]) * term
-        if math.isinf(conditional):
-            break
+            if pa_marginal[a] > 0.0:  # an infinite term makes the sum infinite
+                conditional += float(pa_marginal[a]) * _kl_arrays(pm[a] / pa_marginal[a], m.cpt[node][a])
     return KLDecomposition(
         base_term=base,
         weight_term=weight,
@@ -662,23 +657,25 @@ def dense_joint_to_json(p: DenseJoint, indent=None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def _json_object(doc, what: str, keys) -> dict:
-    """doc, checked to be a JSON object that holds every one of `keys`."""
+def _json_fields(doc, what: str, fields: dict) -> list:
+    """The converted values of `fields` in doc, in the order of `fields`, which
+    maps each key to its converter, or to (converter, default) when the key is
+    optional.  A doc that is not a JSON object, a missing key and a value of
+    the wrong type or form raise a ValueError naming `what` and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in doc:
+    values = []
+    for key, convert in fields.items():
+        default = None
+        if isinstance(convert, tuple):
+            convert, default = convert
+        elif key not in doc:
             raise ValueError(f"{what} is missing key {key!r}")
-    return doc
-
-
-def _json_field(doc: dict, what: str, key: str, convert, default=None):
-    """convert(doc.get(key, default)), where a value of the wrong type or form
-    raises a ValueError naming the key."""
-    try:
-        return convert(doc.get(key, default))
-    except (TypeError, ValueError, AttributeError) as err:
-        raise ValueError(f"{what} has a bad value for key {key!r}: {err}") from None
+        try:
+            values.append(convert(doc.get(key, default)))
+        except (TypeError, ValueError, AttributeError) as err:
+            raise ValueError(f"{what} has a bad value for key {key!r}: {err}") from None
+    return values
 
 
 def _float_array(value) -> np.ndarray:
@@ -686,10 +683,8 @@ def _float_array(value) -> np.ndarray:
 
 
 def dense_joint_from_json(text: str) -> DenseJoint:
-    doc = _json_object(json.loads(text), "dense joint", ("n", "k", "probs"))
-    n = _json_field(doc, "dense joint", "n", int)
-    k = _json_field(doc, "dense joint", "k", int)
-    return DenseJoint(n, Alphabet(k), _json_field(doc, "dense joint", "probs", _float_array))
+    n, k, probs = _json_fields(json.loads(text), "dense joint", {"n": int, "k": int, "probs": _float_array})
+    return DenseJoint(n, Alphabet(k), probs)
 
 
 def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
@@ -698,9 +693,9 @@ def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
 
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
-    doc = _json_object(json.loads(text), "tree", ("n", "edges"))
-    n = _json_field(doc, "tree", "n", int)
-    edges = _json_field(doc, "tree", "edges", lambda edges: tuple((int(u), int(v)) for u, v in edges))
+    n, edges = _json_fields(
+        json.loads(text), "tree", {"n": int, "edges": lambda edges: tuple((int(u), int(v)) for u, v in edges)}
+    )
     return UndirectedTree(n, edges)
 
 
@@ -717,11 +712,14 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
 
 
 def tree_model_from_json(text: str) -> TreeModel:
-    doc = _json_object(json.loads(text), "model", ("n", "k", "root", "parents", "root_marginal", "cpt"))
-    n, k, root = (_json_field(doc, "model", key, int) for key in ("n", "k", "root"))
-    parents = _json_field(doc, "model", "parents", lambda parents: tuple(int(p) for p in parents))
-    cpt = _json_field(doc, "model", "cpt", lambda cpt: {int(node): _float_array(rows) for node, rows in cpt.items()})
-    root_marginal = _json_field(doc, "model", "root_marginal", _float_array)
+    n, k, root, parents, root_marginal, cpt = _json_fields(json.loads(text), "model", {
+        "n": int,
+        "k": int,
+        "root": int,
+        "parents": lambda parents: tuple(int(p) for p in parents),
+        "root_marginal": _float_array,
+        "cpt": lambda cpt: {int(node): _float_array(rows) for node, rows in cpt.items()},
+    })
     m = TreeModel(RootedTree(n, root, parents), Alphabet(k), root_marginal, cpt)
     validate_tree_model(m)
     return m

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import SampleSet, _pair_counts, learn_parameters
-from .info import _pairwise_mi
+from .info import mutual_information
 from .model import TreeModel, UndirectedTree, root_at
 
 __all__ = [
@@ -55,15 +55,10 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     """Plug-in mutual information for every variable pair of a sample set."""
     if s.n_samples < 1:
         raise ValueError("need at least one sample")
-    tables = _pair_counts(s)
-
-    def pair(i, j):
-        ij, counts = next(tables)
-        if ij != (i, j):  # _pairwise_mi must visit pairs in the order they are counted
-            raise RuntimeError(f"count pass gave pair {ij}, expected {(i, j)}")
-        return counts / s.n_samples
-
-    return MIMatrix(_pairwise_mi(s.n_variables, pair))
+    w = np.zeros((s.n_variables, s.n_variables))
+    for (i, j), counts in _pair_counts(s):
+        w[i, j] = w[j, i] = mutual_information(counts / s.n_samples)
+    return MIMatrix(w)
 
 
 class _UnionFind:

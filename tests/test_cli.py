@@ -397,6 +397,15 @@ def test_experiment_json_value_of_wrong_type_exits_1(tmp_path, capsys, doc, mess
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("kind", ["RealizableRecovery", "NonRealizableRecovery", "Add1Risk"])
+def test_experiment_cell_without_n_exits_1_naming_the_cell(tmp_path, capsys, kind):
+    bad = tmp_path / "config.json"
+    cells = [{"n": 3, "k": 2, "epsilon": 0.1, "N": 10}, {"n": 3, "k": 2, "epsilon": 0.1}]
+    bad.write_text(json.dumps({"kind": kind, "grid": cells, "trials": 2, "seed": 1}))
+    assert main(["experiment", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {kind} grid cell 1 needs key 'N' of at least 1, got 0"]
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

@@ -6,6 +6,8 @@ Core claims:
   * `experiment` writes, for each of the five kinds at a tiny grid, the
     pinned CSV: every column matches exactly except `mean_excess` and
     `p95_excess`, which may move by at most 1e-12.
+  * `citest` prints, for 2 and 3 columns, with `--k` and with `--config`,
+    the pinned verdict document byte for byte, so its key order is pinned.
 
 The pins guard refactors that must not change any output or RNG draw.
 """
@@ -13,9 +15,12 @@ The pins guard refactors that must not change any output or RNG draw.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from chowliu import Alphabet
 from chowliu.cli import main
+from chowliu.estimation import SampleSet, write_csv
 from chowliu.model import random_tree_model, tree_model_to_json
 
 EXCESS_TOL = 1e-12
@@ -138,3 +143,61 @@ def test_experiment_csv_matches_pinned(tmp_path, kind):
                 assert abs(float(g) - float(w)) <= EXCESS_TOL, (column, g, w)
             else:
                 assert g == w, (column, g, w)
+
+
+# Columns whose cell frequencies are powers of two, so every logarithm in the
+# statistic is of a power of two and the printed digits do not depend on the
+# platform's log implementation.
+CITEST_COLUMNS = {
+    "equal": ([0, 1] * 8, [0, 1] * 8),
+    "product": ([0, 0, 1, 1] * 4, [0, 1] * 8),
+    "slices": ([0, 1] * 4 + [0, 0, 1, 1] * 2, [0, 1] * 4 + [0, 1] * 4, [0] * 8 + [1] * 8),
+}
+
+CITEST_STDOUT = {
+    "two-columns": (
+        "equal", [],
+        '{"kind": "unconditional", "verdict": "dependent", "statistic": 0.6931471805599453, '
+        '"threshold": 0.1, "n_samples": 16, "recommended_samples": 36, "epsilon": 0.2, "delta": 0.1, '
+        '"k": 2, "c_sample": 0.1875, "c_decision": 0.5}\n',
+    ),
+    "two-columns-k": (
+        "equal", ["--k", "3"],
+        '{"kind": "unconditional", "verdict": "dependent", "statistic": 0.6931471805599453, '
+        '"threshold": 0.1, "n_samples": 16, "recommended_samples": 102, "epsilon": 0.2, "delta": 0.1, '
+        '"k": 3, "c_sample": 0.1875, "c_decision": 0.5}\n',
+    ),
+    "two-columns-config": (
+        "product", ["--config", "CONFIG"],
+        '{"kind": "unconditional", "verdict": "independent", "statistic": 0.0, '
+        '"threshold": 0.05, "n_samples": 16, "recommended_samples": 376, "epsilon": 0.2, "delta": 0.1, '
+        '"k": 2, "c_sample": 2.0, "c_decision": 0.25}\n',
+    ),
+    "three-columns": (
+        "slices", [],
+        '{"kind": "conditional", "verdict": "dependent", "statistic": 0.34657359027997264, '
+        '"threshold": 0.1, "n_samples": 16, "recommended_samples": 71, "epsilon": 0.2, "delta": 0.1, '
+        '"k": 2, "c_sample": 0.1875, "c_decision": 0.5}\n',
+    ),
+    "three-columns-config": (
+        "slices", ["--config", "CONFIG"],
+        '{"kind": "conditional", "verdict": "dependent", "statistic": 0.34657359027997264, '
+        '"threshold": 0.05, "n_samples": 16, "recommended_samples": 752, "epsilon": 0.2, "delta": 0.1, '
+        '"k": 2, "c_sample": 2.0, "c_decision": 0.25}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CITEST_STDOUT))
+def test_citest_stdout_matches_pinned(tmp_path, capsys, case):
+    """The verdict document's bytes, key order included; "CONFIG" in the
+    extra arguments stands for a tester config file."""
+    columns, extra, want = CITEST_STDOUT[case]
+    rows = np.array(CITEST_COLUMNS[columns], dtype=np.uint8).T
+    samples = tmp_path / "samples.csv"
+    write_csv(SampleSet(Alphabet(2), rows), samples)
+    config = tmp_path / "tester.json"
+    config.write_text(json.dumps({"c_sample": 2.0, "c_decision": 0.25}))
+    argv = ["citest", "--samples", str(samples), "--epsilon", "0.2", "--delta", "0.1"]
+    assert main(argv + [str(config) if a == "CONFIG" else a for a in extra]) == 0
+    assert capsys.readouterr().out == want

@@ -483,6 +483,20 @@ def test_kl_decomposition_signals_infinite_support_mismatch():
     assert kl_divergence(uniform, to_dense(m)) == math.inf
 
 
+def test_kl_decomposition_weight_term_covers_every_edge_after_an_infinite_row():
+    # Node 1's first conditional row misses mass that p carries, so the
+    # conditional term is infinite from the first non-root node on; the
+    # weight term must still sum p's MI over all three edges.
+    p = random_dense(4, 2, np.random.default_rng(73))
+    tree = RootedTree(4, 0, (-1, 0, 1, 2))
+    rows = [[0.7, 0.3], [0.4, 0.6]]
+    m = TreeModel(tree, Alphabet(2), [0.5, 0.5], {1: [[1.0, 0.0], [0.5, 0.5]], 2: rows, 3: rows})
+    d = kl_decomposition(p, m)
+    assert d.conditional_term == math.inf and d.total == math.inf
+    weight = sum(direct_mi(p.marginal(e)) for e in tree.skeleton().edges)
+    assert d.weight_term == pytest.approx(weight, rel=1e-12)
+
+
 # -- statistical distances --------------------------------------------------------------
 
 def test_distances_identical_and_disjoint():
@@ -570,6 +584,12 @@ def test_dense_joint_json_names_a_missing_key():
         dense_joint_from_json(json.dumps({"n": 1, "k": 2}))
     with pytest.raises(ValueError, match="dense joint must be a JSON object"):
         dense_joint_from_json("[]")
+
+
+def test_dense_joint_json_with_a_huge_n_is_rejected_without_computing_k_to_the_n():
+    # 2**(10**12) would hold the process for far longer than the suite runs.
+    with pytest.raises(ValueError, match=r"dense table of 2\*\*1000000000000 entries exceeds cap"):
+        dense_joint_from_json('{"n": 1e12, "k": 2, "probs": [1]}')
 
 
 WRONG_TYPES = [5, 1.5, "x", None, True, [], {}, [5], [[5]], [[0, 1, 2]], {"a": 1}, {"1": 5}, [None]]

@@ -28,6 +28,7 @@ from .estimation import (
 from .harness import ExperimentConfig, _csv_text, run_experiment
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
+    _float,
     _json_fields,
     root_at,
     sample,
@@ -50,9 +51,7 @@ def _is_binary(path, fmt: str | None) -> bool:
 
 
 def _read_samples(path: str, fmt: str | None, k: int | None):
-    if _is_binary(path, fmt):
-        return read_binary(path)
-    return read_csv(path, k=k)
+    return read_binary(path, k) if _is_binary(path, fmt) else read_csv(path, k)
 
 
 def _env_seed(default: int) -> int:
@@ -112,9 +111,9 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
         with open(config_path) as fh:
             overrides = json.load(fh)
     c_sample, c_decision = _json_fields(
-        overrides, "tester config", {"c_sample": (float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (float, 0.5)}
+        overrides, "tester config", {"c_sample": (_float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (_float, 0.5)}
     )
-    cfg = citest_mod.TesterConfig(epsilon, delta, k if k is not None else s.alphabet.size, c_sample, c_decision)
+    cfg = citest_mod.TesterConfig(epsilon, delta, s.alphabet.size, c_sample, c_decision)
     if s.n_variables == 3:
         verdict = citest_mod.test_conditional_independence(s, cfg)
         kind = "conditional"
@@ -135,18 +134,15 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
 def cmd_experiment(config_path: str, out_path: str | None = None, timing: bool = False) -> int:
     with open(config_path) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    seed = _env_seed(cfg.seed)
-    options = dict(cfg.options)
-    if timing:
-        options["timing"] = True
-    cfg = dataclasses.replace(cfg, seed=seed, options=options,
+    options = {**cfg.options, "timing": True} if timing else cfg.options
+    cfg = dataclasses.replace(cfg, seed=_env_seed(cfg.seed), options=options,
                               out_path=out_path if out_path is not None else cfg.out_path)
     start = time.perf_counter()
     rows = run_experiment(cfg)
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
     if cfg.out_path is None:
-        print(_csv_text(rows, bool(options.get("timing"))), end="")
+        print(_csv_text(rows, cfg.timing), end="")
     else:
         _log(f"wrote {cfg.out_path}")
     return 0

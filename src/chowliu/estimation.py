@@ -379,13 +379,14 @@ def write_binary(s: SampleSet, path) -> None:
         fh.write(s.rows.tobytes())
 
 
-def read_binary(path) -> SampleSet:
+def read_binary(path, k: int | None = None) -> SampleSet:
+    """Read a CLS1 sample set, over an alphabet of size `k` if given, else the header's."""
     header_size = struct.calcsize("<4sIIQ")
     with open(path, "rb") as fh:
         header = fh.read(header_size)
         if len(header) < header_size:
             raise SampleFormatError(f"{path}: truncated header")
-        magic, n, k, count = struct.unpack("<4sIIQ", header)
+        magic, n, header_k, count = struct.unpack("<4sIIQ", header)
         if magic != _BINARY_MAGIC:
             raise SampleFormatError(f"{path}: bad magic {magic!r}")
         # Check the size the header claims before reading a body of that size.
@@ -396,7 +397,7 @@ def read_binary(path) -> SampleSet:
         body = fh.read(count * n)
     try:
         rows = np.frombuffer(body, dtype=np.uint8).reshape(count, n)
-        return SampleSet(Alphabet(int(k)), rows)
+        return SampleSet(Alphabet(int(header_k if k is None else k)), rows)
     except ValueError as err:  # bad alphabet size in the header, a symbol >= k, or 2^63 empty rows
         raise SampleFormatError(f"{path}: {err}") from None
 

@@ -30,7 +30,8 @@ from .hardinstances import nonrealizable_triple, realizable_triple
 from .info import _pairwise_mi
 from .model import (
     Alphabet,
-    DenseJoint,
+    _float,
+    _int,
     _json_fields,
     exact_mi_matrix,
     random_tree_model,
@@ -54,20 +55,18 @@ __all__ = [
     "fitted_slope",
 ]
 
-KINDS = (
-    "RealizableRecovery",
-    "NonRealizableRecovery",
-    "SeparationCurve",
-    "Add1Risk",
-    "CITesterRates",
-)
-
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 
 
 def _path_or_none(value):
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a path string, got {type(value).__name__}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
     return value
 
 
@@ -87,6 +86,9 @@ class ExperimentConfig:
     seed: int
     out_path: str | None = None
     options: dict = field(default_factory=dict)
+    # `options` decoded by the kind's spec: wall time in the CSV or not, and the runner's keyword arguments.
+    timing: bool = field(init=False, repr=False, compare=False)
+    kind_options: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -96,18 +98,22 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "grid", tuple(self.grid))
+        spec = _KINDS[self.kind][2]
+        *values, timing = _json_fields(self.options, f"{self.kind} 'options'", {**spec, "timing": (_bool, False)})
+        object.__setattr__(self, "timing", timing)
+        object.__setattr__(self, "kind_options", dict(zip(spec, values)))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         kind, cells, trials, seed, out_path, options = _json_fields(json.loads(text), "experiment config", {
-            "kind": lambda kind: kind,  # checked against KINDS when the config is built
+            "kind": lambda kind: kind,  # checked, as are the options, when the config is built
             "grid": list,
-            "trials": int,
-            "seed": int,
+            "trials": _int,
+            "seed": _int,
             "out": (_path_or_none, None),
-            "options": (dict, {}),
+            "options": (lambda options: options, {}),
         })
-        cell = {"n": int, "k": int, "epsilon": float, "N": (int, 0)}
+        cell = {"n": _int, "k": _int, "epsilon": _float, "N": (_int, 0)}
         grid = tuple(ExperimentCell(*_json_fields(c, "experiment grid cell", cell)) for c in cells)
         return ExperimentConfig(kind, grid, trials, seed, out_path, options)
 
@@ -195,11 +201,9 @@ def _shortfall(weights, s: SampleSet) -> float:
 # -- recovery kinds -------------------------------------------------------------
 
 
-def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
-    floor = float(options.get("cpt_floor", 0.05))
-
+def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, cpt_floor) -> ExperimentRow:
     def trial(t):
-        m = random_tree_model(cell.n, cell.k, derive_seed(master, "real", index, t, "model"), floor)
+        m = random_tree_model(cell.n, cell.k, derive_seed(master, "real", index, t, "model"), cpt_floor)
         s = sample(m, cell.n_samples, derive_seed(master, "real", index, t, "data"))
         excess = _shortfall(exact_mi_matrix(m), s)
         return excess <= cell.epsilon, excess
@@ -224,12 +228,12 @@ def _sample_blocks(blocks, count: int, seed: int) -> SampleSet:
     return SampleSet(Alphabet(blocks[0].k), np.hstack(columns))
 
 
-def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
+def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, instance_epsilon) -> ExperimentRow:
     if cell.n % 3 != 0 or cell.n < 3:
         raise ValueError("NonRealizableRecovery cells need n to be a positive multiple of 3")
     if cell.k != 2:
         raise ValueError("the hard-instance families are binary")
-    instance_eps = float(options.get("instance_epsilon", cell.epsilon))
+    instance_eps = cell.epsilon if instance_epsilon is None else instance_epsilon
 
     def trial(t):
         rng = np.random.default_rng(derive_seed(master, "nonreal", index, t, "pick"))
@@ -268,6 +272,8 @@ def fitted_slope(points) -> float:
 
 def _sample_size_grid(start: int, maximum: int) -> list:
     """Doubling grid: start, 2*start, 4*start, ... up to maximum."""
+    if start < 1:
+        raise ValueError(f"start must be at least 1, got {start}")
     out = []
     value = int(start)
     while value <= maximum:
@@ -333,11 +339,10 @@ def separation_curve(
 # -- bound-checking kinds ---------------------------------------------------------
 
 
-def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
+def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, constant) -> ExperimentRow:
     """`epsilon` carries delta for the KL bound; success means the achieved KL
     stays under the calibrated bound."""
     delta = cell.epsilon
-    constant = float(options.get("constant", DEFAULT_ADD_ONE_CONSTANT))
     bound = add_one_risk_bound(cell.k, delta, cell.n_samples, constant)
 
     def trial(t):
@@ -348,16 +353,10 @@ def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, optio
     return _run_trials(cell, trials, trial)
 
 
-def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, options: dict) -> ExperimentRow:
+def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, delta, c_sample) -> ExperimentRow:
     """Each trial tests one conditionally independent and one dependent member
     of the calibration family; success means both verdicts are correct."""
-    delta = float(options.get("delta", 0.1))
-    cfg = TesterConfig(
-        epsilon=cell.epsilon,
-        delta=delta,
-        k=cell.k,
-        c_sample=float(options.get("c_sample", DEFAULT_C_SAMPLE)),
-    )
+    cfg = TesterConfig(epsilon=cell.epsilon, delta=delta, k=cell.k, c_sample=c_sample)
     count = cell.n_samples if cell.n_samples > 0 else required_samples_cmi(cfg)
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
     ci = family["ci-common-cause"]
@@ -373,18 +372,34 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, o
     return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, trial)
 
 
-def _separation_kind(cfg: ExperimentConfig) -> list:
-    regime = cfg.options.get("regime", "realizable")
-    result = separation_curve(
-        regime,
-        [cell.epsilon for cell in cfg.grid],
-        cfg.trials,
-        cfg.seed,
-        target_rate=float(cfg.options.get("target_rate", 0.8)),
-        start=int(cfg.options.get("start", 6)),
-        max_samples=int(cfg.options.get("max_samples", 1 << 20)),
-    )
-    return list(result.rows)
+def _separation_kind(cfg: ExperimentConfig, **options) -> list:
+    """Every probe runs the three-bit families, at sample sizes of its own."""
+    for index, cell in enumerate(cfg.grid):
+        if (cell.n, cell.k, cell.n_samples) != (3, 2, 0):
+            raise ValueError(f"SeparationCurve grid cell {index} needs n 3, k 2 and no key 'N', "
+                             f"got n {cell.n}, k {cell.k}, N {cell.n_samples}")
+    epsilons = [cell.epsilon for cell in cfg.grid]
+    return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
+
+
+def _each_cell(run_cell):
+    """A kind's runner that runs run_cell on each grid cell in turn."""
+    return lambda cfg, **options: [run_cell(c, cfg.trials, cfg.seed, i, **options) for i, c in enumerate(cfg.grid)]
+
+
+# The one owner of each experiment kind: its runner, (config, **decoded
+# options) -> rows; the smallest N its grid cells accept; and its option keys,
+# as a _json_fields spec.  Every kind also takes the key "timing".
+_KINDS = {
+    "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)}),
+    "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)}),
+    "SeparationCurve": (_separation_kind, 0, {"regime": (str, "realizable"), "target_rate": (_float, 0.8),
+                                              "start": (_int, 6), "max_samples": (_int, 1 << 20)}),
+    "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)}),
+    "CITesterRates": (_each_cell(_citester_cell), 0, {"delta": (_float, 0.1),
+                                                      "c_sample": (_float, DEFAULT_C_SAMPLE)}),
+}
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -392,24 +407,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     SeparationCurve kind emits one row per probed sample size).  Writes the
     CSV to cfg.out_path when set; pass options={"timing": true} to record
     wall time in the file, at the cost of byte-identical reruns."""
-    runners = {
-        "RealizableRecovery": _realizable_cell,
-        "NonRealizableRecovery": _nonrealizable_cell,
-        "Add1Risk": _add1_cell,
-        "CITesterRates": _citester_cell,
-    }
-    if cfg.kind in ("RealizableRecovery", "NonRealizableRecovery", "Add1Risk"):  # they draw N samples
-        for index, cell in enumerate(cfg.grid):
-            if cell.n_samples < 1:
-                raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least 1, got {cell.n_samples}")
-    if cfg.kind == "SeparationCurve":
-        rows = _separation_kind(cfg)
-    else:
-        runner = runners[cfg.kind]
-        rows = [
-            runner(cell, cfg.trials, cfg.seed, index, cfg.options)
-            for index, cell in enumerate(cfg.grid)
-        ]
+    run, min_samples, _ = _KINDS[cfg.kind]
+    for index, cell in enumerate(cfg.grid):
+        if cell.n_samples < min_samples:
+            raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least {min_samples}, "
+                             f"got {cell.n_samples}")
+    rows = run(cfg, **cfg.kind_options)
     if cfg.out_path is not None:
-        write_rows_csv(rows, cfg.out_path, timing=bool(cfg.options.get("timing", False)))
+        write_rows_csv(rows, cfg.out_path, cfg.timing)
     return rows

@@ -660,10 +660,13 @@ def dense_joint_to_json(p: DenseJoint, indent=None) -> str:
 def _json_fields(doc, what: str, fields: dict) -> list:
     """The converted values of `fields` in doc, in the order of `fields`, which
     maps each key to its converter, or to (converter, default) when the key is
-    optional.  A doc that is not a JSON object, a missing key and a value of
-    the wrong type or form raise a ValueError naming `what` and the key."""
+    optional.  A doc that is not a JSON object, a key not in `fields`, a missing
+    key and a value of the wrong type or form raise a ValueError naming `what` and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{what} has unknown key {key!r}")
     values = []
     for key, convert in fields.items():
         default = None
@@ -672,10 +675,23 @@ def _json_fields(doc, what: str, fields: dict) -> list:
         elif key not in doc:
             raise ValueError(f"{what} is missing key {key!r}")
         try:
-            values.append(convert(doc.get(key, default)))
+            values.append(convert(doc[key]) if key in doc else default)
         except (TypeError, ValueError, AttributeError) as err:
             raise ValueError(f"{what} has a bad value for key {key!r}: {err}") from None
     return values
+
+
+def _int(value) -> int:
+    """A JSON integer or an integral number such as 1e12; not a boolean, a string or a fraction."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _float_array(value) -> np.ndarray:
@@ -683,7 +699,7 @@ def _float_array(value) -> np.ndarray:
 
 
 def dense_joint_from_json(text: str) -> DenseJoint:
-    n, k, probs = _json_fields(json.loads(text), "dense joint", {"n": int, "k": int, "probs": _float_array})
+    n, k, probs = _json_fields(json.loads(text), "dense joint", {"n": _int, "k": _int, "probs": _float_array})
     return DenseJoint(n, Alphabet(k), probs)
 
 
@@ -694,7 +710,7 @@ def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
     n, edges = _json_fields(
-        json.loads(text), "tree", {"n": int, "edges": lambda edges: tuple((int(u), int(v)) for u, v in edges)}
+        json.loads(text), "tree", {"n": _int, "edges": lambda edges: tuple((_int(u), _int(v)) for u, v in edges)}
     )
     return UndirectedTree(n, edges)
 
@@ -713,10 +729,10 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
 
 def tree_model_from_json(text: str) -> TreeModel:
     n, k, root, parents, root_marginal, cpt = _json_fields(json.loads(text), "model", {
-        "n": int,
-        "k": int,
-        "root": int,
-        "parents": lambda parents: tuple(int(p) for p in parents),
+        "n": _int,
+        "k": _int,
+        "root": _int,
+        "parents": lambda parents: tuple(_int(p) for p in parents),
         "root_marginal": _float_array,
         "cpt": lambda cpt: {int(node): _float_array(rows) for node, rows in cpt.items()},
     })

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, kl_divergence, random_tree_model, sample, to_dense
+from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, _kl_arrays, kl_divergence, random_tree_model
+from .model import sample, to_dense
 from .seeding import derive_seed
 
 __all__ = [
@@ -193,8 +194,12 @@ def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
         raise ValueError(f"count vector has length {size}, expected alphabet size {k}")
     if np.any(vec < 0):
         raise ValueError("negative count")
-    total = int(vec.sum())
-    return (vec + 1.0) / (total + size)
+    return _add_one(vec)
+
+
+def _add_one(counts: np.ndarray) -> np.ndarray:
+    """Add-1 estimates (t + 1) / (N + k) of the count vectors t along the last axis."""
+    return (counts + 1.0) / (counts.sum(axis=-1, keepdims=True) + counts.shape[-1])
 
 
 def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
@@ -207,15 +212,12 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
     """
     if s.n_variables != tree.n:
         raise ValueError(f"sample set has {s.n_variables} variables but tree has {tree.n} nodes")
-    k = s.alphabet.size
     root_marginal = add_one_estimate(empirical_counts(s, (tree.root,)))
     cpt = {}
     for node in range(tree.n):
         if node == tree.root:
             continue
-        pair = empirical_counts(s, (tree.parent[node], node)).counts
-        row_totals = pair.sum(axis=1, keepdims=True)
-        cpt[node] = (pair + 1.0) / (row_totals + k)
+        cpt[node] = _add_one(empirical_counts(s, (tree.parent[node], node)).counts)
     return TreeModel(tree, s.alphabet, root_marginal, cpt)
 
 
@@ -434,8 +436,7 @@ def _sample_size(constant: float, lead: int, scale: int, epsilon: float, delta: 
 def _add_one_kl(p: np.ndarray, count: int, rng: np.random.Generator) -> float:
     """D(p || add-1 estimate) after `count` draws from p."""
     counts = np.bincount(_inverse_cdf(p, rng.random(count)), minlength=len(p))
-    q = (counts + 1.0) / (count + len(p))
-    return float(np.sum(p * np.log(p / q)))
+    return _kl_arrays(p, _add_one(counts))
 
 
 def calibrate_add_one_constant(

@@ -10,6 +10,7 @@ across runs; measured wall time always goes to the returned rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -214,13 +215,10 @@ def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int,
 def _block_mi_matrix(blocks) -> np.ndarray:
     """Exact pairwise MI of an independent block product: block-diagonal, with
     cross-block entries exactly zero."""
-    n = sum(b.n for b in blocks)
-    w = np.zeros((n, n))
-    offset = 0
-    for b in blocks:
-        w[offset : offset + b.n, offset : offset + b.n] = _pairwise_mi(b.n, lambda i, j: b.marginal((i, j)))
-        offset += b.n
-    return w
+    offsets = list(itertools.accumulate((b.n for b in blocks), initial=0))
+    pairs = (((offset + i, offset + j), b.marginal((i, j)))
+             for b, offset in zip(blocks, offsets) for i, j in itertools.combinations(range(b.n), 2))
+    return _pairwise_mi(offsets[-1], pairs)
 
 
 def _sample_blocks(blocks, count: int, seed: int) -> SampleSet:
@@ -229,10 +227,6 @@ def _sample_blocks(blocks, count: int, seed: int) -> SampleSet:
 
 
 def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: int, instance_epsilon) -> ExperimentRow:
-    if cell.n % 3 != 0 or cell.n < 3:
-        raise ValueError("NonRealizableRecovery cells need n to be a positive multiple of 3")
-    if cell.k != 2:
-        raise ValueError("the hard-instance families are binary")
     instance_eps = cell.epsilon if instance_epsilon is None else instance_epsilon
 
     def trial(t):
@@ -310,10 +304,8 @@ def separation_curve(
     points = []
     rows = []
     for eps in epsilons:
-        instances = []
-        for index in (1, 2, 3):
-            joint = make(index, eps)
-            instances.append((joint, _pairwise_mi(3, lambda i, j: joint.marginal((i, j)))))
+        joints = [make(index, eps) for index in (1, 2, 3)]
+        instances = [(joint, _block_mi_matrix([joint])) for joint in joints]
         n_star = None
         for count in _sample_size_grid(start, max_samples):
 
@@ -374,10 +366,6 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
 
 def _separation_kind(cfg: ExperimentConfig, **options) -> list:
     """Every probe runs the three-bit families, at sample sizes of its own."""
-    for index, cell in enumerate(cfg.grid):
-        if (cell.n, cell.k, cell.n_samples) != (3, 2, 0):
-            raise ValueError(f"SeparationCurve grid cell {index} needs n 3, k 2 and no key 'N', "
-                             f"got n {cell.n}, k {cell.k}, N {cell.n_samples}")
     epsilons = [cell.epsilon for cell in cfg.grid]
     return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
 
@@ -388,16 +376,23 @@ def _each_cell(run_cell):
 
 
 # The one owner of each experiment kind: its runner, (config, **decoded
-# options) -> rows; the smallest N its grid cells accept; and its option keys,
-# as a _json_fields spec.  Every kind also takes the key "timing".
+# options) -> rows; the smallest N its grid cells accept; its option keys, as
+# a _json_fields spec; and its other cell rule, as (words, test of a cell).
+# Every kind also takes the key "timing".
 _KINDS = {
-    "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)}),
-    "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)}),
+    "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)},
+                           ("none", lambda cell: True)),
+    "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
+                              ("n a positive multiple of 3 and k 2 (the triples are binary)",
+                               lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
     "SeparationCurve": (_separation_kind, 0, {"regime": (str, "realizable"), "target_rate": (_float, 0.8),
-                                              "start": (_int, 6), "max_samples": (_int, 1 << 20)}),
-    "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)}),
+                                              "start": (_int, 6), "max_samples": (_int, 1 << 20)},
+                        ("n 3, k 2 and no key 'N'", lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0))),
+    "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},
+                 ("n 1", lambda cell: cell.n == 1)),
     "CITesterRates": (_each_cell(_citester_cell), 0, {"delta": (_float, 0.1),
-                                                      "c_sample": (_float, DEFAULT_C_SAMPLE)}),
+                                                      "c_sample": (_float, DEFAULT_C_SAMPLE)},
+                      ("n 3", lambda cell: cell.n == 3)),
 }
 KINDS = tuple(_KINDS)
 
@@ -407,11 +402,15 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     SeparationCurve kind emits one row per probed sample size).  Writes the
     CSV to cfg.out_path when set; pass options={"timing": true} to record
     wall time in the file, at the cost of byte-identical reruns."""
-    run, min_samples, _ = _KINDS[cfg.kind]
+    run, min_samples, _, (needs, accepts) = _KINDS[cfg.kind]
     for index, cell in enumerate(cfg.grid):
         if cell.n_samples < min_samples:
             raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least {min_samples}, "
                              f"got {cell.n_samples}")
+    for index, cell in enumerate(cfg.grid):
+        if not accepts(cell):
+            raise ValueError(f"{cfg.kind} grid cell {index} needs {needs}, "
+                             f"got n {cell.n}, k {cell.k}, N {cell.n_samples}")
     rows = run(cfg, **cfg.kind_options)
     if cfg.out_path is not None:
         write_rows_csv(rows, cfg.out_path, cfg.timing)

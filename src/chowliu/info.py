@@ -123,13 +123,12 @@ def mutual_information(table) -> float:
     return _mi(_joint_of(table, 2))
 
 
-def _pairwise_mi(n: int, pair) -> np.ndarray:
-    """Symmetric n x n matrix of mutual_information(pair(i, j)) over all
-    i < j, visited by i and then j ascending, with a zero diagonal."""
+def _pairwise_mi(n: int, pairs) -> np.ndarray:
+    """The n x n MI matrix: mutual_information(table) at (i, j) and (j, i) for
+    each ((i, j), table) in pairs, taken in any order, and zero elsewhere."""
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = mutual_information(pair(i, j))
+    for (i, j), table in pairs:
+        w[i, j] = w[j, i] = mutual_information(table)
     return w
 
 

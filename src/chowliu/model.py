@@ -13,9 +13,9 @@ of size k is sum_i x_i * k**(n - 1 - i).
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +76,16 @@ class Alphabet:
             raise ValueError(f"alphabet size must be an int >= 2, got {self.size!r}")
 
 
+def _dense_size(k: int, n: int) -> int:
+    """k**n, the entry count of a dense table; a ValueError above DENSE_CAP."""
+    if n >= DENSE_CAP.bit_length():  # k >= 2, so k**n > DENSE_CAP: skip the power
+        raise ValueError(f"dense table of {k}**{n} entries exceeds cap {DENSE_CAP}")
+    size = k**n
+    if size > DENSE_CAP:
+        raise ValueError(f"dense table of {size} entries exceeds cap {DENSE_CAP}")
+    return size
+
+
 @dataclass(frozen=True)
 class DenseJoint:
     """Full probability table over alphabet**n assignments."""
@@ -87,11 +97,7 @@ class DenseJoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one variable")
-        if self.n >= DENSE_CAP.bit_length():  # k >= 2, so k**n > DENSE_CAP: skip the power
-            raise ValueError(f"dense table of {self.alphabet.size}**{self.n} entries exceeds cap {DENSE_CAP}")
-        size = self.alphabet.size**self.n
-        if size > DENSE_CAP:
-            raise ValueError(f"dense table of {size} entries exceeds cap {DENSE_CAP}")
+        size = _dense_size(self.alphabet.size, self.n)
         arr = np.array(self.probs, dtype=np.float64).reshape(-1)
         if arr.shape[0] != size:
             raise ValueError(f"expected {size} entries, got {arr.shape[0]}")
@@ -152,7 +158,7 @@ class UndirectedTree:
         if len(norm) != self.n - 1:
             raise ValueError(f"a spanning tree on {self.n} nodes has {self.n - 1} edges, got {len(norm)}")
         object.__setattr__(self, "edges", tuple(norm))
-        if -2 in _bfs_parents(self.n, self.adjacency(), 0):
+        if -2 in _bfs(self.adjacency(), 0)[1]:
             raise ValueError("edges do not connect all nodes")
 
     def adjacency(self) -> list:
@@ -165,17 +171,18 @@ class UndirectedTree:
         return out
 
 
-def _bfs_parents(n: int, adjacency, root: int) -> tuple:
-    parent = [-2] * n
+def _bfs(adjacency, root: int) -> tuple:
+    """Breadth-first walk from root: (the reached nodes in visiting order, each
+    node's parent in the walk, -1 at the root and -2 where never reached)."""
+    parent = [-2] * len(adjacency)
     parent[root] = -1
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
+    order = [root]
+    for x in order:  # grows as the walk reaches new nodes
         for y in adjacency[x]:
             if parent[y] == -2:
                 parent[y] = x
-                queue.append(y)
-    return tuple(parent)
+                order.append(y)
+    return order, tuple(parent)
 
 
 @dataclass(frozen=True)
@@ -222,15 +229,7 @@ class RootedTree:
 
     def topological_order(self) -> list:
         """Root first; every node appears after its parent."""
-        order = [self.root]
-        kids = self.children()
-        queue = deque([self.root])
-        while queue:
-            x = queue.popleft()
-            for y in kids[x]:
-                order.append(y)
-                queue.append(y)
-        return order
+        return _bfs(self.children(), self.root)[0]
 
     def skeleton(self) -> UndirectedTree:
         edges = [(min(i, p), max(i, p)) for i, p in enumerate(self.parent) if p >= 0]
@@ -302,7 +301,7 @@ def root_at(t: UndirectedTree, root: int) -> RootedTree:
     """Orient an undirected tree away from the given root."""
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} out of range")
-    return RootedTree(t.n, root, _bfs_parents(t.n, t.adjacency(), root))
+    return RootedTree(t.n, root, _bfs(t.adjacency(), root)[1])
 
 
 def validate_tree_model(m: TreeModel, tol: float = 1e-12) -> None:
@@ -346,8 +345,7 @@ def node_marginals(m: TreeModel) -> np.ndarray:
 def to_dense(m: TreeModel) -> DenseJoint:
     """Materialize the full joint table of a tree model."""
     k, n = m.k, m.n
-    if k**n > DENSE_CAP:
-        raise ValueError(f"dense table of {k**n} entries exceeds cap {DENSE_CAP}")
+    _dense_size(k, n)
     shape = [1] * n
     shape[m.tree.root] = k
     joint = np.ones((k,) * n) * m.root_marginal.reshape(shape)
@@ -481,7 +479,8 @@ def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
     """Pairwise mutual information of all variable pairs under the model."""
-    return _pairwise_mi(m.n, lambda u, v: pair_marginal(m, u, v))
+    pairs = itertools.combinations(range(m.n), 2)
+    return _pairwise_mi(m.n, (((u, v), pair_marginal(m, u, v)) for u, v in pairs))
 
 
 def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:
@@ -695,7 +694,11 @@ def _float(value) -> float:
 
 
 def _float_array(value) -> np.ndarray:
-    return np.array(value, dtype=np.float64)
+    """A float64 array of nested lists of numbers, with no boolean or string at any depth."""
+    arr = np.array(value, dtype=np.float64)
+    for item in np.array(value, dtype=object).flat:
+        _float(item)
+    return arr
 
 
 def dense_joint_from_json(text: str) -> DenseJoint:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import SampleSet, _pair_counts, learn_parameters
-from .info import mutual_information
+from .info import _pairwise_mi
 from .model import TreeModel, UndirectedTree, root_at
 
 __all__ = [
@@ -55,10 +55,7 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     """Plug-in mutual information for every variable pair of a sample set."""
     if s.n_samples < 1:
         raise ValueError("need at least one sample")
-    w = np.zeros((s.n_variables, s.n_variables))
-    for (i, j), counts in _pair_counts(s):
-        w[i, j] = w[j, i] = mutual_information(counts / s.n_samples)
-    return MIMatrix(w)
+    return MIMatrix(_pairwise_mi(s.n_variables, ((ij, counts / s.n_samples) for ij, counts in _pair_counts(s))))
 
 
 class _UnionFind:

@@ -7,8 +7,11 @@ Core claims:
     prints one `error:` line naming the key and exits 1.
   * Scalar keys are typed strictly: an integer key takes no boolean, string
     or fraction, a number key no string, and `timing` only true or false.
-  * Grid cells the kind cannot run are errors naming the cell: a negative
-    `N`, and SeparationCurve cells other than n = 3, k = 2 without `N`.
+  * Grid cells the kind cannot run are errors naming the cell, raised before
+    any cell runs: a negative `N`, SeparationCurve cells other than n = 3,
+    k = 2 without `N`, and the `n` (and `k`) rules of the other kinds.
+  * Probability arrays take numbers only: a boolean or a string at any depth
+    of `probs`, `root_marginal` or a `cpt` row names its key.
   * `--k` sets the alphabet of CSV and CLS1 input alike.
   * The README's tables of cell rules and option keys match the harness.
 """
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from chowliu import Alphabet
+from chowliu import harness
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, write_binary, write_csv
 from chowliu.harness import _KINDS, KINDS, _bool, _sample_size_grid
@@ -131,6 +135,54 @@ def test_dense_joint_with_an_extra_key_is_rejected():
         dense_joint_from_json(json.dumps({"n": True, "k": 2, "probs": [0.5, 0.5]}))
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (with_cell(ADD1, n=50), "Add1Risk grid cell 1 needs n 1, got n 50, k 3, N 20"),
+        ({**ADD1, "kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3},
+                                                    {"n": 1, "k": 2, "epsilon": 0.3}]},
+         "CITesterRates grid cell 1 needs n 3, got n 1, k 2, N 0"),
+        ({**ADD1, "kind": "NonRealizableRecovery", "grid": [{"n": 3, "k": 2, "epsilon": 0.3, "N": 50},
+                                                            {"n": 3, "k": 3, "epsilon": 0.3, "N": 50}]},
+         "NonRealizableRecovery grid cell 1 needs n a positive multiple of 3 and k 2 (the triples are binary), "
+         "got n 3, k 3, N 50"),
+    ],
+    ids=["Add1Risk-n", "CITesterRates-n", "NonRealizableRecovery-k"],
+)
+def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, capsys, monkeypatch, doc, message):
+    def no_trials(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_run_trials", no_trials)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "probs,bad",
+    [(["0.5", "0.5"], "'0.5'"), ([True, False], "True"), ([0.5, True], "True")],
+    ids=["strings", "booleans", "number-and-boolean"],
+)
+def test_dense_joint_probs_take_numbers_only(probs, bad):
+    with pytest.raises(ValueError) as err:
+        dense_joint_from_json(json.dumps({"n": 1, "k": 2, "probs": probs}))
+    assert str(err.value) == f"dense joint has a bad value for key 'probs': expected a number, got {bad}"
+
+
+def test_model_with_a_string_in_a_cpt_row_exits_1(tmp_path, capsys):
+    doc = json.loads(tree_model_to_json(random_tree_model(3, 2, seed=1)))
+    doc["cpt"]["1"][0][1] = str(doc["cpt"]["1"][0][1])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    message = f"model has a bad value for key 'cpt': expected a number, got {doc['cpt']['1'][0][1]!r}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_strict_converters():
     assert _int(7) == 7 and _int(1e12) == 10**12 and _int(-3.0) == -3
     assert _float(2) == 2.0 and _float(0.5) == 0.5
@@ -184,6 +236,7 @@ def test_readme_cell_table_matches_the_kinds():
     rows = readme_table("| Kind | Smallest `N` | Other cell rules |")
     assert [row[0] for row in rows] == [f"`{kind}`" for kind in KINDS]
     assert [int(row[1]) for row in rows] == [_KINDS[kind][1] for kind in KINDS]
+    assert [row[2].split(";")[0] for row in rows] == [_KINDS[kind][3][0] for kind in KINDS]
 
 
 def test_readme_option_table_matches_the_kinds():

@@ -8,7 +8,8 @@ Core claims:
   * run_experiment is deterministic given (kind, grid, trials, seed): two
     runs return identical statistics and identical output files.
   * Each experiment kind produces sane aggregates on small grids, and the
-    NonRealizableRecovery kind rejects grids its families cannot fill.
+    NonRealizableRecovery kind rejects grids its families cannot fill, naming
+    the cell, before any trial runs.
   * separation_curve probes a doubling sample-size grid until the target
     success rate is reached and fits the log-log slope of N* vs 1/epsilon.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
@@ -20,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from chowliu import harness
 from chowliu.citest import TesterConfig, required_samples_cmi
 from chowliu.harness import (
     CSV_HEADER,
@@ -206,6 +208,18 @@ def test_nonrealizable_recovery_validates_grid():
                 "NonRealizableRecovery", (ExperimentCell(3, 3, 0.5, 100),), trials=2, seed=1
             )
         )
+
+
+def test_nonrealizable_recovery_rejects_a_later_cell_before_any_trial(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a trial drew samples")
+
+    monkeypatch.setattr(harness, "_sample_blocks", no_blocks)
+    grid = (ExperimentCell(3, 2, 0.5, 100), ExperimentCell(4, 2, 0.5, 100))
+    with pytest.raises(ValueError) as err:
+        run_experiment(ExperimentConfig("NonRealizableRecovery", grid, trials=2, seed=1))
+    assert str(err.value) == ("NonRealizableRecovery grid cell 1 needs n a positive multiple of 3 and k 2 "
+                              "(the triples are binary), got n 4, k 2, N 100")
 
 
 def test_citester_rates_cell_fills_sample_size():

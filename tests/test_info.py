@@ -10,6 +10,7 @@ Core claims:
       agrees with a third direct oracle
     - conditional MI handles deterministic, XOR, and empty-slice cases
     - the chain-rule identity I(X;Y) - I(X;Z) = I(X;Y|Z) - I(X;Z|Y) is exact
+    - the MI matrix loop gives the same matrix whatever order its pairs come in
 """
 
 import math
@@ -29,6 +30,7 @@ from chowliu import (
     mutual_information,
     mutual_information_from_deviations,
 )
+from chowliu.info import _pairwise_mi
 
 from oracles import direct_cmi, direct_entropy, direct_mi, random_joint_table
 
@@ -247,3 +249,21 @@ def test_chain_rule_identity_on_random_triples():
         # Both sides against the direct oracle as well.
         lhs = direct_mi(joint.sum(axis=2)) - direct_mi(joint.sum(axis=1))
         assert gap.mi_gap == pytest.approx(lhs, abs=1e-10)
+
+
+# -- MI matrix --------------------------------------------------------------------
+
+def test_pairwise_mi_does_not_depend_on_the_order_of_its_pairs():
+    rng = np.random.default_rng(23)
+    n = 6
+    pairs = [((i, j), random_joint_table(2, 3, rng)) for i in range(n) for j in range(i + 1, n) if (i + j) % 4]
+    w = _pairwise_mi(n, pairs)
+    for (i, j), table in pairs:
+        assert w[i, j] == w[j, i] == mutual_information(table)
+    missing = np.ones((n, n), dtype=bool)
+    for (i, j), _ in pairs:
+        missing[i, j] = missing[j, i] = False
+    assert not w[missing].any()  # the diagonal and pairs not given
+    for _ in range(5):
+        shuffled = [pairs[index] for index in rng.permutation(len(pairs))]
+        assert np.array_equal(_pairwise_mi(n, iter(shuffled)), w)

@@ -1,8 +1,8 @@
 """Counting every variable pair in one pass, and the MI matrix built on it.
 
 Core claims:
-    - the count pass yields exactly empirical_counts for every pair, in the
-      order _pairwise_mi visits pairs, on both sides of the alphabet-size
+    - the count pass yields exactly empirical_counts for every pair i < j,
+      by i and then j ascending, on both sides of the alphabet-size
       crossover, at every chunk edge and across several variable blocks
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py

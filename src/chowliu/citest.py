@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimation import SampleSet, _sample_size, empirical_counts
-from .hardinstances import realizable_triple
+from .hardinstances import _copy_channel, _mixture, realizable_triple
 from .info import conditional_mi, mutual_information
 from .model import Alphabet, DenseJoint, sample_dense
 from .seeding import derive_seed
@@ -54,13 +54,13 @@ class TesterConfig:
     c_decision: float = 0.5
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.k < 2:
             raise ValueError("alphabet size must be >= 2")
-        if self.c_sample <= 0:
+        if not self.c_sample > 0:
             raise ValueError("c_sample must be positive")
         if not 0 < self.c_decision < 1:
             raise ValueError("c_decision must lie in (0, 1)")
@@ -130,25 +130,14 @@ def _noisy_copy_triple(k: int, weight: float) -> DenseJoint:
     """X = Y = C for a uniform hidden value C, while Z copies C with
     probability 1 - weight and is uniform otherwise.  I(X;Y|Z) = H(C|Z),
     which rises from 0 (weight 0) to log k (weight 1)."""
-    stay = 1.0 - weight + weight / k
-    move = weight / k
-    table = np.zeros((k, k, k))
-    for c in range(k):
-        for z in range(k):
-            table[c, c, z] = (1.0 / k) * (stay if z == c else move)
-    return DenseJoint(3, Alphabet(k), table.reshape(-1))
+    noisy = _copy_channel(k, 1.0 - weight + weight / k, weight / k)
+    return _mixture(np.full(k, 1.0 / k), np.eye(k), np.eye(k), noisy)
 
 
 def _common_cause_triple(k: int, fidelity: float = 0.7) -> DenseJoint:
     """X and Y are independent noisy copies of a uniform Z; I(X;Y|Z) = 0."""
-    stay = fidelity + (1.0 - fidelity) / k
-    move = (1.0 - fidelity) / k
-    cond = np.full((k, k), move)
-    np.fill_diagonal(cond, stay)
-    table = np.zeros((k, k, k))
-    for z in range(k):
-        table[:, :, z] = (1.0 / k) * np.outer(cond[z], cond[z])
-    return DenseJoint(3, Alphabet(k), table.reshape(-1))
+    cond = _copy_channel(k, fidelity + (1.0 - fidelity) / k, (1.0 - fidelity) / k)
+    return _mixture(np.full(k, 1.0 / k), cond, cond, np.eye(k))
 
 
 def _solve_noisy_copy_weight(k: int, target_cmi: float) -> float:

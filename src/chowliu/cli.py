@@ -29,7 +29,7 @@ from .harness import ExperimentConfig, _csv_text, run_experiment
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
     _float,
-    _json_fields,
+    _json_document,
     root_at,
     sample,
     tree_model_from_json,
@@ -106,12 +106,12 @@ def cmd_learn(samples_path: str, mode: str, tree_path: str | None = None,
 def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = None,
                config_path: str | None = None, fmt: str | None = None) -> int:
     s = _read_samples(samples_path, fmt, k)
-    overrides = {}
+    text = "{}"
     if config_path is not None:
         with open(config_path) as fh:
-            overrides = json.load(fh)
-    c_sample, c_decision = _json_fields(
-        overrides, "tester config", {"c_sample": (_float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (_float, 0.5)}
+            text = fh.read()
+    c_sample, c_decision = _json_document(
+        text, "tester config", {"c_sample": (_float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (_float, 0.5)}
     )
     cfg = citest_mod.TesterConfig(epsilon, delta, s.alphabet.size, c_sample, c_decision)
     if s.n_variables == 3:

@@ -40,12 +40,31 @@ __all__ = [
     "verify_realizable_facts",
 ]
 
-_BINARY = Alphabet(2)
-
-# Coordinate that carries the minus sign (non-realizable) or the noisy copier
-# role (realizable), per member index.
+# Sign of each coordinate's epsilon / 2 term, per non-realizable member index.
 _NONREALIZABLE_SIGNS = {1: (1, 1, -1), 2: (1, -1, 1), 3: (-1, 1, 1)}
-_REALIZABLE_PAIRS = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
+
+
+def _copy_channel(k: int, stay: float, move: float) -> np.ndarray:
+    """k x k channel from a hidden value to an observed one: `stay` on the
+    diagonal and `move` everywhere else."""
+    channel = np.full((k, k), move)
+    np.fill_diagonal(channel, stay)
+    return channel
+
+
+def _mixture(prior, *channels) -> DenseJoint:
+    """Variables that are independent given one hidden value h ~ prior:
+    P(x_0, ..., x_m) = sum_h channels[0][h, x_0] * ... * channels[m][h, x_m] * prior[h].
+
+    The channel entries are multiplied in variable order, the prior last, and
+    h is summed out in order; the pinned tables depend on this exact order."""
+    prior = np.asarray(prior, dtype=np.float64)
+    m = len(channels)
+    joint = 1.0
+    for i, channel in enumerate(channels):
+        joint = joint * np.reshape(channel, (prior.size,) + (1,) * i + (-1,) + (1,) * (m - 1 - i))
+    joint = joint * prior.reshape((-1,) + (1,) * m)
+    return DenseJoint(m, Alphabet(joint.shape[1]), joint.sum(axis=0).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -82,43 +101,25 @@ def nonrealizable_triple(index: int, epsilon: float) -> DenseJoint:
     if not 0.0 <= epsilon < 0.25:
         raise ValueError(f"epsilon must lie in [0, 0.25), got {epsilon}")
     agree = [7.0 / 8.0 + s * epsilon / 2.0 for s in _NONREALIZABLE_SIGNS[index]]
-    table = np.zeros((2, 2, 2))
-    for hidden in (0, 1):
-        for x in (0, 1):
-            for y in (0, 1):
-                for z in (0, 1):
-                    mass = 0.5
-                    for bit, a in zip((x, y, z), agree):
-                        mass *= a if bit == hidden else 1.0 - a
-                    table[x, y, z] += mass
-    return DenseJoint(3, _BINARY, table.reshape(-1))
+    return _mixture([0.5, 0.5], *(_copy_channel(2, a, 1.0 - a) for a in agree))
 
 
 def realizable_triple(index: int, epsilon: float) -> DenseJoint:
     """Member `index` of the realizable (exactly tree-structured) family.
 
-    Member i has coordinate pair `_REALIZABLE_PAIRS[i]` perfectly correlated
-    and uniform; the remaining coordinate copies their common value with
-    probability 1 - epsilon and is a fresh fair coin otherwise, so it agrees
-    with the pair with probability 1 - epsilon / 2.
+    Member i has the two coordinates other than i - 1 perfectly correlated
+    and uniform; coordinate i - 1 copies their common value with probability
+    1 - epsilon and is a fresh fair coin otherwise, so it agrees with the pair
+    with probability 1 - epsilon / 2.
     """
-    if index not in _REALIZABLE_PAIRS:
+    if index not in (1, 2, 3):
         raise ValueError(f"member index must be 1, 2, or 3, got {index}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    pair = _REALIZABLE_PAIRS[index]
-    copier = ({0, 1, 2} - set(pair)).pop()
     agree = 1.0 - epsilon / 2.0
-    table = np.zeros((2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            for z in (0, 1):
-                bits = (x, y, z)
-                if bits[pair[0]] != bits[pair[1]]:
-                    continue
-                common = bits[pair[0]]
-                table[x, y, z] = 0.5 * (agree if bits[copier] == common else 1.0 - agree)
-    return DenseJoint(3, _BINARY, table.reshape(-1))
+    channels = [np.eye(2)] * 3
+    channels[index - 1] = _copy_channel(2, agree, 1.0 - agree)
+    return _mixture([0.5, 0.5], *channels)
 
 
 def block_product(blocks) -> DenseJoint:

@@ -33,6 +33,7 @@ from .model import (
     Alphabet,
     _float,
     _int,
+    _json_document,
     _json_fields,
     exact_mi_matrix,
     random_tree_model,
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        kind, cells, trials, seed, out_path, options = _json_fields(json.loads(text), "experiment config", {
+        kind, cells, trials, seed, out_path, options = _json_document(text, "experiment config", {
             "kind": lambda kind: kind,  # checked, as are the options, when the config is built
             "grid": list,
             "trials": _int,

@@ -32,6 +32,19 @@ _SUM_TOL = 1e-9
 _DOMAIN_TOL = 1e-12  # rounding slack allowed at the edges of the (delta, base) domain
 
 
+def _check_distribution(arr: np.ndarray, what: str, tol: float) -> None:
+    """Raise a ValueError naming `what`, and the row for 2-D input, unless every
+    entry is nonnegative and each row along the last axis sums to 1 within tol.
+    NaN fails the entry test and +inf the sum test."""
+    if not (arr >= 0).all():
+        raise ValueError(f"{'NaN' if np.isnan(arr).any() else 'negative'} entry in {what}")
+    sums = arr.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if bad.size:
+        row = f" at row {bad[0]}" if arr.ndim > 1 else ""
+        raise ValueError(f"{what} row sum != 1{row}: {float(sums.flat[bad[0]])!r}")
+
+
 def _validated_table(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
@@ -41,11 +54,7 @@ def _validated_table(values, ndim: int) -> np.ndarray:
         raise ValueError(f"table axes must share one alphabet, got shape {arr.shape}")
     if k < 2:
         raise ValueError("alphabet size must be >= 2")
-    if np.any(arr < 0):
-        raise ValueError("negative probability in table")
-    total = float(arr.sum())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise ValueError(f"table sums to {total!r}, not 1")
+    _check_distribution(arr.reshape(-1), "table", _SUM_TOL)
     arr.flags.writeable = False
     return arr
 
@@ -106,8 +115,8 @@ def _joint_of(table, ndim: int) -> np.ndarray:
 def entropy(dist) -> float:
     """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
     arr = np.asarray(dist, dtype=np.float64).reshape(-1)
-    if np.any(arr < 0):
-        raise ValueError("negative probability")
+    if not (arr >= 0).all():
+        raise ValueError("negative or NaN probability")
     nz = arr[arr > 0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -138,7 +147,7 @@ def _clamped_deviation(delta: float, base: float) -> float:
     if not 0.0 <= base <= 1.0:
         raise ValueError(f"base must lie in [0, 1], got {base!r}")
     lo, hi = -base, 1.0 - base
-    if delta < lo - _DOMAIN_TOL or delta > hi + _DOMAIN_TOL:
+    if not lo - _DOMAIN_TOL <= delta <= hi + _DOMAIN_TOL:
         raise ValueError(f"deviation {delta!r} outside [{lo!r}, {hi!r}]")
     return min(max(delta, lo), hi)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import _pairwise_mi, entropy, mutual_information
+from .info import _check_distribution, _pairwise_mi, entropy, mutual_information
 
 DENSE_CAP = 2**24  # largest dense table the oracle will materialize
 
@@ -101,11 +101,7 @@ class DenseJoint:
         arr = np.array(self.probs, dtype=np.float64).reshape(-1)
         if arr.shape[0] != size:
             raise ValueError(f"expected {size} entries, got {arr.shape[0]}")
-        if np.any(arr < 0):
-            raise ValueError("negative entry in probability table")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_distribution(arr, "probability table", 1e-9)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -309,26 +305,12 @@ def validate_tree_model(m: TreeModel, tol: float = 1e-12) -> None:
 
     Structural problems (cyclic parent maps, missing cpt entries) are already
     rejected when the RootedTree / TreeModel is constructed; this checks the
-    probability content: no negative entries, root marginal summing to 1, and
-    every conditional row summing to 1, all within `tol`.
+    probability content: no negative or NaN entries, and the root marginal and
+    every conditional row summing to 1 within `tol`.
     """
-    rm = m.root_marginal
-    if np.any(rm < 0):
-        raise ValueError("negative entry in root marginal")
-    total = float(rm.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"root marginal row sum != 1: {total!r}")
+    _check_distribution(m.root_marginal, "root marginal", tol)
     for node in sorted(m.cpt):
-        rows = m.cpt[node]
-        if np.any(rows < 0):
-            raise ValueError(f"negative entry in cpt of node {node}")
-        sums = rows.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
-        if bad.size:
-            b = int(bad[0])
-            raise ValueError(
-                f"cpt row sum != 1 at node {node}, parent symbol {b}: {float(sums[b])!r}"
-            )
+        _check_distribution(m.cpt[node], f"cpt of node {node}", tol)
 
 
 def node_marginals(m: TreeModel) -> np.ndarray:
@@ -656,6 +638,16 @@ def dense_joint_to_json(p: DenseJoint, indent=None) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _json_document(text: str, what: str, fields: dict) -> list:
+    """_json_fields of the JSON document `text`; nesting too deep for the
+    parser is a ValueError naming `what`."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
+    return _json_fields(doc, what, fields)
+
+
 def _json_fields(doc, what: str, fields: dict) -> list:
     """The converted values of `fields` in doc, in the order of `fields`, which
     maps each key to its converter, or to (converter, default) when the key is
@@ -675,7 +667,7 @@ def _json_fields(doc, what: str, fields: dict) -> list:
             raise ValueError(f"{what} is missing key {key!r}")
         try:
             values.append(convert(doc[key]) if key in doc else default)
-        except (TypeError, ValueError, AttributeError) as err:
+        except (TypeError, ValueError, AttributeError, OverflowError) as err:
             raise ValueError(f"{what} has a bad value for key {key!r}: {err}") from None
     return values
 
@@ -688,9 +680,13 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
+    """A finite JSON number; not a boolean, a string, NaN or an infinity."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _float_array(value) -> np.ndarray:
@@ -702,7 +698,7 @@ def _float_array(value) -> np.ndarray:
 
 
 def dense_joint_from_json(text: str) -> DenseJoint:
-    n, k, probs = _json_fields(json.loads(text), "dense joint", {"n": _int, "k": _int, "probs": _float_array})
+    n, k, probs = _json_document(text, "dense joint", {"n": _int, "k": _int, "probs": _float_array})
     return DenseJoint(n, Alphabet(k), probs)
 
 
@@ -712,8 +708,8 @@ def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
 
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
-    n, edges = _json_fields(
-        json.loads(text), "tree", {"n": _int, "edges": lambda edges: tuple((_int(u), _int(v)) for u, v in edges)}
+    n, edges = _json_document(
+        text, "tree", {"n": _int, "edges": lambda edges: tuple((_int(u), _int(v)) for u, v in edges)}
     )
     return UndirectedTree(n, edges)
 
@@ -731,7 +727,7 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
 
 
 def tree_model_from_json(text: str) -> TreeModel:
-    n, k, root, parents, root_marginal, cpt = _json_fields(json.loads(text), "model", {
+    n, k, root, parents, root_marginal, cpt = _json_document(text, "model", {
         "n": _int,
         "k": _int,
         "root": _int,

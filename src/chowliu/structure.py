@@ -37,10 +37,10 @@ class MIMatrix:
         arr = np.array(self.weights, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if not (arr >= 0).all():
+            raise ValueError("negative or NaN weight")
         if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
             raise ValueError("weight matrix must be symmetric")
-        if np.any(arr < 0):
-            raise ValueError("negative weight")
         arr = (arr + arr.T) / 2.0
         np.fill_diagonal(arr, 0.0)
         arr.flags.writeable = False

@@ -261,3 +261,10 @@ def test_calibrate_failure_carries_diagnostics():
     assert info.value.diagnostics  # names the failing members / rates
     with pytest.raises(ValueError):
         calibrate(cfg, trials=50)
+
+
+@pytest.mark.parametrize("key", ["epsilon", "c_sample"])
+def test_tester_config_rejects_nan(key):
+    fields = {"epsilon": 0.1, "delta": 0.1, "k": 2, key: float("nan")}
+    with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+        TesterConfig(**fields)

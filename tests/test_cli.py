@@ -461,6 +461,99 @@ def test_malformed_binary_header_or_symbols_exit_2(tmp_path, capsys, k, payload,
     assert err.startswith(f"error: {path}: ") and message in err
 
 
+# ------------------------------------------- NaN, infinity and deep nesting
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deep_model_json_exits_1_without_sampling(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(deep), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: model is nested too deeply to parse"]
+    assert not out.exists()
+
+
+def test_deep_tree_json_exits_1(model_path, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model_path), "--count", "50", "--seed", "1", "--out", str(data)]) == 0
+    deep = tmp_path / "tree.json"
+    deep.write_text(DEEP)
+    capsys.readouterr()
+    assert main(["learn", "--samples", str(data), "--mode", "params", "--tree", str(deep)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == ["error: tree is nested too deeply to parse"]
+    assert len(err) == 2  # the line that reports the samples read, then the error
+
+
+def test_deep_experiment_config_exits_1(tmp_path, capsys):
+    deep = tmp_path / "config.json"
+    deep.write_text(DEEP)
+    assert main(["experiment", "--config", str(deep)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: experiment config is nested too deeply to parse"]
+
+
+def test_deep_tester_config_exits_1(tmp_path, capsys):
+    x = np.arange(40) % 2
+    samples = tmp_path / "pair.csv"
+    write_csv(columns(x, x), samples)
+    deep = tmp_path / "tester.json"
+    deep.write_text(DEEP)
+    args = ["citest", "--samples", str(samples), "--epsilon", "0.2", "--delta", "0.1", "--config", str(deep)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: tester config is nested too deeply to parse"]
+
+
+def test_nan_root_marginal_exits_1_without_sampling(model_path, tmp_path, capsys):
+    doc = json.loads(model_path.read_text())
+    doc["root_marginal"] = [float("nan"), float("nan")]
+    doc["cpt"]["1"][0] = [float("nan"), float("nan")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(bad), "--count", "10", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: model has a bad value for key 'root_marginal': expected a finite number, got nan"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "NaN"])
+def test_citest_nan_epsilon_exits_1(tmp_path, capsys, epsilon):
+    x = np.arange(40) % 2
+    samples = tmp_path / "pair.csv"
+    write_csv(columns(x, x), samples)
+    assert main(["citest", "--samples", str(samples), "--epsilon", epsilon, "--delta", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: epsilon must be positive"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cell,options,message",
+    [
+        ('{"n": 1, "k": 4, "epsilon": NaN, "N": 100}', "{}",
+         "experiment grid cell has a bad value for key 'epsilon': expected a finite number, got nan"),
+        ('{"n": 1, "k": 4, "epsilon": Infinity, "N": 100}', "{}",
+         "experiment grid cell has a bad value for key 'epsilon': expected a finite number, got inf"),
+        ('{"n": 1, "k": 4, "epsilon": 1' + "0" * 400 + ', "N": 100}', "{}",
+         "experiment grid cell has a bad value for key 'epsilon': int too large to convert to float"),
+        ('{"n": 1, "k": 4, "epsilon": 0.1, "N": 100}', '{"constant": -Infinity}',
+         "Add1Risk 'options' has a bad value for key 'constant': expected a finite number, got -inf"),
+    ],
+    ids=["nan", "infinity", "huge-integer", "option"],
+)
+def test_experiment_non_finite_number_exits_1(tmp_path, capsys, cell, options, message):
+    bad = tmp_path / "config.json"
+    bad.write_text(f'{{"kind": "Add1Risk", "grid": [{cell}], "trials": 2, "seed": 1, "options": {options}}}')
+    assert main(["experiment", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- subprocess
 
 

@@ -249,3 +249,12 @@ def test_readme_option_table_matches_the_kinds():
     rows = readme_table("| Kind | Key | Type | Default | Meaning |")
     assert [tuple(row[:4]) for row in rows] == want
     assert all(re.search(r"\w", row[4]) for row in rows)
+
+
+def test_float_takes_only_finite_numbers():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^expected a finite number, got "):
+            _float(value)
+    with pytest.raises(OverflowError):
+        _float(10**400)
+    assert _float(-1e308) == -1e308

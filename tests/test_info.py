@@ -267,3 +267,33 @@ def test_pairwise_mi_does_not_depend_on_the_order_of_its_pairs():
     for _ in range(5):
         shuffled = [pairs[index] for index in rng.permutation(len(pairs))]
         assert np.array_equal(_pairwise_mi(n, iter(shuffled)), w)
+
+
+# -- NaN and infinity -------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+def test_tables_with_nan_or_negative_infinity_are_rejected(bad):
+    word = "NaN" if math.isnan(bad) else "negative"
+    with pytest.raises(ValueError, match=f"^{word} entry in table$"):
+        mutual_information([[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match=f"^{word} entry in table$"):
+        conditional_mi(np.full((2, 2, 2), 0.125) + np.where(np.arange(8) == 3, bad, 0.0).reshape(2, 2, 2))
+    with pytest.raises(ValueError, match="NaN"):
+        entropy([float("nan"), 0.5])
+    with pytest.raises(ValueError):
+        entropy([bad, 0.5])
+
+
+def test_table_with_infinity_fails_the_sum_check():
+    with pytest.raises(ValueError, match="^table row sum != 1: inf$"):
+        mutual_information([[float("inf"), 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="^table row sum != 1: 0.9"):
+        PairTable([[0.4, 0.2], [0.2, 0.1]])
+
+
+@pytest.mark.parametrize("delta,base", [(float("nan"), 0.3), (0.1, float("nan")), (float("inf"), 0.3)])
+def test_deviation_functions_reject_nan(delta, base):
+    with pytest.raises(ValueError):
+        kl_deviation_term(delta, base)
+    with pytest.raises(ValueError):
+        kl_deviation_bounds(delta, base)

@@ -633,3 +633,47 @@ def test_tree_model_json_round_trip():
     assert np.array_equal(again.root_marginal, m.root_marginal)
     for node in m.cpt:
         assert np.array_equal(again.cpt[node], m.cpt[node])
+
+
+# -- NaN, infinity and deep nesting ---------------------------------------------------
+
+def test_dense_joint_rejects_nan_and_infinity():
+    with pytest.raises(ValueError, match="^NaN entry in probability table$"):
+        DenseJoint(1, Alphabet(2), [float("nan"), float("nan")])
+    with pytest.raises(ValueError, match="^NaN entry in probability table$"):
+        DenseJoint(1, Alphabet(2), [float("nan"), 1.0])
+    with pytest.raises(ValueError, match="^negative entry in probability table$"):
+        DenseJoint(1, Alphabet(2), [-float("inf"), 1.0])
+    with pytest.raises(ValueError, match="^probability table row sum != 1: inf$"):
+        DenseJoint(1, Alphabet(2), [float("inf"), 0.0])
+
+
+def test_validate_tree_model_rejects_nan():
+    nan_root = flip_chain(0.1, 0.2, root=(float("nan"), float("nan")))
+    with pytest.raises(ValueError, match="^NaN entry in root marginal$"):
+        validate_tree_model(nan_root)
+    nan_row = flip_chain(0.1, 0.2)
+    object.__setattr__(nan_row, "cpt", {1: nan_row.cpt[1], 2: np.array([[0.5, 0.5], [float("nan"), 0.5]])})
+    with pytest.raises(ValueError, match="^NaN entry in cpt of node 2$"):
+        validate_tree_model(nan_row)
+    inf_row = flip_chain(0.1, 0.2)
+    object.__setattr__(inf_row, "cpt", {1: inf_row.cpt[1], 2: np.array([[0.5, 0.5], [float("inf"), 0.0]])})
+    with pytest.raises(ValueError, match="^cpt of node 2 row sum != 1 at row 1: inf$"):
+        validate_tree_model(inf_row)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_json_probability_arrays_reject_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="dense joint has a bad value for key 'probs': expected a finite number"):
+        dense_joint_from_json(f'{{"n": 1, "k": 2, "probs": [{value}, 0.5]}}')
+    text = tree_model_to_json(flip_chain(0.1, 0.2)).replace("0.9", value, 1)
+    with pytest.raises(ValueError, match="model has a bad value for key 'cpt': expected a finite number"):
+        tree_model_from_json(text)
+
+
+def test_deeply_nested_json_is_a_value_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    for load, what in ((dense_joint_from_json, "dense joint"), (tree_model_from_json, "model"),
+                       (undirected_tree_from_json, "tree"), (ExperimentConfig.from_json, "experiment config")):
+        with pytest.raises(ValueError, match=f"^{what} is nested too deeply to parse$"):
+            load(deep)

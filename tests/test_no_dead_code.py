@@ -1,0 +1,74 @@
+"""No leftovers in the package source, found with the stdlib `ast` module.
+
+Core claims:
+  * Every module-level name that a module in `src/chowliu` defines (function,
+    class or assigned name) is referenced somewhere in `src/`, or listed in an
+    `__all__`.
+  * Every import in `src/chowliu` binds a name that its module uses, or lists
+    in its `__all__`; `from __future__` imports are exempt.
+
+A refactor that leaves a helper, a constant or an import behind fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chowliu"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def exported(tree) -> set:
+    """The strings listed in the module's `__all__`, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def used_names(tree) -> set:
+    """Names a module reads, attributes it looks up and names it imports from elsewhere."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def defined_names(tree) -> list:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_module_level_name_is_used_or_exported():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= used_names(tree) | exported(tree)
+    unused = [f"{module}: {name}" for module, tree in MODULES.items()
+              for name in defined_names(tree) if name not in referenced]
+    assert unused == []
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for module, tree in MODULES.items():
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        keep = loads | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in keep:
+                        unused.append(f"{module}:{node.lineno}: {bound}")
+    assert unused == []

@@ -226,3 +226,11 @@ def test_exchange_pairing_rejects_size_mismatch():
     b = UndirectedTree(4, ((0, 1), (1, 2), (2, 3)))
     with pytest.raises(ValueError):
         exchange_pairing(a, b)
+
+
+def test_mi_matrix_rejects_nan_weight_by_name():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN weight"):
+        MIMatrix([[0.0, nan], [nan, 0.0]])
+    with pytest.raises(ValueError, match="NaN weight"):
+        MIMatrix([[nan, 0.1], [0.1, 0.0]])

@@ -56,6 +56,8 @@ class TesterConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.epsilon == math.inf:
+            raise ValueError("epsilon must be finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.k < 2:
@@ -134,9 +136,9 @@ def _noisy_copy_triple(k: int, weight: float) -> DenseJoint:
     return _mixture(np.full(k, 1.0 / k), np.eye(k), np.eye(k), noisy)
 
 
-def _common_cause_triple(k: int, fidelity: float = 0.7) -> DenseJoint:
+def _common_cause_triple(k: int) -> DenseJoint:
     """X and Y are independent noisy copies of a uniform Z; I(X;Y|Z) = 0."""
-    cond = _copy_channel(k, fidelity + (1.0 - fidelity) / k, (1.0 - fidelity) / k)
+    cond = _copy_channel(k, 0.7 + (1.0 - 0.7) / k, (1.0 - 0.7) / k)
     return _mixture(np.full(k, 1.0 / k), cond, cond, np.eye(k))
 
 
@@ -156,10 +158,10 @@ def calibration_family(k: int, epsilon: float) -> list:
     """Fixed family used by `calibrate` and the rate experiments: two exactly
     conditionally independent members, one far dependent member, and one
     borderline member tuned to true CMI = 1.5 * epsilon.  For binary
-    alphabets the family also carries the perfectly-correlated-pair instance
-    (two equal uniform bits plus a noisy observer of them), whose conditional
-    dependence given the observer is exactly the binary entropy of
-    epsilon / 2."""
+    alphabets and epsilon <= 1 (the realizable family's domain) the family
+    also carries the perfectly-correlated-pair instance (two equal uniform
+    bits plus a noisy observer of them), whose conditional dependence given
+    the observer is exactly the binary entropy of epsilon / 2."""
     product = DenseJoint(3, Alphabet(k), np.full(k**3, 1.0 / k**3))
     copy_table = np.zeros((k, k, k))
     for x in range(k):
@@ -173,7 +175,7 @@ def calibration_family(k: int, epsilon: float) -> list:
     members.append(
         _FamilyMember("dep-borderline", borderline, conditional_mi(borderline.table()))
     )
-    if k == 2 and epsilon < 2.0:
+    if k == 2 and epsilon <= 1.0:
         pair = realizable_triple(1, epsilon)
         # Statistic convention is I(col0; col1 | col2), so the noisy observer
         # (axis 0 of the generator) moves to the last column.

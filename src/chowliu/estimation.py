@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, _kl_arrays, kl_divergence, random_tree_model
-from .model import sample, to_dense
+from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, _kl_arrays, _variables, kl_divergence
+from .model import random_tree_model, sample, to_dense
 from .seeding import derive_seed
 
 __all__ = [
@@ -96,23 +96,15 @@ class CountTable:
 
 def empirical_counts(s: SampleSet, variables) -> CountTable:
     """Exact joint counts of the given 1-3 distinct variables."""
-    vs = tuple(int(v) for v in variables)
+    vs = _variables(variables, s.n_variables)
     if not 1 <= len(vs) <= 3:
         raise ValueError("counting supports 1 to 3 variables")
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"duplicate variables in {vs}")
-    for v in vs:
-        if not 0 <= v < s.n_variables:
-            raise ValueError(f"variable {v} out of range for n={s.n_variables}")
     k = s.alphabet.size
-    shape = (k,) * len(vs)
-    if s.n_samples == 0:
-        return CountTable(vs, np.zeros(shape, dtype=np.int64), 0)
     code = s.rows[:, vs[0]].astype(np.int64)
     for v in vs[1:]:
         code = code * k + s.rows[:, v]
     counts = np.bincount(code, minlength=k ** len(vs)).astype(np.int64)
-    return CountTable(vs, counts.reshape(shape), s.n_samples)
+    return CountTable(vs, counts.reshape((k,) * len(vs)), s.n_samples)
 
 
 # The one-hot product costs O(N (nk)^2) and a bincount per pair O(N n^2).
@@ -427,9 +419,11 @@ def add_one_risk_bound(k: int, delta: float, n_samples: int, constant: float) ->
 def _sample_size(constant: float, lead: int, scale: int, epsilon: float, delta: float) -> int:
     """ceil(constant * (lead / epsilon) * log(scale / delta)
     * log(scale * log(1 / delta) / epsilon)), every log natural and floored
-    at 1, and at least 1 overall."""
+    at 1, and at least 1 overall; a ValueError when that is not finite."""
     inner = _floored_log(1.0 / delta)
     value = constant * (lead / epsilon) * _floored_log(scale / delta) * _floored_log(scale * inner / epsilon)
+    if not math.isfinite(value):
+        raise ValueError(f"no finite sample size at epsilon={epsilon!r} and delta={delta!r}")
     return max(1, math.ceil(value))
 
 
@@ -478,8 +472,8 @@ def fixed_structure_samples(
 ) -> int:
     """Samples sufficient for add-1 learning on a known tree to come within
     epsilon additional KL with probability 1 - delta (calibrated constant)."""
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValueError("need epsilon > 0 and delta in (0, 1)")
+    if not 0 < epsilon < math.inf or not 0 < delta < 1:
+        raise ValueError("need a finite epsilon > 0 and delta in (0, 1)")
     return _sample_size(constant, n * k * k, n * k, epsilon, delta)
 
 

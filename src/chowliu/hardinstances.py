@@ -42,6 +42,13 @@ __all__ = [
 
 # Sign of each coordinate's epsilon / 2 term, per non-realizable member index.
 _NONREALIZABLE_SIGNS = {1: (1, 1, -1), 2: (1, -1, 1), 3: (-1, 1, 1)}
+# Smallest epsilon each fact check accepts.  Below about 1.1e-8 float64
+# rounding swamps the non-realizable KL halving ratio (and epsilon**2 can
+# underflow to 0); below about 3.2e-15 it swamps the realizable MI gap,
+# which is a difference of two values near log 2.  Each floor keeps a
+# margin of more than x10 above the largest epsilon seen to go wrong.
+_NONREALIZABLE_FLOOR = 1e-6
+_REALIZABLE_FLOOR = 1e-13
 
 
 def _copy_channel(k: int, stay: float, move: float) -> np.ndarray:
@@ -158,9 +165,9 @@ def verify_nonrealizable_facts(epsilon: float) -> NonRealizableFacts:
     """Exact dense-table checks: the two members are O(epsilon^2) apart in KL
     (ratio across epsilon halving stays within x1.5 of quadratic), while the
     best and second-best weight trees of member 1 differ by at least
-    0.4 * epsilon in MI."""
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError(f"epsilon must lie in (0, 0.25), got {epsilon}")
+    0.4 * epsilon in MI.  Epsilon must lie in [1e-6, 0.25)."""
+    if not _NONREALIZABLE_FLOOR <= epsilon < 0.25:
+        raise ValueError(f"epsilon must lie in [{_NONREALIZABLE_FLOOR}, 0.25), got {epsilon}")
     r1 = nonrealizable_triple(1, epsilon)
     r2 = nonrealizable_triple(2, epsilon)
     kl = kl_divergence(r1, r2)
@@ -198,9 +205,10 @@ class RealizableFacts:
 def verify_realizable_facts(epsilon: float) -> RealizableFacts:
     """Exact dense-table checks: members 1 and 2 sit exactly epsilon / 2 apart
     in squared Hellinger distance, while member 1's strong edge beats its weak
-    edges by at least (epsilon / 2) * log(2 / epsilon) in MI."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    edges by at least (epsilon / 2) * log(2 / epsilon) in MI.  Epsilon must
+    lie in [1e-13, 1)."""
+    if not _REALIZABLE_FLOOR <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [{_REALIZABLE_FLOOR}, 1), got {epsilon}")
     r1 = realizable_triple(1, epsilon)
     r2 = realizable_triple(2, epsilon)
     hell = statistical_distances(r1, r2).hellinger_sq

@@ -72,6 +72,12 @@ def _bool(value) -> bool:
     return value
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentCell:
     n: int
@@ -307,7 +313,6 @@ def separation_curve(
     for eps in epsilons:
         joints = [make(index, eps) for index in (1, 2, 3)]
         instances = [(joint, _block_mi_matrix([joint])) for joint in joints]
-        n_star = None
         for count in _sample_size_grid(start, max_samples):
 
             def trial(t):
@@ -319,11 +324,10 @@ def separation_curve(
 
             rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, trial))
             if rows[-1].success_rate >= target_rate:
-                n_star = count
                 break
-        if n_star is None:
+        else:
             raise RuntimeError(f"no sample size up to {max_samples} reached the target rate at epsilon={eps}")
-        points.append(SeparationPoint(epsilon=float(eps), n_star=n_star))
+        points.append(SeparationPoint(epsilon=float(eps), n_star=count))
     return SeparationResult(
         regime=regime, points=tuple(points), slope=fitted_slope(points), rows=tuple(rows)
     )
@@ -386,7 +390,7 @@ _KINDS = {
     "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
                               ("n a positive multiple of 3 and k 2 (the triples are binary)",
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
-    "SeparationCurve": (_separation_kind, 0, {"regime": (str, "realizable"), "target_rate": (_float, 0.8),
+    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"), "target_rate": (_float, 0.8),
                                               "start": (_int, 6), "max_samples": (_int, 1 << 20)},
                         ("n 3, k 2 and no key 'N'", lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0))),
     "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},

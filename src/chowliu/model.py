@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 
-def _frozen(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -74,6 +74,18 @@ class Alphabet:
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 2:
             raise ValueError(f"alphabet size must be an int >= 2, got {self.size!r}")
+
+
+def _variables(variables, n: int) -> tuple:
+    """The variables as a tuple of ints; a ValueError unless they are distinct
+    and each lies in range(n)."""
+    vs = tuple(int(v) for v in variables)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variables in {vs}")
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError(f"variable {v} out of range for n={n}")
+    return vs
 
 
 def _dense_size(k: int, n: int) -> int:
@@ -115,18 +127,11 @@ class DenseJoint:
 
     def marginal(self, variables) -> np.ndarray:
         """Marginal table over the given variables, axes in the given order."""
-        vs = tuple(int(v) for v in variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variables in {vs}")
-        for v in vs:
-            if not 0 <= v < self.n:
-                raise ValueError(f"variable {v} out of range for n={self.n}")
-        keep = set(vs)
-        drop = tuple(i for i in range(self.n) if i not in keep)
-        t = self.table().sum(axis=drop) if drop else np.array(self.table())
-        ascending = sorted(keep)
+        vs = _variables(variables, self.n)
+        drop = tuple(i for i in range(self.n) if i not in vs)
+        ascending = sorted(vs)
         perm = tuple(ascending.index(v) for v in vs)
-        return np.transpose(t, perm) if perm != tuple(range(len(vs))) else t
+        return np.transpose(self.table().sum(axis=drop), perm)
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,7 @@ class RootedTree:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one node")
-        if not 0 <= self.root < self.n:
-            raise ValueError(f"root {self.root} out of range")
+        _variables((self.root,), self.n)
         parent = tuple(int(p) for p in self.parent)
         if len(parent) != self.n:
             raise ValueError(f"parent map has length {len(parent)}, expected {self.n}")
@@ -233,9 +237,7 @@ class RootedTree:
 
     def path(self, u: int, v: int) -> list:
         """Nodes along the unique path from u to v, inclusive."""
-        for x in (u, v):
-            if not 0 <= x < self.n:
-                raise ValueError(f"node {x} out of range")
+        _variables({u, v}, self.n)
         up = [u]
         x = u
         while self.parent[x] != -1:
@@ -295,8 +297,7 @@ class TreeModel:
 
 def root_at(t: UndirectedTree, root: int) -> RootedTree:
     """Orient an undirected tree away from the given root."""
-    if not 0 <= root < t.n:
-        raise ValueError(f"root {root} out of range")
+    _variables((root,), t.n)
     return RootedTree(t.n, root, _bfs(t.adjacency(), root)[1])
 
 
@@ -317,9 +318,7 @@ def node_marginals(m: TreeModel) -> np.ndarray:
     """Exact marginal of every node, shape (n, k), by root-to-leaf propagation."""
     out = np.zeros((m.n, m.k))
     out[m.tree.root] = m.root_marginal
-    for node in m.tree.topological_order():
-        if node == m.tree.root:
-            continue
+    for node in m.tree.topological_order()[1:]:
         out[node] = out[m.tree.parent[node]] @ m.cpt[node]
     return out
 
@@ -331,9 +330,7 @@ def to_dense(m: TreeModel) -> DenseJoint:
     shape = [1] * n
     shape[m.tree.root] = k
     joint = np.ones((k,) * n) * m.root_marginal.reshape(shape)
-    for node in m.tree.topological_order():
-        if node == m.tree.root:
-            continue
+    for node in m.tree.topological_order()[1:]:
         pa = m.tree.parent[node]
         factor = m.cpt[node] if pa < node else m.cpt[node].T
         lo, hi = min(pa, node), max(pa, node)
@@ -377,8 +374,7 @@ def reroot(m: TreeModel, new_root: int) -> TreeModel:
     Edge conditionals along the old-root-to-new-root path are recomputed from
     exact pair marginals; the represented joint is unchanged.
     """
-    if not 0 <= new_root < m.n:
-        raise ValueError(f"node {new_root} out of range")
+    _variables((new_root,), m.n)
     if new_root == m.tree.root:
         return m
     marginals = node_marginals(m)
@@ -446,11 +442,7 @@ def sample_dense(p: DenseJoint, count: int, seed: int):
 def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
     """Exact joint table of (X_u, X_v) via transition composition along the
     tree path, without materializing the full joint."""
-    if u == v:
-        raise ValueError("need two distinct variables")
-    for x in (u, v):
-        if not 0 <= x < m.n:
-            raise ValueError(f"node {x} out of range")
+    u, v = _variables((u, v), m.n)
     marginals = node_marginals(m)
     path = m.tree.path(u, v)
     trans = np.eye(m.k)
@@ -583,8 +575,6 @@ def random_spanning_tree(n: int, rng: np.random.Generator) -> UndirectedTree:
     """Uniform random labeled tree, built by decoding a random Pruefer sequence."""
     if n == 1:
         return UndirectedTree(1, ())
-    if n == 2:
-        return UndirectedTree(2, ((0, 1),))
     seq = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=np.int64)
     for s in seq:

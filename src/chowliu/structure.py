@@ -58,26 +58,6 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     return MIMatrix(_pairwise_mi(s.n_variables, ((ij, counts / s.n_samples) for ij, counts in _pair_counts(s))))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def _weights_of(w) -> np.ndarray:
     if isinstance(w, MIMatrix):
         return w.weights
@@ -94,10 +74,18 @@ def max_weight_spanning_tree(w) -> UndirectedTree:
         ((u, v) for u in range(n) for v in range(u + 1, n)),
         key=lambda e: (-weights[e[0], e[1]], e[0], e[1]),
     )
-    uf = _UnionFind(n)
+    component = list(range(n))  # union-find forest
+
+    def find(x: int) -> int:
+        while component[x] != x:
+            component[x] = x = component[component[x]]  # path halving (Tarjan and van Leeuwen, 1984)
+        return x
+
     picked = []
     for u, v in order:
-        if uf.union(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            component[rv] = ru
             picked.append((u, v))
             if len(picked) == n - 1:
                 break

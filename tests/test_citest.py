@@ -10,7 +10,8 @@ Core claims:
       at least 1 - delta of 200 seeded trials
     - the statistic is nonnegative and invariant to symbol relabeling
     - the calibration family's exact conditional MIs match an independent
-      oracle; calibrate() is deterministic, honors degenerate grids, fails
+      oracle, and it carries the realizable pair exactly when k = 2 and
+      epsilon <= 1; calibrate() is deterministic, honors degenerate grids, fails
       with diagnostics when no candidate works, and reproduces the shipped
       constant at the reference configuration
 """
@@ -226,6 +227,13 @@ def test_calibration_family_exact_cmis():
                 assert m.true_cmi == 0.0
             else:
                 assert m.true_cmi > epsilon
+
+
+@pytest.mark.parametrize("epsilon, has_pair", [(0.5, True), (1.0, True), (1.5, False), (2.5, False)])
+def test_calibration_family_carries_the_pair_only_in_its_domain(epsilon, has_pair):
+    names = [m.name for m in calibration_family(2, epsilon)]
+    assert ("dep-realizable-pair" in names) == has_pair
+    assert len(names) == 4 + has_pair
 
 
 def test_calibration_family_pinned_members():

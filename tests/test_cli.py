@@ -7,8 +7,14 @@ Core claims:
     and emits a JSON verdict document with the effective configuration.
   * experiment prints the same CSV to stdout that it writes to --out, and
     CHOWLIU_SEED overrides the config's master seed.
-  * verify-facts exits 0 when every flag holds and 1 otherwise; calibrate
-    reports failures with per-candidate diagnostics and exit 1.
+  * verify-facts exits 0 when every flag holds and 1 otherwise, and below
+    each regime's epsilon floor prints one error line; calibrate reports
+    failures with per-candidate diagnostics and exit 1, and takes k = 2 with
+    epsilon in (1, 2).
+  * An epsilon or delta at which the sample-size formula is not finite, and
+    an infinite epsilon, give one error line and exit 1 in citest and
+    calibrate.
+  * The SeparationCurve key 'regime' takes only a JSON string.
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, bad usage raises SystemExit.
   * Two subprocess invocations with the same seed produce identical bytes.
@@ -262,6 +268,22 @@ def test_verify_facts_epsilon_out_of_range_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "regime, epsilon, message",
+    [
+        ("nonrealizable", "1e-320", "epsilon must lie in [1e-06, 0.25), got 1e-320"),
+        ("nonrealizable", "1e-8", "epsilon must lie in [1e-06, 0.25), got 1e-08"),
+        ("realizable", "1e-16", "epsilon must lie in [1e-13, 1), got 1e-16"),
+        ("realizable", "1e-308", "epsilon must lie in [1e-13, 1), got 1e-308"),
+    ],
+)
+def test_verify_facts_below_the_floor_exits_1(capsys, regime, epsilon, message):
+    assert main(["verify-facts", "--regime", regime, "--epsilon", epsilon]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------- calibrate
 
 
@@ -282,6 +304,14 @@ def test_calibrate_success_writes_file(tmp_path, capsys):
     assert doc["c_sample"] == 1024.0
     assert doc["required_samples_cmi"] >= doc["required_samples_mi"]
     assert out.read_text() == stdout
+
+
+def test_calibrate_binary_epsilon_between_one_and_two(capsys):
+    # The realizable pair needs epsilon <= 1; above that the family goes without it.
+    rc = main(["calibrate", "--epsilon", "1.5", "--delta", "0.1", "--k", "2", "--trials", "100",
+               "--grid", "1024"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["c_sample"] == 1024.0
 
 
 # -------------------------------------------------------------- error routes
@@ -552,6 +582,40 @@ def test_experiment_non_finite_number_exits_1(tmp_path, capsys, cell, options, m
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("citest", ["--epsilon", "1e-320", "--delta", "0.1"], "no finite sample size at epsilon=1e-320 and delta=0.1"),
+        ("citest", ["--epsilon", "0.1", "--delta", "1e-320"], "no finite sample size at epsilon=0.1 and delta=1e-320"),
+        ("citest", ["--epsilon", "inf", "--delta", "0.1"], "epsilon must be finite"),
+        ("calibrate", ["--epsilon", "1e-320", "--delta", "0.1", "--k", "2", "--trials", "100"],
+         "no finite sample size at epsilon=1e-320 and delta=0.1"),
+        ("calibrate", ["--epsilon", "inf", "--delta", "0.1", "--k", "2"], "epsilon must be finite"),
+    ],
+    ids=["citest-epsilon", "citest-delta", "citest-inf", "calibrate-epsilon", "calibrate-inf"],
+)
+def test_sample_size_that_is_not_finite_exits_1(tmp_path, capsys, command, options, message):
+    if command == "citest":
+        samples = tmp_path / "pair.csv"
+        write_csv(columns(np.arange(40) % 2, np.arange(40) % 2), samples)
+        options = ["--samples", str(samples), *options]
+    assert main([command, *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("regime", [5, True, ["realizable"], None])
+def test_separation_regime_takes_only_a_string(tmp_path, capsys, regime):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({"kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.1}],
+                               "trials": 2, "seed": 1, "options": {"regime": regime}}))
+    assert main(["experiment", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: SeparationCurve 'options' has a bad value for key 'regime': expected a string, got {regime!r}"
+    ]
 
 
 # ---------------------------------------------------------------- subprocess

@@ -27,7 +27,7 @@ from chowliu import Alphabet
 from chowliu import harness
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, write_binary, write_csv
-from chowliu.harness import _KINDS, KINDS, _bool, _sample_size_grid
+from chowliu.harness import _KINDS, KINDS, _bool, _sample_size_grid, _str
 from chowliu.model import (
     _float,
     _int,
@@ -240,7 +240,7 @@ def test_readme_cell_table_matches_the_kinds():
 
 
 def test_readme_option_table_matches_the_kinds():
-    types = {_int: "integer", _float: "number", _bool: "boolean", str: "string"}
+    types = {_int: "integer", _float: "number", _bool: "boolean", _str: "string"}
     want = [("every kind", "`timing`", "boolean", "`false`")]
     for kind in KINDS:
         for key, (convert, default) in _KINDS[kind][2].items():

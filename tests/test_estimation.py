@@ -9,7 +9,8 @@ Core claims:
     - CSV and binary round-trips are lossless; malformed input errors name
       the offending line or byte-level defect
     - the add-1 risk bound formula and its calibration are deterministic and
-      reproduce the shipped constants exactly
+      reproduce the shipped constants exactly; fixed_structure_samples
+      rejects a non-finite epsilon and a sample size that is not finite
 """
 
 import math
@@ -282,6 +283,14 @@ def test_fixed_structure_samples_formula():
         fixed_structure_samples(8, 2, epsilon=0.0, delta=0.1)
     with pytest.raises(ValueError):
         fixed_structure_samples(8, 2, epsilon=0.1, delta=1.5)
+
+
+def test_fixed_structure_samples_need_a_finite_size():
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^need a finite epsilon > 0 and delta in \\(0, 1\\)$"):
+            fixed_structure_samples(8, 2, epsilon=epsilon, delta=0.1)
+    with pytest.raises(ValueError, match="^no finite sample size at epsilon=1e-320 and delta=0.1$"):
+        fixed_structure_samples(8, 2, epsilon=1e-320, delta=0.1)
 
 
 def test_add_one_calibration_reproduces_shipped_constant():

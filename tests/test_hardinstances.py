@@ -13,6 +13,8 @@ Core claims:
     trails the best tree by exactly the MI gap, which is at least 0.4 eps.
   * The fact verifiers report Hellinger^2 = eps/2 (realizable) and KL that
     scales quadratically in eps (non-realizable), with honest flag logic.
+    Each verifier takes epsilon down to a floor (1e-6 non-realizable, 1e-13
+    realizable) where every fact still holds, and rejects a smaller one.
   * block_product concatenates independent blocks most-significant-first,
     preserves per-block marginals, and tensorizes Hellinger affinity.
 """
@@ -300,6 +302,22 @@ def test_nonrealizable_facts_epsilon_range():
     for bad in (0.0, 0.25, -0.1, 0.3):
         with pytest.raises(ValueError, match="epsilon"):
             verify_nonrealizable_facts(bad)
+
+
+@pytest.mark.parametrize(
+    "verify, floor, top",
+    [(verify_nonrealizable_facts, 1e-6, "0.25"), (verify_realizable_facts, 1e-13, "1")],
+    ids=["nonrealizable", "realizable"],
+)
+def test_fact_verifiers_hold_down_to_their_floor(verify, floor, top):
+    for epsilon in (floor, 2 * floor, 10 * floor):
+        facts = vars(verify(epsilon))
+        assert all(value for name, value in facts.items() if name.endswith("_ok")), facts
+        assert all(math.isfinite(value) for value in facts.values() if isinstance(value, float))
+    for below in (floor / 2, 1e-17, 1e-320):
+        with pytest.raises(ValueError) as err:
+            verify(below)
+        assert str(err.value) == f"epsilon must lie in [{floor}, {top}), got {below}"
 
 
 # --------------------------------------------------------------- block product

@@ -9,7 +9,8 @@ Core claims:
     runs return identical statistics and identical output files.
   * Each experiment kind produces sane aggregates on small grids, and the
     NonRealizableRecovery kind rejects grids its families cannot fill, naming
-    the cell, before any trial runs.
+    the cell, before any trial runs; a binary CITesterRates cell runs at an
+    epsilon in (1, 2), outside the realizable pair's domain.
   * separation_curve probes a doubling sample-size grid until the target
     success rate is reached and fits the log-log slope of N* vs 1/epsilon.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
@@ -230,6 +231,12 @@ def test_citester_rates_cell_fills_sample_size():
     want = required_samples_cmi(TesterConfig(epsilon=0.3, delta=0.1, k=2))
     assert rows[0].n_samples == want
     assert rows[0].success_rate >= 0.9
+
+
+def test_citester_rates_binary_cell_above_epsilon_one():
+    cfg = ExperimentConfig("CITesterRates", (ExperimentCell(3, 2, 1.5, 50),), trials=2, seed=11)
+    rows = run_experiment(cfg)
+    assert [(row.epsilon, row.n_samples, row.trials) for row in rows] == [(1.5, 50, 2)]
 
 
 # ----------------------------------------------------------- separation curve

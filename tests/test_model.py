@@ -2,6 +2,8 @@
 
 Core claims:
     - constructors reject malformed alphabets, tables, trees, and parent maps
+    - every entry point that takes variable indices words a duplicate and an
+      index out of range the same way
     - to_dense reproduces the factored product; reroot preserves the joint
       exactly, including across zero-probability parent symbols
     - ancestral sampling is deterministic per seed and consistent at large N
@@ -26,9 +28,11 @@ from chowliu import (
     Alphabet,
     DenseJoint,
     RootedTree,
+    SampleSet,
     TreeModel,
     UndirectedTree,
     conditional_mi,
+    empirical_counts,
     exact_mi_matrix,
     kl_decomposition,
     kl_divergence,
@@ -111,6 +115,31 @@ def test_dense_joint_marginal_orders_and_duplicates():
         p.marginal((0, 0))
     with pytest.raises(ValueError):
         p.marginal((0, 3))
+
+
+def test_every_index_check_has_one_wording():
+    m = random_tree_model(4, 2, seed=5)
+    p = random_dense(4, 2, np.random.default_rng(4))
+    s = SampleSet(Alphabet(2), np.zeros((3, 4), dtype=np.uint8))
+    tree = m.tree.skeleton()
+    checks = [
+        (lambda: empirical_counts(s, (2, 2)), "duplicate variables in (2, 2)"),
+        (lambda: empirical_counts(s, (1, 9)), "variable 9 out of range for n=4"),
+        (lambda: p.marginal((2, 2)), "duplicate variables in (2, 2)"),
+        (lambda: p.marginal((9,)), "variable 9 out of range for n=4"),
+        (lambda: pair_marginal(m, 2, 2), "duplicate variables in (2, 2)"),
+        (lambda: pair_marginal(m, 0, 9), "variable 9 out of range for n=4"),
+        (lambda: m.tree.path(9, 0), "variable 9 out of range for n=4"),
+        (lambda: m.tree.path(0, -1), "variable -1 out of range for n=4"),
+        (lambda: reroot(m, 9), "variable 9 out of range for n=4"),
+        (lambda: root_at(tree, 5), "variable 5 out of range for n=4"),
+        (lambda: RootedTree(4, 5, m.tree.parent), "variable 5 out of range for n=4"),
+    ]
+    for call, message in checks:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    assert m.tree.path(2, 2) == [2]
 
 
 def test_undirected_tree_normalizes_and_validates():

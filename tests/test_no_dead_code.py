@@ -6,8 +6,14 @@ Core claims:
     `__all__`.
   * Every import in `src/chowliu` binds a name that its module uses, or lists
     in its `__all__`; `from __future__` imports are exempt.
+  * Every defaulted parameter of a private function in `src/chowliu` (a name
+    with one leading underscore) is passed, by keyword or by position, by
+    some call in `src/` or `tests/`. A function whose name is also used other
+    than as the callee of a call (passed on, stored) may be called under
+    another name, so it is exempt.
 
-A refactor that leaves a helper, a constant or an import behind fails here.
+A refactor that leaves a helper, a constant, an import or a parameter that
+only ever takes its default behind fails here.
 """
 
 import ast
@@ -15,6 +21,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chowliu"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+TESTS = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(__file__).parent.glob("*.py"))]
 
 
 def exported(tree) -> set:
@@ -72,3 +79,51 @@ def test_every_import_is_used_or_exported():
                     if bound not in keep:
                         unused.append(f"{module}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def callee_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def defaulted_parameters(function) -> list:
+    """(name, position among a call's arguments or None) of each parameter
+    with a default; keyword-only parameters have no position, and a method's
+    `self` or `cls` is not among the arguments."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def test_every_defaulted_private_parameter_is_passed():
+    trees = list(MODULES.values()) + TESTS
+    calls, callees = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(callee_name(node), []).append(node)
+                callees.add(id(node.func))
+    escaped = {node.id if isinstance(node, ast.Name) else node.attr
+               for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+               and id(node) not in callees}
+    never = []
+    for module, tree in MODULES.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef) or not function.name.startswith("_"):
+                continue
+            if function.name.startswith("__") or function.name in escaped:
+                continue
+            for name, position in defaulted_parameters(function):
+                passed = False
+                for call in calls.get(function.name, []):
+                    keywords = {kw.arg for kw in call.keywords}
+                    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                    by_position = position is not None and (starred or len(call.args) > position)
+                    passed |= by_position or name in keywords or None in keywords
+                if not passed:
+                    never.append(f"{module}: {function.name}.{name}")
+    assert never == []

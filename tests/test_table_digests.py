@@ -1,4 +1,5 @@
-"""Pinned bytes of the hidden-value instance tables.
+"""Pinned bytes of the hidden-value instance tables, of dense marginals and
+of random spanning trees.
 
 Core claims:
   * Both three-bit families (members 1-3 at several epsilon, from 0 to the
@@ -6,6 +7,11 @@ Core claims:
     pinned sha256 digest.
   * `calibration_family(k, epsilon)` at k in {2, 3, 5} gives pinned bytes,
     member by member in family order.
+  * `DenseJoint.marginal` gives pinned bytes and shapes for every ordered
+    choice of variables of 3- and 4-variable tables (k in {2, 3}).
+  * `random_spanning_tree(n, rng)` for n = 1..8 over six seeds gives pinned
+    edges, and the draw that follows each tree is pinned too, so the
+    decoder's use of the RNG stream is fixed.
 
 The oracle tests compare these tables within 1e-15, which a change in the
 last bit passes; these digests do not. Every table here feeds pinned outputs
@@ -14,10 +20,19 @@ builders must keep them bit for bit.
 """
 
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
-from chowliu import calibration_family, nonrealizable_triple, realizable_triple
+from chowliu import (
+    Alphabet,
+    DenseJoint,
+    calibration_family,
+    nonrealizable_triple,
+    random_spanning_tree,
+    realizable_triple,
+)
 
 NONREALIZABLE_EPSILONS = (0.0, 0.013, 0.05, 0.1, 0.2, 0.2499)
 REALIZABLE_EPSILONS = (0.0, 0.013, 0.05, 0.1, 0.5, 1.0)
@@ -55,3 +70,26 @@ def test_calibration_family_bytes(k, epsilon, expected):
     members = calibration_family(k, epsilon)
     assert [m.name for m in members][:4] == ["ci-common-cause", "ci-product", "dep-copy", "dep-borderline"]
     assert digest(m.joint for m in members) == expected
+
+
+def test_dense_marginal_bytes():
+    h = hashlib.sha256()
+    for n, k in ((3, 2), (3, 3), (4, 2), (4, 3)):
+        rng = np.random.default_rng(n * 10 + k)
+        p = DenseJoint(n, Alphabet(k), rng.dirichlet(np.ones(k**n)))
+        for r in range(1, n + 1):
+            for variables in itertools.permutations(range(n), r):
+                table = p.marginal(variables)
+                h.update(repr((variables, table.shape)).encode())
+                h.update(table.tobytes())
+    assert h.hexdigest() == "368e025519b23555003ab80494c9bafbe2f7a76a0bab44c07cd4d2db833298ae"
+
+
+def test_random_spanning_tree_edges_and_stream():
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            edges = random_spanning_tree(n, rng).edges
+            h.update(repr((n, seed, edges, rng.random())).encode())
+    assert h.hexdigest() == "174a39a5077a41032ac199b45bf036d6fa4d5242aec881669d3bbee244867912"

@@ -2,9 +2,8 @@
 
 Subcommands: sample, learn, citest, experiment, verify-facts, calibrate.
 Results go to stdout or to --out files; progress and timing go to stderr so
-that outputs stay byte-identical for identical inputs and seeds.  The
-CHOWLIU_SEED environment variable overrides the master seed of `experiment`
-and `calibrate`.
+that outputs stay byte-identical for identical inputs and seeds.  The seed of
+`experiment` comes from its config file, and that of `calibrate` from --seed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -52,16 +50,6 @@ def _is_binary(path, fmt: str | None) -> bool:
 
 def _read_samples(path: str, fmt: str | None, k: int | None):
     return read_binary(path, k) if _is_binary(path, fmt) else read_csv(path, k)
-
-
-def _env_seed(default: int) -> int:
-    raw = os.environ.get("CHOWLIU_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"CHOWLIU_SEED must be an integer, got {raw!r}")
 
 
 def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str | None = None) -> int:
@@ -135,7 +123,7 @@ def cmd_experiment(config_path: str, out_path: str | None = None, timing: bool =
     with open(config_path) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     options = {**cfg.options, "timing": True} if timing else cfg.options
-    cfg = dataclasses.replace(cfg, seed=_env_seed(cfg.seed), options=options,
+    cfg = dataclasses.replace(cfg, options=options,
                               out_path=out_path if out_path is not None else cfg.out_path)
     start = time.perf_counter()
     rows = run_experiment(cfg)
@@ -170,7 +158,7 @@ def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
                   out_path: str | None = None, grid=None) -> int:
     base = citest_mod.TesterConfig(epsilon=epsilon, delta=delta, k=k)
     try:
-        tuned = citest_mod.calibrate(base, trials=trials, seed=_env_seed(seed), grid=grid)
+        tuned = citest_mod.calibrate(base, trials=trials, seed=seed, grid=grid)
     except citest_mod.CalibrationError as err:
         _log(f"calibration failed: {err}")
         for candidate, rates in err.diagnostics.items():
@@ -257,6 +245,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as err:
         _log(f"error: {err}")
+        return 1
+    except MemoryError as err:  # numpy names the allocation it could not make
+        _log(f"error: out of memory: {err}" if str(err) else "error: out of memory")
         return 1
     raise AssertionError("unreachable")
 

@@ -400,7 +400,7 @@ def read_binary(path, k: int | None = None) -> SampleSet:
 #
 # The high-probability guarantees below are stated up to universal constants;
 # the shipped defaults were produced by the calibration routines in this
-# module at their default arguments (fixed seeds), not taken from theory.
+# module at their reference configurations (fixed seeds), not taken from theory.
 
 DEFAULT_ADD_ONE_CONSTANT = 0.04654489447537851
 DEFAULT_FIXED_STRUCTURE_CONSTANT = 0.015625
@@ -433,22 +433,16 @@ def _add_one_kl(p: np.ndarray, count: int, rng: np.random.Generator) -> float:
     return _kl_arrays(p, _add_one(counts))
 
 
-def calibrate_add_one_constant(
-    k: int = 4,
-    delta: float = 0.05,
-    sample_sizes=(100, 1000, 10000),
-    trials: int = 1000,
-    seed: int = 20260814,
-) -> float:
-    """Smallest constant for which the add-1 KL bound holds simultaneously at
-    every reference sample size in at least a (1 - delta) fraction of trials.
+def calibrate_add_one_constant() -> float:
+    """Smallest constant for which the add-1 KL bound at k = 4 and
+    delta = 0.05 holds simultaneously at the sample sizes 100, 1000 and 10000
+    in at least a (1 - delta) fraction of 1000 trials from seed 20260814.
 
     Each trial draws a Dirichlet(1) distribution, simulates all sample sizes,
     and records the worst ratio of achieved KL to the bound shape; the
     (1 - delta) quantile of those worst ratios is the calibrated constant.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 calibration trials")
+    k, delta, sample_sizes, trials, seed = 4, 0.05, (100, 1000, 10000), 1000, 20260814
     worst = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(derive_seed(seed, "add-one", t))
@@ -477,19 +471,12 @@ def fixed_structure_samples(
     return _sample_size(constant, n * k * k, n * k, epsilon, delta)
 
 
-def calibrate_fixed_structure_constant(
-    n: int = 8,
-    k: int = 2,
-    epsilon: float = 0.1,
-    delta: float = 0.1,
-    trials: int = 1000,
-    seed: int = 20260814,
-    target_rate: float = 0.95,
-) -> float:
+def calibrate_fixed_structure_constant() -> float:
     """Smallest grid constant at which add-1 learning on the true skeleton of
-    a random tree model lands within epsilon KL in at least `target_rate` of
-    trials.  The target leaves slack over 1 - delta so a fresh evaluation at
-    the returned constant still clears 1 - delta."""
+    a random tree model (n = 8, k = 2) lands within epsilon = 0.1 KL in at
+    least 95 % of 1000 trials from seed 20260814.  The target leaves slack over
+    1 - delta = 0.9 so a fresh evaluation at the returned constant still clears 1 - delta."""
+    n, k, epsilon, delta, trials, seed, target_rate = 8, 2, 0.1, 0.1, 1000, 20260814, 0.95
     grid = [2.0**e for e in range(-9, 7)]
     for constant in grid:
         count = fixed_structure_samples(n, k, epsilon, delta, constant)

@@ -220,7 +220,7 @@ def verify_realizable_facts(epsilon: float) -> RealizableFacts:
         epsilon=epsilon,
         hellinger_sq=hell,
         hellinger_expected=epsilon / 2.0,
-        hellinger_ok=abs(hell - epsilon / 2.0) <= 1e-12,
+        hellinger_ok=abs(hell - epsilon / 2.0) <= 1e-15,
         mi_gap=gap,
         mi_gap_leading=leading,
         mi_gap_ok=gap >= leading,

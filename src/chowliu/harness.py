@@ -125,7 +125,7 @@ class ExperimentConfig:
         grid = tuple(ExperimentCell(*_json_fields(c, "experiment grid cell", cell)) for c in cells)
         return ExperimentConfig(kind, grid, trials, seed, out_path, options)
 
-    def to_json(self, indent=2) -> str:
+    def to_json(self) -> str:
         doc = {
             "kind": self.kind,
             "grid": [
@@ -137,7 +137,7 @@ class ExperimentConfig:
         }
         if self.out_path is not None:
             doc["out"] = self.out_path
-        return json.dumps(doc, indent=indent)
+        return json.dumps(doc, indent=2)
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,10 @@ def separation_curve(
     epsilons,
     trials: int,
     seed: int,
-    target_rate: float = 0.8,
-    start: int = 6,
     max_samples: int = 1 << 20,
 ) -> SeparationResult:
-    """Smallest sample size (on a doubling grid) at which the structure
-    learner is epsilon-approximate in at least `target_rate` of trials, per
+    """Smallest sample size (on the doubling grid from 6) at which the
+    structure learner is epsilon-approximate in at least 80 % of trials, per
     construction epsilon, plus the fitted log-log slope of N* against 1/eps.
 
     A trial succeeds when the learner is epsilon-approximate on every member
@@ -313,7 +311,7 @@ def separation_curve(
     for eps in epsilons:
         joints = [make(index, eps) for index in (1, 2, 3)]
         instances = [(joint, _block_mi_matrix([joint])) for joint in joints]
-        for count in _sample_size_grid(start, max_samples):
+        for count in _sample_size_grid(6, max_samples):
 
             def trial(t):
                 worst = 0.0
@@ -323,7 +321,7 @@ def separation_curve(
                 return worst <= eps, worst
 
             rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, trial))
-            if rows[-1].success_rate >= target_rate:
+            if rows[-1].success_rate >= 0.8:
                 break
         else:
             raise RuntimeError(f"no sample size up to {max_samples} reached the target rate at epsilon={eps}")
@@ -390,8 +388,7 @@ _KINDS = {
     "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
                               ("n a positive multiple of 3 and k 2 (the triples are binary)",
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
-    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"), "target_rate": (_float, 0.8),
-                                              "start": (_int, 6), "max_samples": (_int, 1 << 20)},
+    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"), "max_samples": (_int, 1 << 20)},
                         ("n 3, k 2 and no key 'N'", lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0))),
     "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},
                  ("n 1", lambda cell: cell.n == 1)),

@@ -16,6 +16,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,19 @@ class Alphabet:
             raise ValueError(f"alphabet size must be an int >= 2, got {self.size!r}")
 
 
+def _index(value, what: str) -> int:
+    """value as an int; a ValueError naming it unless it is an integer, so a
+    fractional index is never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _variables(variables, n: int) -> tuple:
     """The variables as a tuple of ints; a ValueError unless they are distinct
-    and each lies in range(n)."""
-    vs = tuple(int(v) for v in variables)
+    integers and each lies in range(n)."""
+    vs = tuple(_index(v, "variable") for v in variables)
     if len(set(vs)) != len(vs):
         raise ValueError(f"duplicate variables in {vs}")
     for v in vs:
@@ -147,7 +157,7 @@ class UndirectedTree:
             raise ValueError("need at least one node")
         norm = []
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _index(e[0], "edge node"), _index(e[1], "edge node")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -200,7 +210,7 @@ class RootedTree:
         if self.n < 1:
             raise ValueError("need at least one node")
         _variables((self.root,), self.n)
-        parent = tuple(int(p) for p in self.parent)
+        parent = tuple(_index(p, "parent") for p in self.parent)
         if len(parent) != self.n:
             raise ValueError(f"parent map has length {len(parent)}, expected {self.n}")
         if parent[self.root] != -1:
@@ -301,17 +311,17 @@ def root_at(t: UndirectedTree, root: int) -> RootedTree:
     return RootedTree(t.n, root, _bfs(t.adjacency(), root)[1])
 
 
-def validate_tree_model(m: TreeModel, tol: float = 1e-12) -> None:
+def validate_tree_model(m: TreeModel) -> None:
     """Raise ValueError naming the first violated numeric invariant.
 
     Structural problems (cyclic parent maps, missing cpt entries) are already
     rejected when the RootedTree / TreeModel is constructed; this checks the
     probability content: no negative or NaN entries, and the root marginal and
-    every conditional row summing to 1 within `tol`.
+    every conditional row summing to 1 within 1e-12.
     """
-    _check_distribution(m.root_marginal, "root marginal", tol)
+    _check_distribution(m.root_marginal, "root marginal", 1e-12)
     for node in sorted(m.cpt):
-        _check_distribution(m.cpt[node], f"cpt of node {node}", tol)
+        _check_distribution(m.cpt[node], f"cpt of node {node}", 1e-12)
 
 
 def node_marginals(m: TreeModel) -> np.ndarray:
@@ -623,9 +633,9 @@ def random_tree_model(n: int, k: int, seed: int, cpt_floor: float = 0.05) -> Tre
 # round-trips exactly (shortest-repr is stronger than 17 significant digits).
 
 
-def dense_joint_to_json(p: DenseJoint, indent=None) -> str:
+def dense_joint_to_json(p: DenseJoint) -> str:
     doc = {"n": p.n, "k": p.k, "probs": [float(x) for x in p.probs]}
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def _json_document(text: str, what: str, fields: dict) -> list:
@@ -692,9 +702,9 @@ def dense_joint_from_json(text: str) -> DenseJoint:
     return DenseJoint(n, Alphabet(k), probs)
 
 
-def undirected_tree_to_json(t: UndirectedTree, indent=None) -> str:
+def undirected_tree_to_json(t: UndirectedTree) -> str:
     doc = {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def undirected_tree_from_json(text: str) -> UndirectedTree:
@@ -704,7 +714,7 @@ def undirected_tree_from_json(text: str) -> UndirectedTree:
     return UndirectedTree(n, edges)
 
 
-def tree_model_to_json(m: TreeModel, indent=None) -> str:
+def tree_model_to_json(m: TreeModel) -> str:
     doc = {
         "n": m.n,
         "k": m.k,
@@ -713,7 +723,7 @@ def tree_model_to_json(m: TreeModel, indent=None) -> str:
         "root_marginal": [float(x) for x in m.root_marginal],
         "cpt": {str(node): [[float(x) for x in row] for row in m.cpt[node]] for node in sorted(m.cpt)},
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def tree_model_from_json(text: str) -> TreeModel:

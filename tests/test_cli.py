@@ -5,8 +5,9 @@ Core claims:
     byte for byte, in both CSV and binary sample formats.
   * citest picks the conditional or unconditional test from the column count
     and emits a JSON verdict document with the effective configuration.
-  * experiment prints the same CSV to stdout that it writes to --out, and
-    CHOWLIU_SEED overrides the config's master seed.
+  * experiment prints the same CSV to stdout that it writes to --out; its
+    seed comes from the config and that of calibrate from --seed, whatever
+    the environment holds.
   * verify-facts exits 0 when every flag holds and 1 otherwise, and below
     each regime's epsilon floor prints one error line; calibrate reports
     failures with per-candidate diagnostics and exit 1, and takes k = 2 with
@@ -16,7 +17,8 @@ Core claims:
     calibrate.
   * The SeparationCurve key 'regime' takes only a JSON string.
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
-    a line-numbered message, bad usage raises SystemExit.
+    a line-numbered message, running out of memory is one error line and
+    exit 1, bad usage raises SystemExit.
   * Two subprocess invocations with the same seed produce identical bytes.
 """
 
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 
 from chowliu import Alphabet
+from chowliu import citest as citest_mod
 from chowliu.cli import (
     cmd_citest,
     cmd_calibrate,
@@ -230,18 +233,18 @@ def test_experiment_stdout_matches_file(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
-def test_experiment_env_seed_override(tmp_path, capsys, monkeypatch):
-    config_one = experiment_config(tmp_path, 1)
-    config_two = experiment_config(tmp_path, 2)
+def test_seeds_ignore_the_environment(tmp_path, capsys, monkeypatch):
+    commands = (["experiment", "--config", str(experiment_config(tmp_path, 1))],
+                ["calibrate", "--epsilon", "0.5", "--delta", "0.1", "--k", "2", "--trials", "100",
+                 "--seed", "1", "--grid", "1024"])
     capsys.readouterr()
-    cmd_experiment(str(config_two))
-    want = capsys.readouterr().out
-    monkeypatch.setenv("CHOWLIU_SEED", "2")
-    cmd_experiment(str(config_one))
-    assert capsys.readouterr().out == want
-    monkeypatch.setenv("CHOWLIU_SEED", "not-a-seed")
-    with pytest.raises(SystemExit, match="CHOWLIU_SEED"):
-        cmd_experiment(str(config_one))
+    for argv in commands:
+        monkeypatch.delenv("CHOWLIU_SEED", raising=False)
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setenv("CHOWLIU_SEED", "2")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 # -------------------------------------------------------------- verify-facts
@@ -315,6 +318,17 @@ def test_calibrate_binary_epsilon_between_one_and_two(capsys):
 
 
 # -------------------------------------------------------------- error routes
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def no_memory(p, count, seed):
+        raise MemoryError("Unable to allocate 968. TiB for an array")
+
+    monkeypatch.setattr(citest_mod, "sample_dense", no_memory)
+    assert main(["calibrate", "--epsilon", "0.5", "--delta", "0.1", "--k", "2", "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory: Unable to allocate 968. TiB for an array"]
 
 
 def test_missing_file_exits_1(capsys):

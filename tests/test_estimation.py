@@ -297,8 +297,6 @@ def test_add_one_calibration_reproduces_shipped_constant():
     value = calibrate_add_one_constant()
     assert value == DEFAULT_ADD_ONE_CONSTANT
     assert calibrate_add_one_constant() == value  # deterministic
-    with pytest.raises(ValueError):
-        calibrate_add_one_constant(trials=50)
 
 
 def test_fixed_structure_calibration_reproduces_shipped_constant():

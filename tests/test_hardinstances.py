@@ -12,18 +12,21 @@ Core claims:
   * Non-realizable members are far from every tree: the all-weak-edges tree
     trails the best tree by exactly the MI gap, which is at least 0.4 eps.
   * The fact verifiers report Hellinger^2 = eps/2 (realizable) and KL that
-    scales quadratically in eps (non-realizable), with honest flag logic.
+    scales quadratically in eps (non-realizable), with honest flag logic; the
+    Hellinger flag catches a 5 % error even at the 1e-13 floor.
     Each verifier takes epsilon down to a floor (1e-6 non-realizable, 1e-13
     realizable) where every fact still holds, and rejects a smaller one.
   * block_product concatenates independent blocks most-significant-first,
     preserves per-block marginals, and tensorizes Hellinger affinity.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from chowliu import hardinstances
 from chowliu import (
     Alphabet,
     DenseJoint,
@@ -208,6 +211,17 @@ def test_realizable_facts_hellinger_is_half_epsilon(epsilon):
     assert facts.hellinger_sq == pytest.approx(epsilon / 2.0, abs=1e-12)
     assert facts.hellinger_expected == epsilon / 2.0
     assert facts.hellinger_ok
+
+
+def test_realizable_hellinger_flag_catches_an_error_at_the_floor(monkeypatch):
+    def off_by_five_percent(p, q):
+        report = statistical_distances(p, q)
+        return dataclasses.replace(report, hellinger_sq=report.hellinger_sq * 1.05)
+
+    monkeypatch.setattr(hardinstances, "statistical_distances", off_by_five_percent)
+    facts = verify_realizable_facts(1e-13)
+    assert facts.hellinger_sq == pytest.approx(1.05 * 5e-14, rel=1e-3)
+    assert not facts.hellinger_ok
 
 
 def test_realizable_facts_mi_gap_matches_oracle():

@@ -11,8 +11,9 @@ Core claims:
     NonRealizableRecovery kind rejects grids its families cannot fill, naming
     the cell, before any trial runs; a binary CITesterRates cell runs at an
     epsilon in (1, 2), outside the realizable pair's domain.
-  * separation_curve probes a doubling sample-size grid until the target
-    success rate is reached and fits the log-log slope of N* vs 1/epsilon.
+  * separation_curve probes a doubling sample-size grid from 6 until a
+    success rate of 0.8 is reached and fits the log-log slope of N* vs
+    1/epsilon; its only option keys are 'regime' and 'max_samples'.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
 """
 
@@ -290,6 +291,13 @@ def test_separation_curve_runs_through_run_experiment(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == len(rows) + 1
+
+
+def test_separation_curve_options_are_regime_and_max_samples():
+    assert list(harness._KINDS["SeparationCurve"][2]) == ["regime", "max_samples"]
+    for key, value in (("target_rate", 0.8), ("start", 6)):
+        with pytest.raises(ValueError, match=f"^SeparationCurve 'options' has unknown key '{key}'$"):
+            ExperimentConfig("SeparationCurve", (ExperimentCell(3, 2, 0.1, 0),), 1, 1, options={key: value})
 
 
 def test_separation_curve_rejects_unknown_regime():

@@ -3,7 +3,8 @@
 Core claims:
     - constructors reject malformed alphabets, tables, trees, and parent maps
     - every entry point that takes variable indices words a duplicate and an
-      index out of range the same way
+      index out of range the same way, and rejects a fractional index, naming
+      it, where it once truncated it
     - to_dense reproduces the factored product; reroot preserves the joint
       exactly, including across zero-probability parent symbols
     - ancestral sampling is deterministic per seed and consistent at large N
@@ -140,6 +141,48 @@ def test_every_index_check_has_one_wording():
             call()
         assert str(err.value) == message
     assert m.tree.path(2, 2) == [2]
+
+
+def test_dense_marginal_rejects_a_fractional_variable():
+    p = random_dense(4, 2, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=r"^variable 0\.7 is not an integer$"):
+        p.marginal((0.7,))
+
+
+def test_empirical_counts_rejects_a_fractional_variable():
+    s = SampleSet(Alphabet(2), np.zeros((3, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"^variable 0\.5 is not an integer$"):
+        empirical_counts(s, (0.5, 1.5))
+
+
+def test_pair_marginal_rejects_a_fractional_variable():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^variable 0\.5 is not an integer$"):
+        pair_marginal(m, 0.5, 2.9)
+
+
+def test_undirected_tree_rejects_a_fractional_node():
+    with pytest.raises(ValueError, match=r"^edge node 1\.5 is not an integer$"):
+        UndirectedTree(3, ((0, 1.5), (0, 2)))
+
+
+def test_rooted_tree_rejects_a_fractional_parent_or_root():
+    with pytest.raises(ValueError, match=r"^parent 0\.5 is not an integer$"):
+        RootedTree(3, 0, (-1, 0.5, 1))
+    with pytest.raises(ValueError, match=r"^variable 1\.0 is not an integer$"):
+        RootedTree(3, 1.0, (1, -1, 1))
+
+
+def test_reroot_rejects_a_fractional_root():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^variable 1\.5 is not an integer$"):
+        reroot(m, 1.5)
+
+
+def test_root_at_rejects_a_fractional_root():
+    tree = random_tree_model(4, 2, seed=5).tree.skeleton()
+    with pytest.raises(ValueError, match=r"^variable 2\.2 is not an integer$"):
+        root_at(tree, 2.2)
 
 
 def test_undirected_tree_normalizes_and_validates():

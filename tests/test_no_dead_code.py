@@ -7,10 +7,13 @@ Core claims:
   * Every import in `src/chowliu` binds a name that its module uses, or lists
     in its `__all__`; `from __future__` imports are exempt.
   * Every defaulted parameter of a private function in `src/chowliu` (a name
-    with one leading underscore) is passed, by keyword or by position, by
-    some call in `src/` or `tests/`. A function whose name is also used other
-    than as the callee of a call (passed on, stored) may be called under
-    another name, so it is exempt.
+    with one leading underscore) is passed, by keyword, by position or
+    through `*` or `**`, by some call in `src/` or `tests/`. A function whose
+    name is also used other than as the callee of a call (passed on, stored)
+    may be called under another name, so it is exempt.
+  * Every defaulted parameter of a public function or method in `src/chowliu`
+    is passed in the same sense, with the same exemption: a setting with one
+    value in use is a constant.
 
 A refactor that leaves a helper, a constant, an import or a parameter that
 only ever takes its default behind fails here.
@@ -98,7 +101,10 @@ def defaulted_parameters(function) -> list:
     return out
 
 
-def test_every_defaulted_private_parameter_is_passed():
+def never_passed(public: bool) -> list:
+    """The "module: function.parameter" of each defaulted parameter that no
+    call in `src/` or `tests/` passes, among the public functions and methods
+    (names without a leading underscore) or among the private functions."""
     trees = list(MODULES.values()) + TESTS
     calls, callees = {}, set()
     for tree in trees:
@@ -113,7 +119,7 @@ def test_every_defaulted_private_parameter_is_passed():
     never = []
     for module, tree in MODULES.items():
         for function in ast.walk(tree):
-            if not isinstance(function, ast.FunctionDef) or not function.name.startswith("_"):
+            if not isinstance(function, ast.FunctionDef) or function.name.startswith("_") == public:
                 continue
             if function.name.startswith("__") or function.name in escaped:
                 continue
@@ -126,4 +132,12 @@ def test_every_defaulted_private_parameter_is_passed():
                     passed |= by_position or name in keywords or None in keywords
                 if not passed:
                     never.append(f"{module}: {function.name}.{name}")
-    assert never == []
+    return never
+
+
+def test_every_defaulted_private_parameter_is_passed():
+    assert never_passed(public=False) == []
+
+
+def test_every_defaulted_public_parameter_is_passed():
+    assert never_passed(public=True) == []

@@ -38,7 +38,6 @@ from .citest import (
     test_independence,
 )
 from .hardinstances import (
-    TripleFamily,
     block_product,
     nonrealizable_triple,
     realizable_triple,
@@ -83,7 +82,6 @@ from .model import (
     project_onto_tree,
     random_spanning_tree,
     random_tree_model,
-    reroot,
     root_at,
     sample,
     sample_dense,
@@ -108,7 +106,7 @@ __all__ = [
     # model
     "Alphabet", "DenseJoint", "UndirectedTree", "RootedTree", "TreeModel",
     "DENSE_CAP", "root_at", "validate_tree_model", "node_marginals", "to_dense",
-    "reroot", "sample", "sample_dense", "pair_marginal", "exact_mi_matrix",
+    "sample", "sample_dense", "pair_marginal", "exact_mi_matrix",
     "project_onto_tree", "kl_divergence", "kl_to_tree_projection",
     "kl_decomposition", "KLDecomposition", "statistical_distances",
     "random_spanning_tree", "random_tree_model",
@@ -131,7 +129,7 @@ __all__ = [
     "test_conditional_independence", "test_independence",
     "calibration_family", "calibrate", "CalibrationError",
     # hardinstances
-    "TripleFamily", "nonrealizable_triple", "realizable_triple",
+    "nonrealizable_triple", "realizable_triple",
     "block_product", "verify_nonrealizable_facts", "verify_realizable_facts",
     # harness
     "ExperimentCell", "ExperimentConfig", "ExperimentRow",

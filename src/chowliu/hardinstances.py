@@ -30,7 +30,6 @@ from .info import mutual_information
 from .model import Alphabet, DenseJoint, kl_divergence, statistical_distances
 
 __all__ = [
-    "TripleFamily",
     "NonRealizableFacts",
     "RealizableFacts",
     "nonrealizable_triple",
@@ -72,29 +71,6 @@ def _mixture(prior, *channels) -> DenseJoint:
         joint = joint * np.reshape(channel, (prior.size,) + (1,) * i + (-1,) + (1,) * (m - 1 - i))
     joint = joint * prior.reshape((-1,) + (1,) * m)
     return DenseJoint(m, Alphabet(joint.shape[1]), joint.sum(axis=0).reshape(-1))
-
-
-@dataclass(frozen=True)
-class TripleFamily:
-    """One member of a hard-instance family over binary (X, Y, Z)."""
-
-    regime: str
-    index: int
-    epsilon: float
-
-    def __post_init__(self):
-        if self.regime not in ("nonrealizable", "realizable"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.index not in (1, 2, 3):
-            raise ValueError(f"member index must be 1, 2, or 3, got {self.index}")
-        limit = 0.25 if self.regime == "nonrealizable" else 1.0
-        if not 0.0 < self.epsilon < limit:
-            raise ValueError(f"epsilon must lie in (0, {limit}) for {self.regime}")
-
-    def joint(self) -> DenseJoint:
-        if self.regime == "nonrealizable":
-            return nonrealizable_triple(self.index, self.epsilon)
-        return realizable_triple(self.index, self.epsilon)
 
 
 def nonrealizable_triple(index: int, epsilon: float) -> DenseJoint:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
+_GRID_START = 6  # first sample size of the separation curve's doubling grid
 
 
 def _path_or_none(value):
@@ -271,12 +272,10 @@ def fitted_slope(points) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _sample_size_grid(start: int, maximum: int) -> list:
-    """Doubling grid: start, 2*start, 4*start, ... up to maximum."""
-    if start < 1:
-        raise ValueError(f"start must be at least 1, got {start}")
+def _sample_size_grid(maximum: int) -> list:
+    """Doubling grid: 6, 12, 24, ... up to maximum."""
     out = []
-    value = int(start)
+    value = _GRID_START
     while value <= maximum:
         out.append(value)
         value *= 2
@@ -311,7 +310,7 @@ def separation_curve(
     for eps in epsilons:
         joints = [make(index, eps) for index in (1, 2, 3)]
         instances = [(joint, _block_mi_matrix([joint])) for joint in joints]
-        for count in _sample_size_grid(6, max_samples):
+        for count in _sample_size_grid(max_samples):
 
             def trial(t):
                 worst = 0.0

@@ -39,7 +39,6 @@ __all__ = [
     "validate_tree_model",
     "node_marginals",
     "to_dense",
-    "reroot",
     "sample",
     "sample_dense",
     "pair_marginal",
@@ -51,8 +50,6 @@ __all__ = [
     "statistical_distances",
     "random_spanning_tree",
     "random_tree_model",
-    "dense_joint_to_json",
-    "dense_joint_from_json",
     "undirected_tree_to_json",
     "undirected_tree_from_json",
     "tree_model_to_json",
@@ -117,6 +114,7 @@ class DenseJoint:
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "variable count"))
         if self.n < 1:
             raise ValueError("need at least one variable")
         size = _dense_size(self.alphabet.size, self.n)
@@ -153,6 +151,7 @@ class UndirectedTree:
     edges: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "variable count"))
         if self.n < 1:
             raise ValueError("need at least one node")
         norm = []
@@ -207,9 +206,10 @@ class RootedTree:
     parent: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "variable count"))
         if self.n < 1:
             raise ValueError("need at least one node")
-        _variables((self.root,), self.n)
+        object.__setattr__(self, "root", _variables((self.root,), self.n)[0])
         parent = tuple(_index(p, "parent") for p in self.parent)
         if len(parent) != self.n:
             raise ValueError(f"parent map has length {len(parent)}, expected {self.n}")
@@ -269,7 +269,7 @@ class TreeModel:
     given parent symbol r.
 
     `uniform_rows` records (node, parent_symbol) pairs where a zero-probability
-    conditioning event forced a uniform row during projection or rerooting.
+    conditioning event forced a uniform row; only projection sets it.
     """
 
     tree: RootedTree
@@ -307,7 +307,7 @@ class TreeModel:
 
 def root_at(t: UndirectedTree, root: int) -> RootedTree:
     """Orient an undirected tree away from the given root."""
-    _variables((root,), t.n)
+    root = _variables((root,), t.n)[0]
     return RootedTree(t.n, root, _bfs(t.adjacency(), root)[1])
 
 
@@ -368,35 +368,13 @@ def _conditional_rows(joint: np.ndarray) -> tuple:
     return rows, degenerate
 
 
-def _step_matrix(m: TreeModel, marginals: np.ndarray, a: int, b: int) -> tuple:
-    """Transition P(X_b | X_a) for adjacent nodes a, b, and the a-symbols of
-    zero mass whose rows were set to uniform."""
+def _step_matrix(m: TreeModel, marginals: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Transition P(X_b | X_a) for adjacent nodes a, b."""
     if m.tree.parent[b] == a:
-        return m.cpt[b], []
+        return m.cpt[b]
     # a is the child of b: invert the stored conditional through the joint.
     # Zero-mass a-symbols never occur; a uniform row keeps the matrix stochastic.
-    return _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)
-
-
-def reroot(m: TreeModel, new_root: int) -> TreeModel:
-    """Reorient the same distribution at a different root.
-
-    Edge conditionals along the old-root-to-new-root path are recomputed from
-    exact pair marginals; the represented joint is unchanged.
-    """
-    _variables((new_root,), m.n)
-    if new_root == m.tree.root:
-        return m
-    marginals = node_marginals(m)
-    tree = root_at(m.tree.skeleton(), new_root)
-    cpt = {}
-    flags = []
-    for node in range(m.n):
-        if node == new_root:
-            continue
-        cpt[node], degenerate = _step_matrix(m, marginals, tree.parent[node], node)
-        flags.extend((node, b) for b in degenerate)
-    return TreeModel(tree, m.alphabet, marginals[new_root], cpt, tuple(flags))
+    return _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)[0]
 
 
 def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
@@ -457,7 +435,7 @@ def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
     path = m.tree.path(u, v)
     trans = np.eye(m.k)
     for a, b in zip(path, path[1:]):
-        trans = trans @ _step_matrix(m, marginals, a, b)[0]
+        trans = trans @ _step_matrix(m, marginals, a, b)
     return marginals[u][:, None] * trans
 
 
@@ -633,11 +611,6 @@ def random_tree_model(n: int, k: int, seed: int, cpt_floor: float = 0.05) -> Tre
 # round-trips exactly (shortest-repr is stronger than 17 significant digits).
 
 
-def dense_joint_to_json(p: DenseJoint) -> str:
-    doc = {"n": p.n, "k": p.k, "probs": [float(x) for x in p.probs]}
-    return json.dumps(doc)
-
-
 def _json_document(text: str, what: str, fields: dict) -> list:
     """_json_fields of the JSON document `text`; nesting too deep for the
     parser is a ValueError naming `what`."""
@@ -695,11 +668,6 @@ def _float_array(value) -> np.ndarray:
     for item in np.array(value, dtype=object).flat:
         _float(item)
     return arr
-
-
-def dense_joint_from_json(text: str) -> DenseJoint:
-    n, k, probs = _json_document(text, "dense joint", {"n": _int, "k": _int, "probs": _float_array})
-    return DenseJoint(n, Alphabet(k), probs)
 
 
 def undirected_tree_to_json(t: UndirectedTree) -> str:

@@ -11,7 +11,7 @@ Core claims:
     any cell runs: a negative `N`, SeparationCurve cells other than n = 3,
     k = 2 without `N`, and the `n` (and `k`) rules of the other kinds.
   * Probability arrays take numbers only: a boolean or a string at any depth
-    of `probs`, `root_marginal` or a `cpt` row names its key.
+    of `root_marginal` or a `cpt` row names its key.
   * `--k` sets the alphabet of CSV and CLS1 input alike.
   * The README's tables of cell rules and option keys match the harness.
 """
@@ -27,12 +27,12 @@ from chowliu import Alphabet
 from chowliu import harness
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, write_binary, write_csv
-from chowliu.harness import _KINDS, KINDS, _bool, _sample_size_grid, _str
+from chowliu.harness import _KINDS, KINDS, _bool, _str
 from chowliu.model import (
     _float,
     _int,
-    dense_joint_from_json,
     random_tree_model,
+    tree_model_from_json,
     tree_model_to_json,
     undirected_tree_to_json,
 )
@@ -83,11 +83,6 @@ def test_experiment_config_that_is_not_read_as_written_exits_1(tmp_path, capsys,
     assert captured.out == ""
 
 
-def test_separation_curve_rejects_a_start_below_one():
-    with pytest.raises(ValueError, match="start must be at least 1, got 0"):
-        _sample_size_grid(0, 100)
-
-
 def test_timing_option_and_flag_both_time_the_printed_csv(tmp_path, capsys):
     config = tmp_path / "config.json"
     for doc, flags in (({**ADD1, "options": {"timing": True}}, []), (ADD1, ["--timing"])):
@@ -128,13 +123,6 @@ def test_tester_config_with_a_misspelled_key_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: tester config has unknown key 'c_sampel'"]
 
 
-def test_dense_joint_with_an_extra_key_is_rejected():
-    with pytest.raises(ValueError, match="^dense joint has unknown key 'kind'$"):
-        dense_joint_from_json(json.dumps({"n": 1, "k": 2, "probs": [0.5, 0.5], "kind": "dense"}))
-    with pytest.raises(ValueError, match="^dense joint has a bad value for key 'n': expected an integer, got True$"):
-        dense_joint_from_json(json.dumps({"n": True, "k": 2, "probs": [0.5, 0.5]}))
-
-
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -165,10 +153,11 @@ def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, caps
     [(["0.5", "0.5"], "'0.5'"), ([True, False], "True"), ([0.5, True], "True")],
     ids=["strings", "booleans", "number-and-boolean"],
 )
-def test_dense_joint_probs_take_numbers_only(probs, bad):
+def test_model_root_marginal_takes_numbers_only(probs, bad):
+    doc = json.loads(tree_model_to_json(random_tree_model(3, 2, seed=1)))
     with pytest.raises(ValueError) as err:
-        dense_joint_from_json(json.dumps({"n": 1, "k": 2, "probs": probs}))
-    assert str(err.value) == f"dense joint has a bad value for key 'probs': expected a number, got {bad}"
+        tree_model_from_json(json.dumps({**doc, "root_marginal": probs}))
+    assert str(err.value) == f"model has a bad value for key 'root_marginal': expected a number, got {bad}"
 
 
 def test_model_with_a_string_in_a_cpt_row_exits_1(tmp_path, capsys):

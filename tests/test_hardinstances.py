@@ -30,7 +30,6 @@ from chowliu import hardinstances
 from chowliu import (
     Alphabet,
     DenseJoint,
-    TripleFamily,
     UndirectedTree,
     block_product,
     kl_to_tree_projection,
@@ -49,40 +48,7 @@ PATH_YXZ = UndirectedTree(3, ((0, 1), (0, 2)))
 PATH_XZY = UndirectedTree(3, ((0, 2), (1, 2)))
 
 
-# ------------------------------------------------------------- family objects
-
-
-def test_triple_family_rejects_unknown_regime():
-    with pytest.raises(ValueError, match="regime"):
-        TripleFamily("gaussian", 1, 0.1)
-
-
-@pytest.mark.parametrize("index", [0, 4, -1])
-def test_triple_family_rejects_bad_index(index):
-    with pytest.raises(ValueError, match="index"):
-        TripleFamily("realizable", index, 0.1)
-
-
-@pytest.mark.parametrize(
-    "regime,epsilon",
-    [
-        ("nonrealizable", 0.0),
-        ("nonrealizable", 0.25),
-        ("nonrealizable", -0.05),
-        ("realizable", 0.0),
-        ("realizable", 1.0),
-    ],
-)
-def test_triple_family_epsilon_is_open_interval(regime, epsilon):
-    with pytest.raises(ValueError, match="epsilon"):
-        TripleFamily(regime, 1, epsilon)
-
-
-def test_triple_family_joint_dispatches_to_generators():
-    fam = TripleFamily("nonrealizable", 2, 0.07)
-    assert np.array_equal(fam.joint().table(), nonrealizable_triple(2, 0.07).table())
-    fam = TripleFamily("realizable", 3, 0.3)
-    assert np.array_equal(fam.joint().table(), realizable_triple(3, 0.3).table())
+# ------------------------------------------------------------ argument checks
 
 
 def test_generator_argument_validation():
@@ -96,10 +62,17 @@ def test_generator_argument_validation():
         realizable_triple(0, 0.1)
     with pytest.raises(ValueError, match="epsilon"):
         realizable_triple(1, 1.5)
-    # The bare generators do accept the closed endpoints that TripleFamily
-    # excludes; epsilon = 0 collapses each family to a single distribution.
+    # Both generators accept epsilon = 0, which collapses each family to a
+    # single distribution, and the realizable one accepts epsilon = 1 too.
     assert realizable_triple(1, 0.0).table()[0, 0, 0] == 0.5
     assert realizable_triple(1, 1.0).table()[0, 1, 1] == 0.25
+
+
+@pytest.mark.parametrize("index", [0, 4, -1])
+def test_generators_reject_a_bad_member_index(index):
+    for make in (nonrealizable_triple, realizable_triple):
+        with pytest.raises(ValueError, match=f"^member index must be 1, 2, or 3, got {index}$"):
+            make(index, 0.1)
 
 
 # ------------------------------------------------------------ exact generation

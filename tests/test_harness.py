@@ -243,10 +243,15 @@ def test_citester_rates_binary_cell_above_epsilon_one():
 # ----------------------------------------------------------- separation curve
 
 
+def test_separation_curve_rejects_an_unknown_regime():
+    with pytest.raises(ValueError, match="^unknown regime 'gaussian'$"):
+        separation_curve("gaussian", [0.1], trials=1, seed=1)
+
+
 def test_sample_size_grid_doubles():
-    assert _sample_size_grid(6, 100) == [6, 12, 24, 48, 96]
-    assert _sample_size_grid(5, 5) == [5]
-    assert _sample_size_grid(7, 6) == []
+    assert _sample_size_grid(100) == [6, 12, 24, 48, 96]
+    assert _sample_size_grid(6) == [6]
+    assert _sample_size_grid(5) == []
 
 
 def test_fitted_slope_on_exact_powers():

@@ -5,11 +5,13 @@ Core claims:
     - every entry point that takes variable indices words a duplicate and an
       index out of range the same way, and rejects a fractional index, naming
       it, where it once truncated it
-    - to_dense reproduces the factored product; reroot preserves the joint
-      exactly, including across zero-probability parent symbols
+    - to_dense reproduces the factored product
     - ancestral sampling is deterministic per seed and consistent at large N
     - pair_marginal composes transitions along the unique path and matches
-      dense marginalization
+      dense marginalization, including where it inverts a conditional through
+      a zero-probability parent symbol
+    - projecting a tree model's joint onto its own skeleton gives back the
+      same joint at every root
     - every path triple in a tree model has exactly zero conditional MI
     - project_onto_tree matches the input's edge marginals and beats random
       same-skeleton models in KL
@@ -44,7 +46,6 @@ from chowliu import (
     random_spanning_tree,
     random_tree_model,
     realizable_triple,
-    reroot,
     root_at,
     sample,
     sample_dense,
@@ -56,8 +57,6 @@ from chowliu.hardinstances import block_product
 from chowliu.harness import ExperimentConfig
 from chowliu.model import (
     DENSE_CAP,
-    dense_joint_from_json,
-    dense_joint_to_json,
     tree_model_from_json,
     tree_model_to_json,
     undirected_tree_from_json,
@@ -132,7 +131,6 @@ def test_every_index_check_has_one_wording():
         (lambda: pair_marginal(m, 0, 9), "variable 9 out of range for n=4"),
         (lambda: m.tree.path(9, 0), "variable 9 out of range for n=4"),
         (lambda: m.tree.path(0, -1), "variable -1 out of range for n=4"),
-        (lambda: reroot(m, 9), "variable 9 out of range for n=4"),
         (lambda: root_at(tree, 5), "variable 5 out of range for n=4"),
         (lambda: RootedTree(4, 5, m.tree.parent), "variable 5 out of range for n=4"),
     ]
@@ -173,16 +171,30 @@ def test_rooted_tree_rejects_a_fractional_parent_or_root():
         RootedTree(3, 1.0, (1, -1, 1))
 
 
-def test_reroot_rejects_a_fractional_root():
-    m = random_tree_model(4, 2, seed=5)
-    with pytest.raises(ValueError, match=r"^variable 1\.5 is not an integer$"):
-        reroot(m, 1.5)
-
-
 def test_root_at_rejects_a_fractional_root():
     tree = random_tree_model(4, 2, seed=5).tree.skeleton()
     with pytest.raises(ValueError, match=r"^variable 2\.2 is not an integer$"):
         root_at(tree, 2.2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: DenseJoint(1.5, Alphabet(4), np.full(8, 1 / 8)),
+     lambda: UndirectedTree(2.0, ((0, 1),)),
+     lambda: RootedTree(2.0, 0, (-1, 0))],
+    ids=["dense-joint", "undirected-tree", "rooted-tree"],
+)
+def test_constructors_reject_a_fractional_variable_count(make):
+    with pytest.raises(ValueError, match=r"^variable count (1\.5|2\.0) is not an integer$"):
+        make()
+
+
+def test_a_numpy_integer_root_is_stored_as_an_int():
+    assert type(RootedTree(2, np.int64(1), (1, -1)).root) is int
+    m = random_tree_model(4, 2, seed=5)
+    assert type(root_at(m.tree.skeleton(), np.int64(1)).root) is int
+    projection = project_onto_tree(to_dense(m), m.tree.skeleton(), np.int64(1))
+    assert tree_model_from_json(tree_model_to_json(projection)).tree.root == 1
 
 
 def test_undirected_tree_normalizes_and_validates():
@@ -268,41 +280,20 @@ def test_to_dense_matches_pair_marginals():
             assert np.allclose(dense.marginal((u, v)), pair_marginal(m, u, v), atol=1e-12)
 
 
-# -- reroot -----------------------------------------------------------------------
-
-def test_reroot_at_current_root_is_identity():
-    m = flip_chain(0.1, 0.2, root=(0.7, 0.3))
-    r = reroot(m, 0)
-    assert r.tree.parent == m.tree.parent
-    assert np.allclose(r.root_marginal, m.root_marginal, atol=0)
-
-
-def test_reroot_chain_preserves_joint():
-    m = flip_chain(0.1, 0.2, root=(0.7, 0.3))
-    r = reroot(m, 2)
-    assert r.tree.root == 2
-    assert r.tree.skeleton().edges == m.tree.skeleton().edges
-    assert np.max(np.abs(to_dense(r).probs - to_dense(m).probs)) <= 1e-12
-
-
-def test_reroot_handles_zero_probability_parent_symbol():
+def test_pair_marginal_inverts_through_a_zero_mass_parent_symbol():
+    # X_1 is never 1, so row 1 of P(X_0 | X_1) has no mass and is set uniform.
     tree = RootedTree(2, 0, (-1, 0))
     m = TreeModel(tree, Alphabet(2), [1.0, 0.0], {1: [[1.0, 0.0], [0.5, 0.5]]})
-    r = reroot(m, 1)
-    validate_tree_model(r)  # every row still stochastic
-    assert np.max(np.abs(to_dense(r).probs - to_dense(m).probs)) <= 1e-12
-    assert len(r.uniform_rows) >= 1
+    assert np.array_equal(pair_marginal(m, 1, 0), to_dense(m).marginal((1, 0)))
 
 
-def test_reroot_invariance_across_all_roots():
+def test_projection_onto_the_own_skeleton_gives_back_the_joint_at_every_root():
     for seed in (1, 2, 3):
         m = random_tree_model(5, 2, seed=seed)
-        reference = to_dense(m).probs
-        for new_root in range(5):
-            shifted = to_dense(reroot(m, new_root)).probs
-            assert np.max(np.abs(shifted - reference)) <= 1e-12
-    with pytest.raises(ValueError):
-        reroot(m, 9)
+        reference = to_dense(m)
+        for root in range(5):
+            again = to_dense(project_onto_tree(reference, m.tree.skeleton(), root))
+            assert np.max(np.abs(again.probs - reference.probs)) <= 1e-12
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -643,25 +634,10 @@ def test_random_tree_model_respects_floor():
 
 # -- serialization ------------------------------------------------------------------------
 
-def test_dense_joint_json_round_trip():
-    rng = np.random.default_rng(89)
-    p = random_dense(3, 2, rng)
-    again = dense_joint_from_json(dense_joint_to_json(p))
-    assert again.n == p.n and again.k == p.k
-    assert np.array_equal(again.probs, p.probs)
-
-
-def test_dense_joint_json_names_a_missing_key():
-    with pytest.raises(ValueError, match="dense joint is missing key 'probs'"):
-        dense_joint_from_json(json.dumps({"n": 1, "k": 2}))
-    with pytest.raises(ValueError, match="dense joint must be a JSON object"):
-        dense_joint_from_json("[]")
-
-
-def test_dense_joint_json_with_a_huge_n_is_rejected_without_computing_k_to_the_n():
+def test_dense_joint_with_a_huge_n_is_rejected_without_computing_k_to_the_n():
     # 2**(10**12) would hold the process for far longer than the suite runs.
     with pytest.raises(ValueError, match=r"dense table of 2\*\*1000000000000 entries exceeds cap"):
-        dense_joint_from_json('{"n": 1e12, "k": 2, "probs": [1]}')
+        DenseJoint(10**12, Alphabet(2), [1])
 
 
 WRONG_TYPES = [5, 1.5, "x", None, True, [], {}, [5], [[5]], [[0, 1, 2]], {"a": 1}, {"1": 5}, [None]]
@@ -673,7 +649,6 @@ def test_json_loaders_reject_values_of_the_wrong_type_with_value_error():
     documents = [
         (json.loads(tree_model_to_json(m)), tree_model_from_json),
         (json.loads(undirected_tree_to_json(m.tree.skeleton())), undirected_tree_from_json),
-        (json.loads(dense_joint_to_json(random_dense(2, 2, np.random.default_rng(1)))), dense_joint_from_json),
         ({"kind": "Add1Risk", "grid": [cell], "trials": 2, "seed": 1, "options": {}, "out": None},
          ExperimentConfig.from_json),
         (cell, lambda text: ExperimentConfig.from_json(
@@ -736,8 +711,6 @@ def test_validate_tree_model_rejects_nan():
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_json_probability_arrays_reject_non_finite_numbers(value):
-    with pytest.raises(ValueError, match="dense joint has a bad value for key 'probs': expected a finite number"):
-        dense_joint_from_json(f'{{"n": 1, "k": 2, "probs": [{value}, 0.5]}}')
     text = tree_model_to_json(flip_chain(0.1, 0.2)).replace("0.9", value, 1)
     with pytest.raises(ValueError, match="model has a bad value for key 'cpt': expected a finite number"):
         tree_model_from_json(text)
@@ -745,7 +718,7 @@ def test_json_probability_arrays_reject_non_finite_numbers(value):
 
 def test_deeply_nested_json_is_a_value_error():
     deep = "[" * 100_000 + "]" * 100_000
-    for load, what in ((dense_joint_from_json, "dense joint"), (tree_model_from_json, "model"),
-                       (undirected_tree_from_json, "tree"), (ExperimentConfig.from_json, "experiment config")):
+    for load, what in ((tree_model_from_json, "model"), (undirected_tree_from_json, "tree"),
+                       (ExperimentConfig.from_json, "experiment config")):
         with pytest.raises(ValueError, match=f"^{what} is nested too deeply to parse$"):
             load(deep)

@@ -14,15 +14,23 @@ Core claims:
   * Every defaulted parameter of a public function or method in `src/chowliu`
     is passed in the same sense, with the same exemption: a setting with one
     value in use is a constant.
+  * Every name in an `__all__` of `src/chowliu` has a caller: it is used in
+    `src/chowliu` outside its own definition and outside the package's
+    re-export in `__init__.py`, is a word of `README.md`, or is used in
+    `tests/test_acceptance.py`.  A name that only its own unit tests call is
+    not part of the paper's pipeline.
 
-A refactor that leaves a helper, a constant, an import or a parameter that
-only ever takes its default behind fails here.
+A refactor that leaves a helper, a constant, an import, a parameter that
+only ever takes its default or a public name without a caller behind fails
+here.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chowliu"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chowliu"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 TESTS = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(__file__).parent.glob("*.py"))]
 
@@ -141,3 +149,28 @@ def test_every_defaulted_private_parameter_is_passed():
 
 def test_every_defaulted_public_parameter_is_passed():
     assert never_passed(public=True) == []
+
+
+# Public names kept without a caller in the package, the README or the
+# acceptance checks, each with its reason.
+NO_CALLER_NEEDED = {
+    "block_product": "builds the paper's block construction; the Hellinger tensorization tests use it",
+    "__version__": "the package version",
+}
+
+
+def test_every_exported_name_has_a_caller():
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    acceptance = used_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    uses = set()
+    for module, tree in MODULES.items():
+        if module == "__init__.py":
+            continue
+        for statement in tree.body:
+            # A statement that defines a name does not count as its use.
+            defines = set(defined_names(ast.Module([statement], [])))
+            uses |= used_names(statement) - defines
+    exports = set().union(*(exported(tree) for tree in MODULES.values()))
+    assert set(NO_CALLER_NEEDED) <= exports
+    no_caller = sorted(exports - uses - words - acceptance - set(NO_CALLER_NEEDED))
+    assert no_caller == [], f"public names without a caller: {no_caller}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .info import _row_spans
 from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, _kl_arrays, _variables, kl_divergence
 from .model import random_tree_model, sample, to_dense
 from .seeding import derive_seed
@@ -155,20 +156,21 @@ def _one_hot_blocks(s: SampleSet):
 
 
 def _pair_counts(s: SampleSet):
-    """Yield ((i, j), counts) for every pair i < j, by i and then j ascending,
-    where counts equals empirical_counts(s, (i, j)).counts: a C-contiguous
-    int64 k x k table.  Alphabets up to _ONE_HOT_MAX_K are counted by
-    one-hot products over row chunks, larger ones with a bincount per pair."""
-    n = s.n_variables
-    if s.alphabet.size > _ONE_HOT_MAX_K:
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield (i, j), empirical_counts(s, (i, j)).counts
+    """Yield (i, js, counts) for every variable i with partners j > i, by i and
+    then j ascending, where counts[t] equals empirical_counts(s, (i, js[t])).counts
+    and counts is a C-contiguous int64 stack of k x k tables.  Alphabets up to
+    _ONE_HOT_MAX_K are counted by one-hot products over row chunks, giving one
+    stack per i; larger ones with a bincount per pair, in stacks that fit
+    info._STACK_BUDGET_BYTES."""
+    n, k = s.n_variables, s.alphabet.size
+    if k > _ONE_HOT_MAX_K:
+        for i in range(n - 1):
+            for js in _row_spans(i + 1, n, k):
+                yield i, js, np.stack([empirical_counts(s, (i, j)).counts for j in js])
         return
     for lo, hi, counts in _one_hot_blocks(s):
-        for i in range(lo, hi):
-            for j in range(i + 1, n):
-                yield (i, j), counts[i - lo, :, j - lo, :].copy()
+        for i in range(lo, min(hi, n - 1)):
+            yield i, range(i + 1, n), np.ascontiguousarray(counts[i - lo, :, i - lo + 1:, :].transpose(1, 0, 2))
 
 
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:

@@ -224,9 +224,10 @@ def _block_mi_matrix(blocks) -> np.ndarray:
     """Exact pairwise MI of an independent block product: block-diagonal, with
     cross-block entries exactly zero."""
     offsets = list(itertools.accumulate((b.n for b in blocks), initial=0))
-    pairs = (((offset + i, offset + j), b.marginal((i, j)))
-             for b, offset in zip(blocks, offsets) for i, j in itertools.combinations(range(b.n), 2))
-    return _pairwise_mi(offsets[-1], pairs)
+    rows = ((offset + i, range(offset + i + 1, offset + b.n),
+             np.stack([b.marginal((i, j)) for j in range(i + 1, b.n)]))
+            for b, offset in zip(blocks, offsets) for i in range(b.n - 1))
+    return _pairwise_mi(offsets[-1], rows)
 
 
 def _sample_blocks(blocks, count: int, seed: int) -> SampleSet:

@@ -5,6 +5,10 @@ implementations kept deliberately separate: the production entropy form
 H(X) + H(Y) - H(X, Y), and a per-cell decomposition into deviation terms
 (`mutual_information_from_deviations`) that the test suite cross-checks
 against it.  Do not collapse one into the other; the redundancy is the point.
+
+The entropy form takes one table or a (B, k, k) stack of tables.  The stacked
+kernel reproduces the single-table arithmetic operation for operation, so the
+MI matrix is bit-identical however its tables are stacked.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ def _check_distribution(arr: np.ndarray, what: str, tol: float) -> None:
     entry is nonnegative and each row along the last axis sums to 1 within tol.
     NaN fails the entry test and +inf the sum test."""
     if not (arr >= 0).all():
-        raise ValueError(f"{'NaN' if np.isnan(arr).any() else 'negative'} entry in {what}")
+        bad = np.flatnonzero(~(arr >= 0))[0]
+        word = "NaN" if np.isnan(arr.flat[bad]) else "negative"
+        row = f" at row {bad // arr.shape[-1]}" if arr.ndim > 1 else ""
+        raise ValueError(f"{word} entry in {what}{row}")
     sums = arr.sum(axis=-1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
     if bad.size:
@@ -45,15 +52,19 @@ def _check_distribution(arr: np.ndarray, what: str, tol: float) -> None:
         raise ValueError(f"{what} row sum != 1{row}: {float(sums.flat[bad[0]])!r}")
 
 
+def _check_axes(shape) -> None:
+    """A ValueError unless the table axes `shape` share one alphabet of size >= 2."""
+    if any(d != shape[0] for d in shape):
+        raise ValueError(f"table axes must share one alphabet, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("alphabet size must be >= 2")
+
+
 def _validated_table(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional table, got shape {arr.shape}")
-    k = arr.shape[0]
-    if any(d != k for d in arr.shape):
-        raise ValueError(f"table axes must share one alphabet, got shape {arr.shape}")
-    if k < 2:
-        raise ValueError("alphabet size must be >= 2")
+    _check_axes(arr.shape)
     _check_distribution(arr.reshape(-1), "table", _SUM_TOL)
     arr.flags.writeable = False
     return arr
@@ -127,17 +138,66 @@ def _mi(joint: np.ndarray) -> float:
     return value if value > 0.0 else 0.0
 
 
-def mutual_information(table) -> float:
-    """Plug-in mutual information H(X) + H(Y) - H(X, Y), clamped at zero."""
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """entropy() of each row of a 2-D array, bit for bit.  Rows are grouped by
+    their count m of positive entries; each group's compacted (B_m, m) array is
+    summed along axis 1, which gives every row the pairwise summation that
+    np.sum gives it alone."""
+    positive = rows > 0
+    counts = positive.sum(axis=1)
+    out = np.empty(rows.shape[0])
+    for m in np.flatnonzero(np.bincount(counts)):
+        group = np.flatnonzero(counts == m)
+        nz = rows[group][positive[group]].reshape(group.size, m)
+        out[group] = -(nz * np.log(nz)).sum(axis=1)
+    return out
+
+
+def _stacked_mi(stack: np.ndarray) -> np.ndarray:
+    """_mi of each table of a C-contiguous (B, k, k) stack, bit for bit."""
+    b, k = stack.shape[:2]
+    value = _entropies(stack.sum(axis=2)) + _entropies(stack.sum(axis=1)) - _entropies(stack.reshape(b, k * k))
+    return np.where(value > 0.0, value, 0.0)
+
+
+def mutual_information(table) -> float | np.ndarray:
+    """Plug-in mutual information H(X) + H(Y) - H(X, Y), clamped at zero.
+
+    Takes one k x k table and returns a float, or a (B, k, k) stack of tables
+    and returns an array of B floats, each bit-identical to the call on its
+    table alone.  Every table of a stack is checked; a failing one is named
+    by its row b in the message."""
+    if not isinstance(table, (PairTable, TripleTable)):
+        arr = np.asarray(table, dtype=np.float64)
+        if arr.ndim == 3:
+            b, k = arr.shape[:2]
+            _check_axes(arr.shape[1:])
+            _check_distribution(arr.reshape(b, k * k), "table", _SUM_TOL)
+            return _stacked_mi(np.ascontiguousarray(arr))
+        table = arr
     return _mi(_joint_of(table, 2))
 
 
-def _pairwise_mi(n: int, pairs) -> np.ndarray:
-    """The n x n MI matrix: mutual_information(table) at (i, j) and (j, i) for
-    each ((i, j), table) in pairs, taken in any order, and zero elsewhere."""
+# Byte size above which one source row of an MI matrix is cut into several
+# stacks of k x k tables (8 bytes an entry): the one-hot count pass's budget.
+# Without the cut, one row of n = 100 variables at k = 256 would take 52 MB.
+_STACK_BUDGET_BYTES = 3 << 20
+
+
+def _row_spans(lo: int, hi: int, k: int):
+    """Consecutive ranges covering lo <= j < hi, each small enough that a stack
+    of its k x k tables fits _STACK_BUDGET_BYTES."""
+    step = max(1, _STACK_BUDGET_BYTES // (8 * k * k))
+    return (range(j, min(j + step, hi)) for j in range(lo, hi, step))
+
+
+def _pairwise_mi(n: int, rows) -> np.ndarray:
+    """The n x n MI matrix: mutual_information(stack)[t] at (i, js[t]) and
+    (js[t], i) for each (i, js, stack) in rows, where stack holds the tables of
+    i with each j in js; rows come in any order, and other entries are zero."""
     w = np.zeros((n, n))
-    for (i, j), table in pairs:
-        w[i, j] = w[j, i] = mutual_information(table)
+    for i, js, stack in rows:
+        w[i, js] = w[js, i] = mutual_information(stack)
     return w
 
 

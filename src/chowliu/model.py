@@ -13,7 +13,6 @@ of size k is sum_i x_i * k**(n - 1 - i).
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 import operator
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import _check_distribution, _pairwise_mi, entropy, mutual_information
+from .info import _check_distribution, _pairwise_mi, _row_spans, entropy, mutual_information
 
 DENSE_CAP = 2**24  # largest dense table the oracle will materialize
 
@@ -70,8 +69,10 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 2:
-            raise ValueError(f"alphabet size must be an int >= 2, got {self.size!r}")
+        size = _index(self.size, "alphabet size")
+        if size < 2:
+            raise ValueError(f"alphabet size must be an int >= 2, got {size!r}")
+        object.__setattr__(self, "size", size)
 
 
 def _index(value, what: str) -> int:
@@ -441,8 +442,9 @@ def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
     """Pairwise mutual information of all variable pairs under the model."""
-    pairs = itertools.combinations(range(m.n), 2)
-    return _pairwise_mi(m.n, (((u, v), pair_marginal(m, u, v)) for u, v in pairs))
+    rows = ((u, vs, np.stack([pair_marginal(m, u, v) for v in vs]))
+            for u in range(m.n - 1) for vs in _row_spans(u + 1, m.n, m.k))
+    return _pairwise_mi(m.n, rows)
 
 
 def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:

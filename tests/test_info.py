@@ -10,7 +10,9 @@ Core claims:
       agrees with a third direct oracle
     - conditional MI handles deterministic, XOR, and empty-slice cases
     - the chain-rule identity I(X;Y) - I(X;Z) = I(X;Y|Z) - I(X;Z|Y) is exact
-    - the MI matrix loop gives the same matrix whatever order its pairs come in
+    - a (B, k, k) stack of tables gives each table's mutual information bit
+      for bit, and every table of it is checked
+    - the MI matrix loop gives the same matrix whatever order its rows come in
 """
 
 import math
@@ -253,19 +255,80 @@ def test_chain_rule_identity_on_random_triples():
 
 # -- MI matrix --------------------------------------------------------------------
 
+def mixed_stack(k: int, rng) -> np.ndarray:
+    """Tables with every count of positive entries from 1 to k^2, each count
+    twice: once with count-like entries (integers over their total), once with
+    uniform random entries."""
+    tables = []
+    for positive in range(1, k * k + 1):
+        for values in (rng.integers(1, 50, positive).astype(float), rng.random(positive) + 1e-3):
+            flat = np.zeros(k * k)
+            flat[rng.choice(k * k, positive, replace=False)] = values
+            tables.append((flat / flat.sum()).reshape(k, k))
+    return np.stack(tables)
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_stacked_mi_is_bit_identical_to_the_single_table_call(k):
+    stack = mixed_stack(k, np.random.default_rng(k))
+    assert (np.count_nonzero(stack.reshape(len(stack), -1), axis=1) == 1).any()  # a single-cell table
+    got = mutual_information(stack)
+    assert got.shape == (len(stack),)
+    assert np.array_equal(got, [mutual_information(t) for t in stack])
+    assert not np.signbit(got).any()  # clamped to +0.0, as the single-table call is
+
+
+def test_a_stack_names_the_first_failing_table_by_its_row():
+    stack = mixed_stack(3, np.random.default_rng(1))[:5].copy()
+    for value, word in ((-0.1, "negative"), (float("nan"), "NaN")):
+        bad = stack.copy()
+        bad[3, 1, 2] = value
+        with pytest.raises(ValueError, match=f"^{word} entry in table at row 3$"):
+            mutual_information(bad)
+    bad = stack.copy()
+    bad[4] *= 0.9
+    with pytest.raises(ValueError, match="^table row sum != 1 at row 4: 0.9"):
+        mutual_information(bad)
+
+
+def test_a_stack_of_tables_must_share_one_alphabet():
+    with pytest.raises(ValueError, match="^table axes must share one alphabet, got shape \\(2, 3\\)$"):
+        mutual_information(np.full((4, 2, 3), 1.0 / 6.0))
+    with pytest.raises(ValueError, match="^alphabet size must be >= 2$"):
+        mutual_information(np.ones((4, 1, 1)))
+
+
+def test_a_triple_joint_passed_as_a_stack_is_rejected():
+    # Slice z of an (x, y, z) joint sums to p(z), not 1.
+    joint = random_joint_table(3, 3, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="^table row sum != 1 at row 0: "):
+        mutual_information(joint)
+    with pytest.raises(ValueError, match="^expected a 2-variable table$"):
+        mutual_information(TripleTable(joint))
+
+
+def test_an_empty_stack_gives_an_empty_array():
+    got = mutual_information(np.zeros((0, 3, 3)))
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 def test_pairwise_mi_does_not_depend_on_the_order_of_its_pairs():
     rng = np.random.default_rng(23)
     n = 6
-    pairs = [((i, j), random_joint_table(2, 3, rng)) for i in range(n) for j in range(i + 1, n) if (i + j) % 4]
-    w = _pairwise_mi(n, pairs)
-    for (i, j), table in pairs:
-        assert w[i, j] == w[j, i] == mutual_information(table)
+    rows = []
+    for i in range(n):
+        js = [j for j in range(i + 1, n) if (i + j) % 4]
+        if js:
+            rows.append((i, js, np.stack([random_joint_table(2, 3, rng) for _ in js])))
+    w = _pairwise_mi(n, rows)
     missing = np.ones((n, n), dtype=bool)
-    for (i, j), _ in pairs:
-        missing[i, j] = missing[j, i] = False
+    for i, js, stack in rows:
+        for j, table in zip(js, stack):
+            assert w[i, j] == w[j, i] == mutual_information(table)
+            missing[i, j] = missing[j, i] = False
     assert not w[missing].any()  # the diagonal and pairs not given
     for _ in range(5):
-        shuffled = [pairs[index] for index in rng.permutation(len(pairs))]
+        shuffled = [rows[index] for index in rng.permutation(len(rows))]
         assert np.array_equal(_pairwise_mi(n, iter(shuffled)), w)
 
 

@@ -93,6 +93,15 @@ def test_alphabet_rejects_degenerate_sizes():
         Alphabet(2.0)
 
 
+def test_alphabet_takes_a_numpy_integer_size_as_an_int():
+    alphabet = Alphabet(np.int64(3))
+    assert alphabet.size == 3 and type(alphabet.size) is int
+    with pytest.raises(ValueError, match="^alphabet size 2.5 is not an integer$"):
+        Alphabet(2.5)
+    with pytest.raises(ValueError, match="^alphabet size must be an int >= 2, got 1$"):
+        Alphabet(np.int64(1))
+
+
 def test_dense_joint_validation():
     with pytest.raises(ValueError):
         DenseJoint(2, Alphabet(2), [0.5, 0.5, 0.1, -0.1])
@@ -701,7 +710,7 @@ def test_validate_tree_model_rejects_nan():
         validate_tree_model(nan_root)
     nan_row = flip_chain(0.1, 0.2)
     object.__setattr__(nan_row, "cpt", {1: nan_row.cpt[1], 2: np.array([[0.5, 0.5], [float("nan"), 0.5]])})
-    with pytest.raises(ValueError, match="^NaN entry in cpt of node 2$"):
+    with pytest.raises(ValueError, match="^NaN entry in cpt of node 2 at row 1$"):
         validate_tree_model(nan_row)
     inf_row = flip_chain(0.1, 0.2)
     object.__setattr__(inf_row, "cpt", {1: inf_row.cpt[1], 2: np.array([[0.5, 0.5], [float("inf"), 0.0]])})

@@ -2,10 +2,13 @@
 
 Core claims:
     - the count pass yields exactly empirical_counts for every pair i < j,
-      by i and then j ascending, on both sides of the alphabet-size
-      crossover, at every chunk edge and across several variable blocks
+      by i and then j ascending, as one stack of tables per row i (several
+      when a row exceeds the stack budget), on both sides of the
+      alphabet-size crossover, at every chunk edge and across several
+      variable blocks
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
-      tests/oracles.py
+      tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
+      however the rows are cut into stacks
     - equal count tables give bit-equal weights, so the pinned Kruskal
       tie-break still decides between duplicated columns
 """
@@ -13,8 +16,19 @@ Core claims:
 import numpy as np
 import pytest
 
-from chowliu import Alphabet, SampleSet, UndirectedTree, empirical_counts, max_weight_spanning_tree, mi_matrix
-from chowliu import estimation
+from chowliu import (
+    Alphabet,
+    SampleSet,
+    UndirectedTree,
+    empirical_counts,
+    exact_mi_matrix,
+    max_weight_spanning_tree,
+    mi_matrix,
+    mutual_information,
+    pair_marginal,
+    random_tree_model,
+)
+from chowliu import estimation, info
 from chowliu.estimation import _ONE_HOT_MAX_K, _count_plan, _pair_counts
 
 from oracles import pairwise_plug_in_mi
@@ -40,10 +54,12 @@ def random_set(n: int, k: int, count: int, seed: int) -> SampleSet:
 def assert_counts_match(s: SampleSet) -> None:
     n = s.n_variables
     got = list(_pair_counts(s))
-    assert [ij for ij, _ in got] == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), counts in got:
+    assert [(i, j) for i, js, _ in got for j in js] == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, js, counts in got:
         assert counts.dtype == np.int64 and counts.flags.c_contiguous
-        assert np.array_equal(counts, empirical_counts(s, (i, j)).counts), (i, j)
+        assert counts.shape == (len(js), s.alphabet.size, s.alphabet.size)
+        for j, table in zip(js, counts):
+            assert np.array_equal(table, empirical_counts(s, (i, j)).counts), (i, j)
 
 
 @pytest.mark.parametrize("one_hot_everywhere", [False, True], ids=["default", "one-hot-forced"])
@@ -64,7 +80,29 @@ def test_pair_counts_across_variable_blocks():
 
 def test_pair_counts_of_an_empty_sample_set_are_zero():
     s = SampleSet(Alphabet(3), np.zeros((0, 3), dtype=np.uint8))
-    assert all(np.array_equal(counts, np.zeros((3, 3))) for _, counts in _pair_counts(s))
+    assert all(np.array_equal(counts, np.zeros((len(js), 3, 3))) for _, js, counts in _pair_counts(s))
+
+
+def test_rows_split_into_stacks_within_the_budget(monkeypatch):
+    n, k = 7, _ONE_HOT_MAX_K + 1
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 2 * 8 * k * k)  # two tables a stack
+    s = random_set(n, k, 500, seed=3)
+    rows = list(_pair_counts(s))
+    assert [len(js) for i, js, _ in rows if i == 0] == [2, 2, 2]
+    assert_counts_match(s)
+    assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
+
+
+@pytest.mark.parametrize("k", [2, _ONE_HOT_MAX_K + 1])
+def test_exact_mi_matrix_is_bit_identical_to_the_per_pair_call(k, monkeypatch):
+    m = random_tree_model(6, k, seed=k)
+    reference = np.zeros((6, 6))
+    for u in range(6):
+        for v in range(u + 1, 6):
+            reference[u, v] = reference[v, u] = mutual_information(pair_marginal(m, u, v))
+    assert np.array_equal(exact_mi_matrix(m), reference)
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 1)  # one table a stack
+    assert np.array_equal(exact_mi_matrix(m), reference)
 
 
 @pytest.mark.parametrize("k", ALPHABETS)

@@ -428,22 +428,51 @@ def sample_dense(p: DenseJoint, count: int, seed: int):
     return SampleSet(p.alphabet, rows)
 
 
-def pair_marginal(m: TreeModel, u: int, v: int) -> np.ndarray:
-    """Exact joint table of (X_u, X_v) via transition composition along the
-    tree path, without materializing the full joint."""
-    u, v = _variables((u, v), m.n)
+def pair_marginal(m: TreeModel, u: int, v) -> np.ndarray:
+    """Exact joint table of (X_u, X_v) by transition composition, without
+    materializing the full joint.
+
+    Takes one node v and returns a k x k table, or a sequence of nodes and
+    returns a (len(v), k, k) stack of the tables of u with each.  One walk
+    outward from u forms each node's transition from u as its walk parent's
+    times one step: the left-to-right product along the tree path from the
+    identity, so each table of a stack is bit-identical to the call on its
+    node alone.  A node's transition is kept only until the nodes beyond it
+    are formed."""
+    single = np.ndim(v) == 0
+    nodes = [_variables((u, x), m.n)[1] for x in ([v] if single else v)]
+    u = _variables((u,), m.n)[0]
     marginals = node_marginals(m)
-    path = m.tree.path(u, v)
-    trans = np.eye(m.k)
-    for a, b in zip(path, path[1:]):
-        trans = trans @ _step_matrix(m, marginals, a, b)
-    return marginals[u][:, None] * trans
+    out = np.empty((len(nodes), m.k, m.k))
+    positions = np.array(nodes, dtype=np.intp)
+    wanted = set(nodes)
+    neighbours = m.tree.children()
+    for x, p in enumerate(m.tree.parent):
+        if p >= 0:
+            neighbours[x].append(p)
+    order, towards = _bfs(neighbours, u)
+    beyond = [len(adjacent) - 1 for adjacent in neighbours]  # unformed neighbours further from u
+    beyond[u] += 1
+    held = {u: np.eye(m.k)}
+    for x in order[1:]:
+        if not wanted:
+            break
+        w = towards[x]
+        held[x] = held[w] @ _step_matrix(m, marginals, w, x)
+        if x in wanted:
+            wanted.remove(x)
+            out[positions == x] = marginals[u][:, None] * held[x]
+        beyond[w] -= 1
+        for y in (w, x):
+            if not beyond[y]:
+                del held[y]
+    return out[0] if single else out
 
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
-    """Pairwise mutual information of all variable pairs under the model."""
-    rows = ((u, vs, np.stack([pair_marginal(m, u, v) for v in vs]))
-            for u in range(m.n - 1) for vs in _row_spans(u + 1, m.n, m.k))
+    """Pairwise mutual information of all variable pairs under the model: one
+    pair_marginal walk per source row (per stack-budget span of it)."""
+    rows = ((u, vs, pair_marginal(m, u, vs)) for u in range(m.n - 1) for vs in _row_spans(u + 1, m.n, m.k))
     return _pairwise_mi(m.n, rows)
 
 

@@ -9,7 +9,9 @@ Core claims:
     - ancestral sampling is deterministic per seed and consistent at large N
     - pair_marginal composes transitions along the unique path and matches
       dense marginalization, including where it inverts a conditional through
-      a zero-probability parent symbol
+      a zero-probability parent symbol; given a sequence of nodes it returns
+      their tables as one stack, empty for no nodes, after checking every
+      node with the same wording
     - projecting a tree model's joint onto its own skeleton gives back the
       same joint at every root
     - every path triple in a tree model has exactly zero conditional MI
@@ -376,6 +378,38 @@ def test_pair_marginal_matches_dense():
             assert np.allclose(pair_marginal(m, u, v), dense.marginal((u, v)), atol=1e-12)
     with pytest.raises(ValueError):
         pair_marginal(m, 2, 2)
+
+
+@pytest.mark.parametrize("empty", [[], range(0)], ids=["list", "range"])
+def test_pair_marginal_of_no_nodes_is_an_empty_stack(empty):
+    assert pair_marginal(random_tree_model(4, 3, seed=5), 0, empty).shape == (0, 3, 3)
+
+
+def test_pair_marginal_stack_rejects_the_source_node_among_its_nodes():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^duplicate variables in \(0, 0\)$"):
+        pair_marginal(m, 0, [1, 0, 2])
+
+
+def test_pair_marginal_stack_rejects_a_node_out_of_range():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^variable 9 out of range for n=4$"):
+        pair_marginal(m, 0, [1, 9])
+
+
+def test_pair_marginal_stack_rejects_a_fractional_node():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^variable 1\.5 is not an integer$"):
+        pair_marginal(m, 0, [2, 1.5])
+
+
+def test_pair_marginal_stack_holds_each_nodes_table_in_the_given_order():
+    m = random_tree_model(6, 3, seed=8)
+    nodes = [4, 1, 4, 5]
+    stack = pair_marginal(m, 2, nodes)
+    assert stack.shape == (4, 3, 3)
+    for table, v in zip(stack, nodes):
+        assert np.array_equal(table, pair_marginal(m, 2, v))
 
 
 def test_exact_mi_matrix_symmetric_and_correct():

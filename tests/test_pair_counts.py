@@ -9,6 +9,9 @@ Core claims:
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
       however the rows are cut into stacks
+    - each table of a pair_marginal stack is bit-identical to the product of
+      transition steps along the tree path from the identity, and
+      exact_mi_matrix makes one pair_marginal walk per stack, not one per pair
     - equal count tables give bit-equal weights, so the pinned Kruskal
       tie-break still decides between duplicated columns
 """
@@ -18,18 +21,22 @@ import pytest
 
 from chowliu import (
     Alphabet,
+    RootedTree,
     SampleSet,
+    TreeModel,
     UndirectedTree,
     empirical_counts,
     exact_mi_matrix,
     max_weight_spanning_tree,
     mi_matrix,
     mutual_information,
+    node_marginals,
     pair_marginal,
     random_tree_model,
 )
-from chowliu import estimation, info
+from chowliu import estimation, info, model
 from chowliu.estimation import _ONE_HOT_MAX_K, _count_plan, _pair_counts
+from chowliu.model import _conditional_rows
 
 from oracles import pairwise_plug_in_mi
 
@@ -95,14 +102,74 @@ def test_rows_split_into_stacks_within_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, _ONE_HOT_MAX_K + 1])
 def test_exact_mi_matrix_is_bit_identical_to_the_per_pair_call(k, monkeypatch):
-    m = random_tree_model(6, k, seed=k)
-    reference = np.zeros((6, 6))
-    for u in range(6):
-        for v in range(u + 1, 6):
+    n = 40  # long paths: many steps up and down between most pairs
+    m = random_tree_model(n, k, seed=k)
+    reference = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
             reference[u, v] = reference[v, u] = mutual_information(pair_marginal(m, u, v))
     assert np.array_equal(exact_mi_matrix(m), reference)
     monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 1)  # one table a stack
     assert np.array_equal(exact_mi_matrix(m), reference)
+
+
+def path_product_table(m, marginals, u: int, v: int) -> np.ndarray:
+    """The joint table of (X_u, X_v) as the product of transition steps along
+    the tree path from the identity, left to right: a step down to a child is
+    the child's conditional table, a step up inverts the stored conditional
+    through the joint."""
+    path = m.tree.path(u, v)
+    trans = np.eye(m.k)
+    for a, b in zip(path, path[1:]):
+        if m.tree.parent[b] == a:
+            step = m.cpt[b]
+        else:
+            step = _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)[0]
+        trans = trans @ step
+    return marginals[u][:, None] * trans
+
+
+def zero_mass_parent_model() -> TreeModel:
+    # X_1 is never 1, so row 1 of P(X_0 | X_1) has no mass and is set uniform.
+    return TreeModel(RootedTree(2, 0, (-1, 0)), Alphabet(2), [1.0, 0.0], {1: [[1.0, 0.0], [0.5, 0.5]]})
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 11, "zero-mass-parent"])
+def test_pair_marginal_stack_is_bit_identical_to_the_path_product(k):
+    m = zero_mass_parent_model() if k == "zero-mass-parent" else random_tree_model(12, k, seed=20 + k)
+    marginals = node_marginals(m)
+    rng = np.random.default_rng(m.n * m.k)
+    for u in range(m.n):
+        vs = [v for v in range(m.n) if v != u]
+        rng.shuffle(vs)
+        stack = pair_marginal(m, u, vs)
+        reference = np.stack([path_product_table(m, marginals, u, v) for v in vs])
+        assert np.array_equal(stack, reference) and np.array_equal(np.signbit(stack), np.signbit(reference)), u
+
+
+def test_exact_mi_matrix_walks_once_per_stack(monkeypatch):
+    calls = {"pair_marginal": 0, "node_marginals": 0}
+
+    def counting(name):
+        original = getattr(model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(model, name, counting(name))
+    n, k = 40, 3
+    m = random_tree_model(n, k, seed=4)
+    exact_mi_matrix(m)
+    assert calls == {"pair_marginal": n - 1, "node_marginals": n - 1}
+    calls.update(pair_marginal=0, node_marginals=0)
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 8 * k * k)  # one table a stack
+    spans = sum(len(list(info._row_spans(u + 1, n, k))) for u in range(n - 1))
+    assert spans == n * (n - 1) // 2
+    exact_mi_matrix(m)
+    assert calls == {"pair_marginal": spans, "node_marginals": spans}
 
 
 @pytest.mark.parametrize("k", ALPHABETS)

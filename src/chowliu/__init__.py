@@ -55,8 +55,6 @@ from .harness import (
 from .info import (
     ChainRuleGap,
     DeviationBounds,
-    PairTable,
-    TripleTable,
     chain_rule_gap,
     conditional_mi,
     entropy,
@@ -111,7 +109,7 @@ __all__ = [
     "kl_decomposition", "KLDecomposition", "statistical_distances",
     "random_spanning_tree", "random_tree_model",
     # info
-    "PairTable", "TripleTable", "entropy", "mutual_information",
+    "entropy", "mutual_information",
     "kl_deviation_term", "kl_deviation_bounds", "DeviationBounds",
     "mutual_information_from_deviations", "conditional_mi",
     "chain_rule_gap", "ChainRuleGap",

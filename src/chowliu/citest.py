@@ -219,17 +219,18 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
         rates = {}
         ok = True
         for member in family:
-            failures = 0
-            for t in range(trials):
-                s = sample_dense(
-                    member.joint, count, derive_seed(seed, "calibrate", member.name, candidate, t)
-                )
-                stat = _statistic(s)
-                if member.true_cmi == 0.0:
-                    bad = stat >= cfg.epsilon
-                else:
-                    bad = stat <= cfg.c_decision * member.true_cmi
-                failures += bad
+            tables = np.stack([
+                empirical_counts(
+                    sample_dense(member.joint, count, derive_seed(seed, "calibrate", member.name, candidate, t)),
+                    (0, 1, 2),
+                ).counts
+                for t in range(trials)
+            ]) / count
+            stats = conditional_mi(tables)
+            if member.true_cmi == 0.0:
+                failures = int(np.count_nonzero(stats >= cfg.epsilon))
+            else:
+                failures = int(np.count_nonzero(stats <= cfg.c_decision * member.true_cmi))
             rates[member.name] = 1.0 - failures / trials
             if failures / trials > cfg.delta:
                 ok = False

@@ -6,9 +6,11 @@ H(X) + H(Y) - H(X, Y), and a per-cell decomposition into deviation terms
 (`mutual_information_from_deviations`) that the test suite cross-checks
 against it.  Do not collapse one into the other; the redundancy is the point.
 
-The entropy form takes one table or a (B, k, k) stack of tables.  The stacked
-kernel reproduces the single-table arithmetic operation for operation, so the
-MI matrix is bit-identical however its tables are stacked.
+Entropy, mutual information and conditional mutual information each have one
+kernel (`_entropies`, `_mi`, `_cmi`), and it works on stacks: one table is a
+stack of one.  `mutual_information` takes one table or a (B, k, k) stack and
+`conditional_mi` one table or a (B, k, k, k) stack; each table's value is
+bit-identical however its tables are stacked.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PairTable",
-    "TripleTable",
     "ChainRuleGap",
     "DeviationBounds",
     "entropy",
@@ -60,89 +60,36 @@ def _check_axes(shape) -> None:
         raise ValueError("alphabet size must be >= 2")
 
 
-def _validated_table(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional table, got shape {arr.shape}")
-    _check_axes(arr.shape)
-    _check_distribution(arr.reshape(-1), "table", _SUM_TOL)
-    arr.flags.writeable = False
-    return arr
+def _stacked(table, ndim: int) -> tuple:
+    """(stack, single): `table` as a checked stack of ndim-dimensional tables
+    over one alphabet, and whether it was one table rather than a stack.  One
+    table becomes a stack of one that stays a view in its own layout, since
+    the layout decides the order, and so the last bits, of every sum; a stack
+    is made C-contiguous.  A failing table of a stack is named by its row b."""
+    arr = np.asarray(table, dtype=np.float64)
+    single = arr.ndim == ndim
+    if not single and arr.ndim != ndim + 1:
+        raise ValueError(f"expected a {ndim}-dimensional table or a stack of them, got shape {arr.shape}")
+    stack = arr[None] if single else np.ascontiguousarray(arr)
+    _check_axes(stack.shape[1:])
+    _check_distribution(arr.reshape(-1) if single else stack.reshape(len(stack), stack.shape[1] ** ndim),
+                        "table", _SUM_TOL)
+    return stack, single
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Joint distribution of two variables over a shared alphabet."""
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "joint", _validated_table(self.joint, 2))
-
-    @property
-    def k(self) -> int:
-        return self.joint.shape[0]
-
-    @property
-    def x_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
-
-    @property
-    def y_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=0)
-
-    @property
-    def deviations(self) -> np.ndarray:
-        """Cell-wise deviation of the joint from the product of its marginals."""
-        return self.joint - np.outer(self.x_marginal, self.y_marginal)
-
-
-@dataclass(frozen=True)
-class TripleTable:
-    """Joint distribution of three variables (X, Y, Z) over a shared alphabet."""
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "joint", _validated_table(self.joint, 3))
-
-    @property
-    def k(self) -> int:
-        return self.joint.shape[0]
-
-    @property
-    def z_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=(0, 1))
-
-
-def _joint_of(table, ndim: int) -> np.ndarray:
-    if isinstance(table, (PairTable, TripleTable)):
-        if table.joint.ndim != ndim:
-            raise ValueError(f"expected a {ndim}-variable table")
-        return table.joint
-    return _validated_table(table, ndim)
-
-
-def entropy(dist) -> float:
-    """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
-    arr = np.asarray(dist, dtype=np.float64).reshape(-1)
-    if not (arr >= 0).all():
-        raise ValueError("negative or NaN probability")
-    nz = arr[arr > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def _mi(joint: np.ndarray) -> float:
-    value = entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - entropy(joint)
-    # Exact MI is nonnegative; float cancellation can leave ~-1e-16 dust.
-    return value if value > 0.0 else 0.0
+def _table(table, ndim: int) -> np.ndarray:
+    """One checked ndim-dimensional table, as a stack of one."""
+    stack, single = _stacked(table, ndim)
+    if not single:
+        raise ValueError(f"expected a {ndim}-dimensional table, got shape {stack.shape}")
+    return stack
 
 
 def _entropies(rows: np.ndarray) -> np.ndarray:
-    """entropy() of each row of a 2-D array, bit for bit.  Rows are grouped by
-    their count m of positive entries; each group's compacted (B_m, m) array is
+    """The entropy of each row of a 2-D array.  Rows are grouped by their
+    count m of positive entries; each group's compacted (B_m, m) array is
     summed along axis 1, which gives every row the pairwise summation that
-    np.sum gives it alone."""
+    np.sum gives it alone, so a row's entropy does not depend on its stack."""
     positive = rows > 0
     counts = positive.sum(axis=1)
     out = np.empty(rows.shape[0])
@@ -153,11 +100,32 @@ def _entropies(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_mi(stack: np.ndarray) -> np.ndarray:
-    """_mi of each table of a C-contiguous (B, k, k) stack, bit for bit."""
+def entropy(dist) -> float:
+    """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
+    arr = np.asarray(dist, dtype=np.float64).reshape(1, -1)
+    if not (arr >= 0).all():
+        raise ValueError("negative or NaN probability")
+    return float(_entropies(arr)[0])
+
+
+def _mi(stack: np.ndarray) -> np.ndarray:
+    """H(X) + H(Y) - H(X, Y) of each table of a (B, k, k) stack, clamped at
+    zero: exact MI is nonnegative, and float cancellation can leave ~-1e-16
+    dust."""
     b, k = stack.shape[:2]
     value = _entropies(stack.sum(axis=2)) + _entropies(stack.sum(axis=1)) - _entropies(stack.reshape(b, k * k))
     return np.where(value > 0.0, value, 0.0)
+
+
+def _cmi(stack: np.ndarray) -> np.ndarray:
+    """I(X; Y | Z) of each table of a (B, k, k, k) stack: the Z-weighted sum of
+    the slices' MI, in z order; slices with zero mass contribute nothing."""
+    pz = stack.sum(axis=(1, 2))
+    out = np.zeros(len(stack))
+    for z in range(stack.shape[3]):
+        has = np.flatnonzero(pz[:, z] > 0.0)
+        out[has] += pz[has, z] * _mi(stack[has, :, :, z] / pz[has, z, None, None])
+    return out
 
 
 def mutual_information(table) -> float | np.ndarray:
@@ -167,15 +135,9 @@ def mutual_information(table) -> float | np.ndarray:
     and returns an array of B floats, each bit-identical to the call on its
     table alone.  Every table of a stack is checked; a failing one is named
     by its row b in the message."""
-    if not isinstance(table, (PairTable, TripleTable)):
-        arr = np.asarray(table, dtype=np.float64)
-        if arr.ndim == 3:
-            b, k = arr.shape[:2]
-            _check_axes(arr.shape[1:])
-            _check_distribution(arr.reshape(b, k * k), "table", _SUM_TOL)
-            return _stacked_mi(np.ascontiguousarray(arr))
-        table = arr
-    return _mi(_joint_of(table, 2))
+    stack, single = _stacked(table, 2)
+    values = _mi(stack)
+    return float(values[0]) if single else values
 
 
 # Byte size above which one source row of an MI matrix is cut into several
@@ -258,7 +220,7 @@ def mutual_information_from_deviations(table) -> float:
     Alternative route to `mutual_information`, used as a cross-check: the two
     must agree to ~1e-10 on any valid table.
     """
-    joint = _joint_of(table, 2)
+    joint = _table(table, 2)[0]
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     base = np.outer(px, py)
@@ -270,23 +232,18 @@ def mutual_information_from_deviations(table) -> float:
     return total
 
 
-def _cmi(joint: np.ndarray) -> float:
-    pz = joint.sum(axis=(0, 1))
-    total = 0.0
-    for z in range(joint.shape[2]):
-        if pz[z] <= 0.0:
-            continue  # empty conditioning slices contribute zero
-        total += float(pz[z]) * _mi(joint[:, :, z] / pz[z])
-    return total
-
-
-def conditional_mi(table) -> float:
+def conditional_mi(table) -> float | np.ndarray:
     """Conditional mutual information I(X; Y | Z) of a (X, Y, Z) table.
 
-    Computed as the Z-weighted average of per-slice mutual informations;
-    slices with zero marginal mass contribute nothing.
+    Computed as the Z-weighted sum of per-slice mutual informations; slices
+    with zero marginal mass contribute nothing.  Takes one k x k x k table and
+    returns a float, or a (B, k, k, k) stack and returns an array of B floats,
+    each bit-identical to the call on its table alone, as
+    `mutual_information` does.
     """
-    return _cmi(_joint_of(table, 3))
+    stack, single = _stacked(table, 3)
+    values = _cmi(stack)
+    return float(values[0]) if single else values
 
 
 @dataclass(frozen=True)
@@ -298,9 +255,7 @@ class ChainRuleGap:
 
 
 def chain_rule_gap(table) -> ChainRuleGap:
-    joint = _joint_of(table, 3)
-    mi_xy = _mi(joint.sum(axis=2))
-    mi_xz = _mi(joint.sum(axis=1))
-    cmi_xy_given_z = _cmi(joint)
-    cmi_xz_given_y = _cmi(np.transpose(joint, (0, 2, 1)))
-    return ChainRuleGap(mi_gap=mi_xy - mi_xz, cmi_gap=cmi_xy_given_z - cmi_xz_given_y)
+    joint = _table(table, 3)
+    mi_xy, mi_xz = _mi(joint.sum(axis=3))[0], _mi(joint.sum(axis=2))[0]
+    cmi_xy_given_z, cmi_xz_given_y = _cmi(joint)[0], _cmi(np.transpose(joint, (0, 1, 3, 2)))[0]
+    return ChainRuleGap(mi_gap=float(mi_xy - mi_xz), cmi_gap=float(cmi_xy_given_z - cmi_xz_given_y))

@@ -1,8 +1,7 @@
 """Information quantities on probability tables.
 
 Core claims:
-    - PairTable / TripleTable validate mass and shape, expose marginals and
-      cell deviations that sum to zero
+    - tables of the wrong mass, sign or shape are rejected
     - entropy matches direct summation; point mass 0, uniform ln k
     - the deviation term is the continuous extension of
       (a + b) log(1 + a/b) - a, nonnegative, sandwiched by its envelope
@@ -10,20 +9,20 @@ Core claims:
       agrees with a third direct oracle
     - conditional MI handles deterministic, XOR, and empty-slice cases
     - the chain-rule identity I(X;Y) - I(X;Z) = I(X;Y|Z) - I(X;Z|Y) is exact
-    - a (B, k, k) stack of tables gives each table's mutual information bit
-      for bit, and every table of it is checked
+    - a (B, k, k) stack of tables gives each table's mutual information and a
+      (B, k, k, k) stack each table's conditional MI bit for bit, and every
+      table of a stack is checked
     - the MI matrix loop gives the same matrix whatever order its rows come in
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from chowliu import (
     ChainRuleGap,
-    PairTable,
-    TripleTable,
     chain_rule_gap,
     conditional_mi,
     entropy,
@@ -41,31 +40,24 @@ LN2 = math.log(2.0)
 
 # -- tables ---------------------------------------------------------------------
 
-def test_pair_table_marginals_and_deviations():
-    t = PairTable([[0.4, 0.1], [0.2, 0.3]])
-    assert t.k == 2
-    assert np.allclose(t.x_marginal, [0.5, 0.5])
-    assert np.allclose(t.y_marginal, [0.6, 0.4])
-    assert abs(t.deviations.sum()) < 1e-12
-    assert t.deviations[0, 0] == pytest.approx(0.4 - 0.5 * 0.6)
-
-
-def test_pair_table_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        PairTable([[0.6, 0.1], [0.2, 0.3]])
-    with pytest.raises(ValueError):
-        PairTable([[0.5, -0.1], [0.3, 0.3]])
-    with pytest.raises(ValueError):
-        PairTable([0.5, 0.5])
-
-
-def test_triple_table_shape_and_marginal():
-    joint = np.full((2, 2, 2), 0.125)
-    t = TripleTable(joint)
-    assert t.k == 2
-    assert np.allclose(t.z_marginal, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        TripleTable(np.full((2, 2), 0.25))
+def test_tables_with_bad_mass_sign_or_shape_are_rejected():
+    with pytest.raises(ValueError, match="^table row sum != 1: 1.2"):
+        mutual_information([[0.6, 0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError, match="^negative entry in table$"):
+        mutual_information([[0.5, -0.1], [0.3, 0.3]])
+    with pytest.raises(ValueError, match="^expected a 2-dimensional table or a stack of them, got shape \\(2,\\)$"):
+        mutual_information([0.5, 0.5])
+    with pytest.raises(ValueError, match="^expected a 2-dimensional table, got shape \\(1, 2, 2\\)$"):
+        mutual_information_from_deviations(np.full((1, 2, 2), 0.25))
+    triple = np.full((2, 2, 2), 0.125)
+    with pytest.raises(ValueError, match="^table row sum != 1: 1.125$"):
+        conditional_mi(triple + np.where(np.arange(8) == 5, 0.125, 0.0).reshape(2, 2, 2))
+    with pytest.raises(ValueError, match="^negative entry in table$"):
+        conditional_mi(triple - np.where(np.arange(8) == 5, 0.25, 0.0).reshape(2, 2, 2))
+    with pytest.raises(ValueError, match="^table axes must share one alphabet, got shape \\(2, 2, 3\\)$"):
+        conditional_mi(np.full((2, 2, 3), 1.0 / 12.0))
+    with pytest.raises(ValueError, match="^expected a 3-dimensional table, got shape \\(1, 2, 2, 2\\)$"):
+        chain_rule_gap(triple[None])
 
 
 # -- entropy ----------------------------------------------------------------------
@@ -180,11 +172,6 @@ def test_mi_routes_agree_with_direct_oracle():
         assert via_entropy == pytest.approx(oracle, abs=1e-10)
         assert via_dev == pytest.approx(oracle, abs=1e-10)
         assert via_entropy == pytest.approx(via_dev, abs=1e-10)
-
-
-def test_mi_accepts_pair_table():
-    t = PairTable([[0.4, 0.1], [0.2, 0.3]])
-    assert mutual_information(t) == pytest.approx(direct_mi(t.joint), abs=1e-12)
 
 
 def test_deviation_route_cells_stay_below_one():
@@ -303,13 +290,60 @@ def test_a_triple_joint_passed_as_a_stack_is_rejected():
     joint = random_joint_table(3, 3, np.random.default_rng(2))
     with pytest.raises(ValueError, match="^table row sum != 1 at row 0: "):
         mutual_information(joint)
-    with pytest.raises(ValueError, match="^expected a 2-variable table$"):
-        mutual_information(TripleTable(joint))
 
 
 def test_an_empty_stack_gives_an_empty_array():
     got = mutual_information(np.zeros((0, 3, 3)))
     assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def triple_stack(k: int, rng) -> np.ndarray:
+    """100 (x, y, z) tables: count-like or uniform random entries, a random
+    share of them zero, and in every other table one or more empty z-slices."""
+    tables = []
+    for b in range(100):
+        flat = rng.integers(0, 20, k**3).astype(float) if b % 2 else rng.random(k**3)
+        flat[rng.random(k**3) < rng.choice((0.0, 0.3, 0.8))] = 0.0
+        table = flat.reshape(k, k, k)
+        if b % 4 < 2:
+            table[:, :, rng.choice(k, int(rng.integers(1, k)), replace=False)] = 0.0
+        if not table.any():
+            table[0, 0, 0] = 1.0
+        tables.append(table / table.sum())
+    return np.stack(tables)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_stacked_cmi_is_bit_identical_to_the_single_table_call(k):
+    stack = triple_stack(k, np.random.default_rng(k))
+    assert (stack.sum(axis=(1, 2)) == 0).any()  # an empty z-slice
+    got = conditional_mi(stack)
+    assert got.shape == (len(stack),)
+    assert np.array_equal(got, [conditional_mi(t) for t in stack])
+
+
+def test_an_empty_triple_stack_gives_an_empty_array():
+    got = conditional_mi(np.zeros((0, 3, 3, 3)))
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def test_a_triple_stack_names_the_first_failing_table_by_its_row():
+    stack = triple_stack(3, np.random.default_rng(1))[:5].copy()
+    bad = stack.copy()
+    bad[3, 1, 2, 0] = -0.1
+    with pytest.raises(ValueError, match="^negative entry in table at row 3$"):
+        conditional_mi(bad)
+    bad = stack.copy()
+    bad[4] *= 0.5
+    with pytest.raises(ValueError, match="^table row sum != 1 at row 4: 0.5"):
+        conditional_mi(bad)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2, 2, 2)])
+def test_conditional_mi_rejects_2d_and_5d_input(shape):
+    message = f"expected a 3-dimensional table or a stack of them, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        conditional_mi(np.full(shape, 1.0 / np.prod(shape)))
 
 
 def test_pairwise_mi_does_not_depend_on_the_order_of_its_pairs():
@@ -351,7 +385,7 @@ def test_table_with_infinity_fails_the_sum_check():
     with pytest.raises(ValueError, match="^table row sum != 1: inf$"):
         mutual_information([[float("inf"), 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="^table row sum != 1: 0.9"):
-        PairTable([[0.4, 0.2], [0.2, 0.1]])
+        mutual_information([[0.4, 0.2], [0.2, 0.1]])
 
 
 @pytest.mark.parametrize("delta,base", [(float("nan"), 0.3), (0.1, float("nan")), (float("inf"), 0.3)])

@@ -12,6 +12,12 @@ Core claims:
   * `random_spanning_tree(n, rng)` for n = 1..8 over six seeds gives pinned
     edges, and the draw that follows each tree is pinned too, so the
     decoder's use of the RNG stream is fixed.
+  * `mutual_information`, `entropy`, `conditional_mi` and `chain_rule_gap`
+    give pinned values on seeded tables with k = 2..10, sparse ones and ones
+    with an empty z-slice among them, each in C, transposed and reversed
+    layout.  The layout decides the order of numpy's sums, so this pins the
+    last bits of the one information kernel for every layout a caller may
+    pass.
 
 The oracle tests compare these tables within 1e-15, which a change in the
 last bit passes; these digests do not. Every table here feeds pinned outputs
@@ -29,6 +35,10 @@ from chowliu import (
     Alphabet,
     DenseJoint,
     calibration_family,
+    chain_rule_gap,
+    conditional_mi,
+    entropy,
+    mutual_information,
     nonrealizable_triple,
     random_spanning_tree,
     realizable_triple,
@@ -36,6 +46,11 @@ from chowliu import (
 
 NONREALIZABLE_EPSILONS = (0.0, 0.013, 0.05, 0.1, 0.2, 0.2499)
 REALIZABLE_EPSILONS = (0.0, 0.013, 0.05, 0.1, 0.5, 1.0)
+LAYOUTS = (
+    lambda t: t,
+    lambda t: t.T,
+    lambda t: t[(slice(None, None, -1),) * t.ndim],
+)
 
 
 def digest(joints) -> str:
@@ -93,3 +108,28 @@ def test_random_spanning_tree_edges_and_stream():
             edges = random_spanning_tree(n, rng).edges
             h.update(repr((n, seed, edges, rng.random())).encode())
     assert h.hexdigest() == "174a39a5077a41032ac199b45bf036d6fa4d5242aec881669d3bbee244867912"
+
+
+def seeded_table(rng, k: int, ndim: int) -> np.ndarray:
+    flat = rng.dirichlet(np.ones(k**ndim))
+    flat[rng.random(k**ndim) < rng.choice((0.0, 0.3, 0.7))] = 0.0
+    if ndim == 3 and rng.random() < 0.5:
+        flat.reshape(k, k, k)[:, :, rng.integers(k)] = 0.0  # an empty z-slice
+    if not flat.any():
+        flat[rng.integers(k**ndim)] = 1.0
+    return (flat / flat.sum()).reshape((k,) * ndim)
+
+
+def test_information_values():
+    values = []
+    for k in range(2, 11):
+        rng = np.random.default_rng(1000 + k)
+        for _ in range(20):
+            pair, triple = seeded_table(rng, k, 2), seeded_table(rng, k, 3)
+            for layout in LAYOUTS:
+                p, t = layout(pair), layout(triple)
+                gap = chain_rule_gap(t)
+                values += [mutual_information(p), entropy(p), conditional_mi(t), entropy(t), gap.mi_gap, gap.cmi_gap]
+    assert len(values) == 3240
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == "2e793c8937082cb6a19837e92a682ecadf096b8c9d959af628f526435af62467"

@@ -40,7 +40,7 @@ LN2 = math.log(2.0)
 
 # -- tables ---------------------------------------------------------------------
 
-def test_tables_with_bad_mass_sign_or_shape_are_rejected():
+def test_pair_table_rejects_bad_mass():
     with pytest.raises(ValueError, match="^table row sum != 1: 1.2"):
         mutual_information([[0.6, 0.1], [0.2, 0.3]])
     with pytest.raises(ValueError, match="^negative entry in table$"):
@@ -49,7 +49,12 @@ def test_tables_with_bad_mass_sign_or_shape_are_rejected():
         mutual_information([0.5, 0.5])
     with pytest.raises(ValueError, match="^expected a 2-dimensional table, got shape \\(1, 2, 2\\)$"):
         mutual_information_from_deviations(np.full((1, 2, 2), 0.25))
+
+
+def test_triple_table_shape_and_marginal():
     triple = np.full((2, 2, 2), 0.125)
+    with pytest.raises(ValueError, match="^expected a 3-dimensional table or a stack of them, got shape \\(2, 2\\)$"):
+        conditional_mi(np.full((2, 2), 0.25))
     with pytest.raises(ValueError, match="^table row sum != 1: 1.125$"):
         conditional_mi(triple + np.where(np.arange(8) == 5, 0.125, 0.0).reshape(2, 2, 2))
     with pytest.raises(ValueError, match="^negative entry in table$"):

@@ -201,9 +201,15 @@ def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
     )
 
 
-def _shortfall(truth: MIMatrix, s: SampleSet) -> float:
-    """True weight of the best tree minus that of the tree learned from s."""
-    best = tree_weight(truth, max_weight_spanning_tree(truth))
+def _truth(weights: np.ndarray) -> tuple:
+    """The true weights as an MIMatrix, and the weight of their best tree."""
+    truth = MIMatrix(weights)
+    return truth, tree_weight(truth, max_weight_spanning_tree(truth))
+
+
+def _shortfall(truth: MIMatrix, best: float, s: SampleSet) -> float:
+    """best, the true weight of the best tree, minus the true weight of the
+    tree learned from s."""
     return best - tree_weight(truth, chow_liu_structure(s))
 
 
@@ -214,7 +220,7 @@ def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int,
     def trial(t):
         m = random_tree_model(cell.n, cell.k, derive_seed(master, "real", index, t, "model"), cpt_floor)
         s = sample(m, cell.n_samples, derive_seed(master, "real", index, t, "data"))
-        excess = _shortfall(MIMatrix(exact_mi_matrix(m)), s)
+        excess = _shortfall(*_truth(exact_mi_matrix(m)), s)
         return excess <= cell.epsilon, excess
 
     return _run_trials(cell, trials, trial)
@@ -242,7 +248,7 @@ def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: i
         rng = np.random.default_rng(derive_seed(master, "nonreal", index, t, "pick"))
         blocks = [nonrealizable_triple(int(rng.integers(1, 4)), instance_eps) for _ in range(cell.n // 3)]
         s = _sample_blocks(blocks, cell.n_samples, derive_seed(master, "nonreal", index, t, "data"))
-        excess = _shortfall(MIMatrix(_block_mi_matrix(blocks)), s)
+        excess = _shortfall(*_truth(_block_mi_matrix(blocks)), s)
         return excess <= cell.epsilon, excess
 
     return _run_trials(cell, trials, trial)
@@ -310,14 +316,14 @@ def separation_curve(
     rows = []
     for eps in epsilons:
         joints = [make(index, eps) for index in (1, 2, 3)]
-        instances = [(joint, MIMatrix(_block_mi_matrix([joint]))) for joint in joints]
+        instances = [(joint, *_truth(_block_mi_matrix([joint]))) for joint in joints]
         for count in _sample_size_grid(max_samples):
 
             def trial(t):
                 worst = 0.0
-                for index, (joint, truth) in enumerate(instances):
+                for index, (joint, truth, best) in enumerate(instances):
                     s = sample_dense(joint, count, derive_seed(seed, regime, eps, count, t, index))
-                    worst = max(worst, _shortfall(truth, s))
+                    worst = max(worst, _shortfall(truth, best, s))
                 return worst <= eps, worst
 
             rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, trial))

@@ -156,7 +156,8 @@ def _row_spans(lo: int, hi: int, k: int):
 def _pairwise_mi(n: int, rows) -> np.ndarray:
     """The n x n MI matrix: mutual_information(stack)[t] at (i, js[t]) and
     (js[t], i) for each (i, js, stack) in rows, where stack holds the tables of
-    i with each j in js; rows come in any order, and other entries are zero."""
+    i with each j in js, or of i[t] with js[t] when i is an array of sources;
+    rows come in any order, and other entries are zero."""
     w = np.zeros((n, n))
     for i, js, stack in rows:
         w[i, js] = w[js, i] = mutual_information(stack)

@@ -369,24 +369,20 @@ def _conditional_rows(joint: np.ndarray) -> tuple:
     return rows, degenerate
 
 
-def _step_matrix(m: TreeModel, marginals: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Transition P(X_b | X_a) for adjacent nodes a, b."""
-    if m.tree.parent[b] == a:
-        return m.cpt[b]
-    # a is the child of b: invert the stored conditional through the joint.
-    # Zero-mass a-symbols never occur; a uniform row keeps the matrix stochastic.
-    return _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)[0]
-
-
 def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
     """Inverse-CDF draws: for each uniform in u, the first index whose running
     total reaches it, capped at the last index.  `probs` is one distribution,
-    or a table of rows of which draw i uses row given[i]."""
+    or a table of rows of which draw i uses row given[i].  A running total of
+    nonnegative entries never falls, so a draw counts the columns before the
+    last whose total is below it: the last column could only lift the count
+    to the cap."""
     cum = np.cumsum(probs, axis=-1)
     if given is None:
         idx = np.searchsorted(cum, u, side="left")
     else:
-        idx = (cum[given] < u[:, None]).sum(axis=1)
+        idx = np.zeros(len(u), dtype=np.intp)
+        for j in range(cum.shape[-1] - 1):
+            idx += cum[:, j][given] < u
     return np.minimum(idx, cum.shape[-1] - 1)
 
 
@@ -428,52 +424,95 @@ def sample_dense(p: DenseJoint, count: int, seed: int):
     return SampleSet(p.alphabet, rows)
 
 
-def pair_marginal(m: TreeModel, u: int, v) -> np.ndarray:
+def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     """Exact joint table of (X_u, X_v) by transition composition, without
     materializing the full joint.
 
     Takes one node v and returns a k x k table, or a sequence of nodes and
-    returns a (len(v), k, k) stack of the tables of u with each.  One walk
-    outward from u forms each node's transition from u as its walk parent's
-    times one step: the left-to-right product along the tree path from the
-    identity, so each table of a stack is bit-identical to the call on its
-    node alone.  A node's transition is kept only until the nodes beyond it
-    are formed."""
+    returns a (len(v), k, k) stack of the tables of u with each.  u may also
+    be a sequence as long as v; table t is then that of (u[t], v[t]).
+
+    The walk goes outward from every source at once, one distance at a time:
+    the transitions from the sources to all nodes at one distance are one
+    stacked matmul of their walk parents' transitions times their steps,
+    starting from the identity.  That is the left-to-right product along the
+    tree path, so each table is bit-identical to the call on its pair alone.
+    Each step matrix is formed once per call.  Only nodes on the way to a
+    wanted node are walked to, and the (source, node) pairs go in blocks
+    that fit a stack budget, so the transitions held at two distances stay
+    within twice that budget."""
     single = np.ndim(v) == 0
-    nodes = [_variables((u, x), m.n)[1] for x in ([v] if single else v)]
-    u = _variables((u,), m.n)[0]
+    nodes = [v] if single else list(v)
+    if np.ndim(u) == 0:
+        sources = [u] * len(nodes)
+    else:
+        sources = list(u)
+        if single:
+            raise ValueError("a sequence of sources needs a sequence of nodes")
+        if len(sources) != len(nodes):
+            raise ValueError(f"sources and nodes differ in length: {len(sources)} and {len(nodes)}")
+    pairs = [_variables(pair, m.n) for pair in zip(sources, nodes)]
+    if np.ndim(u) == 0:  # checked also when there are no nodes
+        _variables((u,), m.n)
+    k = m.k
     marginals = node_marginals(m)
-    out = np.empty((len(nodes), m.k, m.k))
-    positions = np.array(nodes, dtype=np.intp)
-    wanted = set(nodes)
+    out = np.empty((len(pairs), k, k))
+    wanted = {}  # (source, node) -> the positions of its table in out
+    for t, pair in enumerate(pairs):
+        wanted.setdefault(pair, []).append(t)
+    keys = sorted(wanted, key=lambda pair: pair[0])  # each source's nodes together
     neighbours = m.tree.children()
     for x, p in enumerate(m.tree.parent):
         if p >= 0:
             neighbours[x].append(p)
-    order, towards = _bfs(neighbours, u)
-    beyond = [len(adjacent) - 1 for adjacent in neighbours]  # unformed neighbours further from u
-    beyond[u] += 1
-    held = {u: np.eye(m.k)}
-    for x in order[1:]:
-        if not wanted:
-            break
-        w = towards[x]
-        held[x] = held[w] @ _step_matrix(m, marginals, w, x)
-        if x in wanted:
-            wanted.remove(x)
-            out[positions == x] = marginals[u][:, None] * held[x]
-        beyond[w] -= 1
-        for y in (w, x):
-            if not beyond[y]:
-                del held[y]
+    up = {}  # P(X_parent | X_child) by child, inverted once
+
+    def step(w: int, x: int) -> np.ndarray:
+        if m.tree.parent[x] == w:
+            return m.cpt[x]
+        if w not in up:  # w is x's child: invert its stored conditional through the joint
+            # Zero-mass w-symbols never occur; a uniform row keeps the matrix stochastic.
+            up[w] = _conditional_rows((marginals[x][:, None] * m.cpt[w]).T)[0]
+        return up[w]
+
+    for span in _row_spans(0, len(keys), k):
+        block = {}
+        for s, x in keys[span.start:span.stop]:
+            block.setdefault(s, []).append(x)
+        levels = []  # levels[d - 1]: (source, walk parent, node) at distance d
+        for s, targets in block.items():
+            order, towards = _bfs(neighbours, s)
+            on_way = {s}
+            for x in targets:
+                while x not in on_way:
+                    on_way.add(x)
+                    x = towards[x]
+            depth = {s: 0}
+            for x in order[1:]:
+                if x in on_way:
+                    depth[x] = d = depth[towards[x]] + 1
+                    if d > len(levels):
+                        levels.append([])
+                    levels[d - 1].append((s, towards[x], x))
+        held = np.broadcast_to(np.eye(k), (len(block), k, k))
+        slot = {(s, s): i for i, s in enumerate(block)}
+        for level in levels:
+            held = np.matmul(held[[slot[s, w] for s, w, _ in level]], np.stack([step(w, x) for _, w, x in level]))
+            slot = {(s, x): i for i, (s, _, x) in enumerate(level)}
+            taken = [(t, s, i) for i, (s, _, x) in enumerate(level) for t in wanted.get((s, x), ())]
+            if taken:
+                t, s, i = map(list, zip(*taken))
+                out[t] = marginals[s][:, :, None] * held[i]
     return out[0] if single else out
 
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
-    """Pairwise mutual information of all variable pairs under the model: one
-    pair_marginal walk per source row (per stack-budget span of it)."""
-    rows = ((u, vs, pair_marginal(m, u, vs)) for u in range(m.n - 1) for vs in _row_spans(u + 1, m.n, m.k))
-    return _pairwise_mi(m.n, rows)
+    """Pairwise mutual information of all variable pairs under the model: the
+    pairs u < v in row order, cut into stack-budget spans, one pair_marginal
+    call per span."""
+    us, vs = np.triu_indices(m.n, 1)
+    spans = (slice(span.start, span.stop) for span in _row_spans(0, len(us), m.k))
+    return _pairwise_mi(m.n, ((us[at], vs[at], pair_marginal(m, us[at], vs[at])) for at in spans))
 
 
 def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:

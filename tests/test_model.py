@@ -9,9 +9,9 @@ Core claims:
     - ancestral sampling is deterministic per seed and consistent at large N
     - pair_marginal composes transitions along the unique path and matches
       dense marginalization, including where it inverts a conditional through
-      a zero-probability parent symbol; given a sequence of nodes it returns
-      their tables as one stack, empty for no nodes, after checking every
-      node with the same wording
+      a zero-probability parent symbol; given a sequence of nodes, or of
+      sources and nodes as long, it returns their tables as one stack, empty
+      for none, after checking every pair with the same wording
     - projecting a tree model's joint onto its own skeleton gives back the
       same joint at every root
     - every path triple in a tree model has exactly zero conditional MI
@@ -401,6 +401,40 @@ def test_pair_marginal_stack_rejects_a_fractional_node():
     m = random_tree_model(4, 2, seed=5)
     with pytest.raises(ValueError, match=r"^variable 1\.5 is not an integer$"):
         pair_marginal(m, 0, [2, 1.5])
+
+
+def test_pair_marginal_of_pairs_rejects_sequences_of_different_lengths():
+    m = random_tree_model(4, 2, seed=5)
+    with pytest.raises(ValueError, match=r"^sources and nodes differ in length: 3 and 2$"):
+        pair_marginal(m, [0, 1, 2], [1, 2])
+    with pytest.raises(ValueError, match=r"^a sequence of sources needs a sequence of nodes$"):
+        pair_marginal(m, [0], 1)
+
+
+@pytest.mark.parametrize("us,vs,message", [
+    ([0, 3, 1], [1, 3, 2], r"^duplicate variables in \(3, 3\)$"),
+    ([0, 9], [1, 2], r"^variable 9 out of range for n=4$"),
+    ([0, 1], [2, 4], r"^variable 4 out of range for n=4$"),
+    ([0, 1.5], [2, 3], r"^variable 1\.5 is not an integer$"),
+    ([0, 1], [2, 2.5], r"^variable 2\.5 is not an integer$"),
+], ids=["same-node", "source-out-of-range", "node-out-of-range", "fractional-source", "fractional-node"])
+def test_pair_marginal_of_pairs_checks_every_pair(us, vs, message):
+    with pytest.raises(ValueError, match=message):
+        pair_marginal(random_tree_model(4, 2, seed=5), us, vs)
+
+
+@pytest.mark.parametrize("empty", [[], range(0), np.array([], dtype=int)], ids=["list", "range", "array"])
+def test_pair_marginal_of_no_pairs_is_an_empty_stack(empty):
+    assert pair_marginal(random_tree_model(4, 3, seed=5), empty, empty).shape == (0, 3, 3)
+
+
+def test_pair_marginal_of_pairs_holds_each_pairs_table_in_the_given_order():
+    m = random_tree_model(6, 3, seed=8)
+    pairs = [(2, 4), (5, 1), (2, 4), (4, 2), (0, 5)]
+    stack = pair_marginal(m, *zip(*pairs))
+    assert stack.shape == (5, 3, 3)
+    for table, (u, v) in zip(stack, pairs):
+        assert np.array_equal(table, pair_marginal(m, u, v))
 
 
 def test_pair_marginal_stack_holds_each_nodes_table_in_the_given_order():

@@ -9,12 +9,17 @@ Core claims:
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
       however the rows are cut into stacks
-    - each table of a pair_marginal stack is bit-identical to the product of
-      transition steps along the tree path from the identity, and
-      exact_mi_matrix makes one pair_marginal walk per stack, not one per pair
+    - each table of a pair_marginal stack, of one source's nodes or of
+      pairs with many sources, is bit-identical to the product of transition
+      steps along the tree path from the identity, and exact_mi_matrix makes
+      one pair_marginal call per stack-budget span of its pairs, not one per
+      source row; the transitions a call holds stay within a fixed multiple
+      of the stack budget
     - equal count tables give bit-equal weights, so the pinned Kruskal
       tie-break still decides between duplicated columns
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +152,46 @@ def test_pair_marginal_stack_is_bit_identical_to_the_path_product(k):
         assert np.array_equal(stack, reference) and np.array_equal(np.signbit(stack), np.signbit(reference)), u
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 11, "zero-mass-parent"])
+def test_pair_marginal_of_pairs_is_bit_identical_to_the_path_product(k):
+    m = zero_mass_parent_model() if k == "zero-mass-parent" else random_tree_model(12, k, seed=20 + k)
+    marginals = node_marginals(m)
+    pairs = [(u, v) for u in range(m.n) for v in range(m.n) if u != v]
+    np.random.default_rng(m.n * m.k).shuffle(pairs)
+    us, vs = zip(*pairs)
+    stack = pair_marginal(m, us, vs)
+    reference = np.stack([path_product_table(m, marginals, u, v) for u, v in pairs])
+    assert np.array_equal(stack, reference) and np.array_equal(np.signbit(stack), np.signbit(reference))
+
+
+def star_model(n: int, k: int) -> TreeModel:
+    rng = np.random.default_rng(n)
+    cpt = {x: rng.dirichlet(np.ones(k), size=k) for x in range(1, n)}
+    return TreeModel(RootedTree(n, 0, (-1,) + (0,) * (n - 1)), Alphabet(k), rng.dirichlet(np.ones(k)), cpt)
+
+
+def test_pair_marginal_holds_transitions_within_the_stack_budget(monkeypatch):
+    n, k = 400, 16
+    m = star_model(n, k)
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 4 * 8 * k * k)  # four tables a stack
+    pairs = [(1, 2), (1, 3), (5, 2), (5, 0), (7, 9), (8, 399)]
+    pair_marginal(m, *zip(*pairs))
+    tracemalloc.start()
+    try:
+        stack = pair_marginal(m, *zip(*pairs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Walking to every leaf from a leaf source would hold n - 2 transitions
+    # (800 KB) at distance 2.  Within the budget a call holds a few budgets'
+    # worth of them, beside per-node bookkeeping (the node marginals and the
+    # walks' lists) and its own output.
+    assert peak < 4 * info._STACK_BUDGET_BYTES + 3 * n * k * 8 + 200 * n + stack.nbytes
+    marginals = node_marginals(m)
+    for table, (u, v) in zip(stack, pairs):
+        assert np.array_equal(table, path_product_table(m, marginals, u, v))
+
+
 def test_exact_mi_matrix_walks_once_per_stack(monkeypatch):
     calls = {"pair_marginal": 0, "node_marginals": 0}
 
@@ -163,10 +208,10 @@ def test_exact_mi_matrix_walks_once_per_stack(monkeypatch):
     n, k = 40, 3
     m = random_tree_model(n, k, seed=4)
     exact_mi_matrix(m)
-    assert calls == {"pair_marginal": n - 1, "node_marginals": n - 1}
+    assert calls == {"pair_marginal": 1, "node_marginals": 1}
     calls.update(pair_marginal=0, node_marginals=0)
     monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 8 * k * k)  # one table a stack
-    spans = sum(len(list(info._row_spans(u + 1, n, k))) for u in range(n - 1))
+    spans = len(list(info._row_spans(0, n * (n - 1) // 2, k)))
     assert spans == n * (n - 1) // 2
     exact_mi_matrix(m)
     assert calls == {"pair_marginal": spans, "node_marginals": spans}

@@ -8,13 +8,17 @@ Core claims:
       sampler: one rng.random(count) block, inverse CDF on the flat table,
       mixed-radix decoding;
     - both hold for k in {2, 3, 9} and for tables with zero-probability
-      entries, including a zero last entry.
+      entries, including a zero last entry;
+    - the conditional inverse CDF, which counts one column at a time, draws
+      what comparing each uniform with a whole row of running totals draws,
+      also for rows of zero mass and for uniforms equal to a running total.
 """
 
 import numpy as np
 import pytest
 
 from chowliu import Alphabet, DenseJoint, RootedTree, TreeModel, sample, sample_dense
+from chowliu.model import _inverse_cdf
 
 from oracles import ancestral_sample, flat_table_sample
 
@@ -72,3 +76,18 @@ def test_sample_dense_never_draws_zero_mass_assignments():
     rows = sample_dense(DenseJoint(3, Alphabet(3), probs), 2000, 3).rows
     flat = rows[:, 0].astype(int) * 9 + rows[:, 1] * 3 + rows[:, 2]
     assert set(flat.tolist()) <= {0, 5, 13}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 17, 64])
+def test_conditional_inverse_cdf_equals_the_whole_row_comparison(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        table = rng.dirichlet(np.ones(k), size=k) * (rng.random((k, 1)) < 0.8)  # some rows of zero mass
+        table[rng.random(table.shape) < 0.3] = 0.0
+        cum = np.cumsum(table, axis=-1)
+        given = rng.integers(0, k, size=500)
+        u = rng.random(500)
+        on_a_total = rng.random(500) < 0.3
+        u[on_a_total] = cum[given[on_a_total], rng.integers(0, k, size=on_a_total.sum())]
+        old = np.minimum((cum[given] < u[:, None]).sum(axis=1), k - 1)
+        assert np.array_equal(_inverse_cdf(table, u, given), old)

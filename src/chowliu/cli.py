@@ -53,6 +53,8 @@ def _read_samples(path: str, fmt: str | None, k: int | None):
 
 
 def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str | None = None) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     start = time.perf_counter()
     with open(model_path) as fh:
         m = tree_model_from_json(fh.read())

@@ -8,6 +8,7 @@ strictly positive and exactly normalized.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -108,69 +109,119 @@ def empirical_counts(s: SampleSet, variables) -> CountTable:
     return CountTable(vs, counts.reshape((k,) * len(vs)), s.n_samples)
 
 
-# The one-hot product costs O(N (nk)^2) and a bincount per pair O(N n^2).
-# Counting all pairs of n=40 variables in N=2e4 rows on a 2-core x86 VM took
-# 0.018 s against 0.065 s at k=4, 0.05 s against 0.066 s at k=10, 0.075 s
-# against 0.063-0.074 s at k=11 and 0.14 s against 0.071 s at k=16, so k=10
-# is the crossover.
-_ONE_HOT_MAX_K = 10
-# Extra memory of the one-hot pass, whatever n and k are: a third for the
-# float32 row chunk, two thirds for the int64 count block and its float32
-# chunk product (12 bytes per entry), so n*k up to 418 fits in one block.
-# A chunk thus holds far fewer than the 2^24 rows up to which float32 sums of
-# ones are exact.
-_COUNT_BUDGET_BYTES = 3 << 20
+# A group of the count pass has at most the largest g variables with
+# k^(2g) <= _GROUP_BINS, the joint codes of a pair of groups.  Wider groups mean
+# fewer bincounts over the N rows, about (n/g)^2 / 2, but larger histograms to
+# read off.  On a 2-core x86 VM 10,000 was faster than 4,096 (groups of 4 at
+# k = 3: 73 ms against 98 ms at n = 100, N = 5e4; groups of 2 at k = 9 and 10:
+# 18-22 ms against 49-51 ms at n = 40, N = 2e4) and than 16,384 (groups of 7
+# at k = 2: 49 ms against 46 ms at n = 100, N = 5e4), and it keeps each
+# read-off product below OpenBLAS's threading threshold.
+_GROUP_BINS = 10_000
+# Rows per chunk of the count pass.  A chunk's pair codes take 12 bytes a row:
+# two uint16 arrays and np.bincount's intp copy, 384 KiB in all.
+_COUNT_CHUNK_ROWS = 1 << 15
+# Sample bytes per chunk when the group codes are built.
+_CODE_CHUNK_BYTES = 1 << 20
 
 
-def _count_plan(n: int, k: int) -> tuple:
-    """(rows per chunk, source variables per block) of the one-hot pass."""
-    rows = max(1, _COUNT_BUDGET_BYTES // 3 // (4 * n * k))
-    block = max(1, _COUNT_BUDGET_BYTES * 2 // 3 // (12 * k * n * k))
-    return rows, block
+def _group_size(n: int, k: int) -> int:
+    """Variables per group of the count pass: as few groups as k^(2g) <=
+    _GROUP_BINS allows, each as small as that number of groups allows."""
+    g = 1
+    while k ** (2 * g + 2) <= _GROUP_BINS:
+        g += 1
+    groups = max(1, -(-n // g))
+    return max(1, -(-n // groups))
 
 
-def _one_hot_blocks(s: SampleSet):
-    """Yield (lo, hi, counts) for consecutive blocks [lo, hi) of source
-    variables, where counts[i - lo, :, j - lo, :] is the joint count table of
-    variables i and j for lo <= i < hi and lo <= j < n.
+def _group_codes(s: SampleSet, g: int) -> np.ndarray:
+    """The (ceil(n / g), N) uint8 array whose row a holds, per sample, the
+    base-k number with digits x_{ag}, ..., x_{ag+g-1}, the first most
+    significant; variables past n count as 0."""
+    count, n = s.rows.shape
+    k = s.alphabet.size
+    codes = np.zeros((-(-n // g), count), dtype=np.uint8)
+    step = max(1, _CODE_CHUNK_BYTES // max(n, 1))
+    for start in range(0, count, step):
+        chunk = s.rows[start:start + step].T
+        out = codes[:, start:start + step]
+        for d in range(g):
+            if d:
+                out *= k
+            out[: -(-(n - d) // g)] += chunk[d::g]
+    return codes
 
-    Each chunk of rows becomes a float32 one-hot matrix X, one column per
-    (variable, symbol); X_src^T X holds the chunk's co-occurrence counts
-    exactly, and the chunks add up in an int64 block."""
-    n, k = s.n_variables, s.alphabet.size
-    rows, block = _count_plan(n, k)
-    symbols = np.arange(k, dtype=np.uint8)
-    buffer = np.empty(rows * n * k, dtype=np.float32)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        width = (n - lo) * k
-        counts = np.zeros(((hi - lo) * k, width), dtype=np.int64)
-        product = np.empty(counts.shape, dtype=np.float32)
-        for start in range(0, s.n_samples, rows):
-            chunk = s.rows[start:start + rows, lo:]
-            one_hot = buffer[: chunk.shape[0] * width].reshape(chunk.shape[0], width)
-            np.equal(chunk[:, :, None], symbols, out=one_hot.reshape(*chunk.shape, k))
-            np.matmul(one_hot[:, : (hi - lo) * k].T, one_hot, out=product)
-            np.add(counts, product, out=counts, casting="unsafe")
-        yield lo, hi, counts.reshape(hi - lo, k, n - lo, k)
+
+def _group_pair_counts(codes: np.ndarray, a: int, bs: range, size: int) -> np.ndarray:
+    """The (len(bs), size, size) int64 stack whose table t counts the samples
+    by their codes in groups a and bs[t]."""
+    count = codes.shape[1]
+    hist = np.zeros((len(bs), size * size), dtype=np.int64)
+    pair = np.empty(min(count, _COUNT_CHUNK_ROWS), dtype=np.uint16)  # size * size <= 2^16
+    for start in range(0, count, _COUNT_CHUNK_ROWS):
+        base = codes[a, start:start + _COUNT_CHUNK_ROWS].astype(np.uint16)
+        base *= size
+        out = pair[: len(base)]
+        for t, b in enumerate(bs):
+            np.add(base, codes[b, start:start + _COUNT_CHUNK_ROWS], out=out)
+            hist[t] += np.bincount(out, minlength=size * size)
+    return hist.reshape(len(bs), size, size)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_selectors(k: int, g: int) -> np.ndarray:
+    """The (k^g, g k) float64 0/1 matrix with a 1 at (c, p k + x) where digit p
+    of the g-digit base-k code c is x.  Read-only, as the cache hands it to
+    every call; at the default _GROUP_BINS 16 (k, g) pairs have g >= 2."""
+    digits = np.arange(k ** g)[:, None] // k ** np.arange(g - 1, -1, -1) % k
+    out = (digits[:, :, None] == np.arange(k)).reshape(k ** g, g * k).astype(np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def _variable_tables(hist: np.ndarray, k: int, g: int) -> np.ndarray:
+    """The (B, g, k, g, k) int64 array whose [t, p, x, q, y] counts x at digit p
+    of the first group and y at digit q of the second, from a (B, k^g, k^g)
+    stack of group-pair counts.
+
+    Each entry sums counts below 2^53, so the float64 products are exact.
+    Each product takes at most g k k^(2g) <= 200,000 multiply-adds, below
+    OpenBLAS's 2^18 threshold for threading."""
+    select = _digit_selectors(k, g)
+    tables = select.T @ hist.astype(np.float64) @ select
+    return tables.astype(np.int64).reshape(len(hist), g, k, g, k)
 
 
 def _pair_counts(s: SampleSet):
     """Yield (i, js, counts) for every variable i with partners j > i, by i and
     then j ascending, where counts[t] equals empirical_counts(s, (i, js[t])).counts
-    and counts is a C-contiguous int64 stack of k x k tables.  Alphabets up to
-    _ONE_HOT_MAX_K are counted by one-hot products over row chunks, giving one
-    stack per i; larger ones with a bincount per pair, in stacks that fit
-    info._STACK_BUDGET_BYTES."""
+    and counts is a C-contiguous int64 stack of k x k tables cut by
+    info._row_spans.
+
+    The variables are cut into groups of g = _group_size(n, k); each group's
+    symbols become one uint8 code per sample, and one bincount of joint codes
+    per pair of groups gives the k^g x k^g table of the pair, from which every
+    variable pair's table is read off.  With g = 1 that table is the pair's.
+    Besides the codes, the pass holds one row chunk of joint codes, one span
+    of group-pair tables within the stack budget and one group's rows."""
     n, k = s.n_variables, s.alphabet.size
-    if k > _ONE_HOT_MAX_K:
-        for i in range(n - 1):
+    g = _group_size(n, k)
+    size = k ** g
+    codes = _group_codes(s, g)
+    for a in range((n - 2) // g + 1):  # the groups that hold a variable with partners
+        if g == 1:
+            for js in _row_spans(a + 1, n, k):
+                yield a, js, _group_pair_counts(codes, a, js, k)
+            continue
+        # tables[b - a, p, :, q, :] is the table of variables ag + p and bg + q.
+        tables = np.concatenate([_variable_tables(_group_pair_counts(codes, a, bs, size), k, g)
+                                 for bs in _row_spans(a, len(codes), size)])
+        for p in range(min(g, n - 1 - a * g)):
+            i = a * g + p
+            row = np.ascontiguousarray(tables[:, p].transpose(0, 2, 1, 3)).reshape(-1, k, k)  # (i, ag + t) at t
             for js in _row_spans(i + 1, n, k):
-                yield i, js, np.stack([empirical_counts(s, (i, j)).counts for j in js])
-        return
-    for lo, hi, counts in _one_hot_blocks(s):
-        for i in range(lo, min(hi, n - 1)):
-            yield i, range(i + 1, n), np.ascontiguousarray(counts[i - lo, :, i - lo + 1:, :].transpose(1, 0, 2))
+                yield i, js, row[js.start - a * g:js.stop - a * g]
 
 
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:

@@ -279,6 +279,22 @@ def fitted_slope(points) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _grid_maximum(value) -> int:
+    """A SeparationCurve 'max_samples': an integer that admits the grid's first size."""
+    value = _int(value)
+    if value < _GRID_START:
+        raise ValueError(f"expected an integer of at least {_GRID_START}, got {value!r}")
+    return value
+
+
+class _Unreached(RuntimeError):
+    """No sample size of the grid reached the target rate at epsilons[index]."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def _sample_size_grid(maximum: int) -> list:
     """Doubling grid: 6, 12, 24, ... up to maximum."""
     out = []
@@ -314,7 +330,7 @@ def separation_curve(
     make = realizable_triple if regime == "realizable" else nonrealizable_triple
     points = []
     rows = []
-    for eps in epsilons:
+    for probe, eps in enumerate(epsilons):
         joints = [make(index, eps) for index in (1, 2, 3)]
         instances = [(joint, *_truth(_block_mi_matrix([joint]))) for joint in joints]
         for count in _sample_size_grid(max_samples):
@@ -330,7 +346,7 @@ def separation_curve(
             if rows[-1].success_rate >= 0.8:
                 break
         else:
-            raise RuntimeError(f"no sample size up to {max_samples} reached the target rate at epsilon={eps}")
+            raise _Unreached(probe, f"no sample size up to {max_samples} reached the target rate at epsilon={eps}")
         points.append(SeparationPoint(epsilon=float(eps), n_star=count))
     return SeparationResult(
         regime=regime, points=tuple(points), slope=fitted_slope(points), rows=tuple(rows)
@@ -376,7 +392,12 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
 def _separation_kind(cfg: ExperimentConfig, **options) -> list:
     """Every probe runs the three-bit families, at sample sizes of its own."""
     epsilons = [cell.epsilon for cell in cfg.grid]
-    return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
+    try:
+        return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
+    except _Unreached as err:
+        raise ValueError(f"SeparationCurve grid cell {err.index} reached a success rate of 0.8 at no sample size "
+                         f"up to 'options' key 'max_samples' {options['max_samples']}, "
+                         f"got epsilon {cfg.grid[err.index].epsilon}") from None
 
 
 def _each_cell(run_cell):
@@ -390,14 +411,15 @@ def _each_cell(run_cell):
 # Every kind also takes the key "timing".
 _KINDS = {
     "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)},
-                           ("none", lambda cell: True)),
+                           ("n at least 1", lambda cell: cell.n >= 1)),
     "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
                               ("n a positive multiple of 3 and k 2 (the triples are binary)",
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
-    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"), "max_samples": (_int, 1 << 20)},
+    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"),
+                                              "max_samples": (_grid_maximum, 1 << 20)},
                         ("n 3, k 2 and no key 'N'", lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0))),
     "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},
-                 ("n 1", lambda cell: cell.n == 1)),
+                 ("n 1 and an epsilon (the delta) above 0", lambda cell: cell.n == 1 and cell.epsilon > 0.0)),
     "CITesterRates": (_each_cell(_citester_cell), 0, {"delta": (_float, 0.1),
                                                       "c_sample": (_float, DEFAULT_C_SAMPLE)},
                       ("n 3", lambda cell: cell.n == 3)),
@@ -418,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     for index, cell in enumerate(cfg.grid):
         if not accepts(cell):
             raise ValueError(f"{cfg.kind} grid cell {index} needs {needs}, "
-                             f"got n {cell.n}, k {cell.k}, N {cell.n_samples}")
+                             f"got n {cell.n}, k {cell.k}, epsilon {cell.epsilon}, N {cell.n_samples}")
     rows = run(cfg, **cfg.kind_options)
     if cfg.out_path is not None:
         write_rows_csv(rows, cfg.out_path, cfg.timing)

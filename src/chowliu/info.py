@@ -141,8 +141,9 @@ def mutual_information(table) -> float | np.ndarray:
 
 
 # Byte size above which one source row of an MI matrix is cut into several
-# stacks of k x k tables (8 bytes an entry): the one-hot count pass's budget.
-# Without the cut, one row of n = 100 variables at k = 256 would take 52 MB.
+# stacks of k x k tables (8 bytes an entry); the count pass cuts its spans of
+# group-pair tables by it too.  Without the cut, one row of n = 100 variables
+# at k = 256 would take 52 MB.
 _STACK_BUDGET_BYTES = 3 << 20
 
 

@@ -41,7 +41,7 @@ from chowliu.cli import (
     cmd_verify,
     main,
 )
-from chowliu.estimation import SampleSet, read_csv, write_csv
+from chowliu.estimation import SampleSet, read_csv, write_binary, write_csv
 from chowliu.model import (
     random_tree_model,
     root_at,
@@ -92,6 +92,13 @@ def test_binary_and_csv_routes_agree(model_path, tmp_path):
     cmd_learn(str(bin_out), "full", out_path=str(learned_bin))
     # Same seed, same draws; only the container format differs.
     assert learned_csv.read_text() == learned_bin.read_text()
+
+
+def test_learn_on_a_binary_file_without_variables_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.bin"
+    write_binary(SampleSet(Alphabet(2), np.zeros((5, 0), dtype=np.uint8)), path)
+    assert main(["learn", "--samples", str(path), "--mode", "full"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: need at least one node"
 
 
 def test_learn_structure_to_stdout(model_path, tmp_path, capsys):
@@ -231,6 +238,15 @@ def test_experiment_stdout_matches_file(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text() == stdout
+
+
+def test_sample_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(tree_model_to_json(random_tree_model(3, 2, seed=1)))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model_path), "--count", "10", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --seed must be a non-negative integer, got -1"]
+    assert not out.exists()
 
 
 def test_seeds_ignore_the_environment(tmp_path, capsys, monkeypatch):

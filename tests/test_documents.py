@@ -27,7 +27,7 @@ from chowliu import Alphabet
 from chowliu import harness
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, write_binary, write_csv
-from chowliu.harness import _KINDS, KINDS, _bool, _str
+from chowliu.harness import _KINDS, KINDS, _bool, _grid_maximum, _str
 from chowliu.model import (
     _float,
     _int,
@@ -65,14 +65,18 @@ def with_cell(doc, **cell):
          "experiment grid cell has a bad value for key 'N': expected an integer, got True"),
         ({**ADD1, "kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3, "N": -5}]},
          "CITesterRates grid cell 0 needs key 'N' of at least 0, got -5"),
-        (with_cell(SEPARATION, n=4), "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 4, k 2, N 0"),
-        (with_cell(SEPARATION, k=3), "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 3, N 0"),
+        (with_cell(SEPARATION, n=4),
+         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 4, k 2, epsilon 0.3, N 0"),
+        (with_cell(SEPARATION, k=3),
+         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 3, epsilon 0.3, N 0"),
         (with_cell(SEPARATION, N=24),
-         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 2, N 24"),
+         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 2, epsilon 0.3, N 24"),
+        ({**SEPARATION, "options": {"max_samples": 1}},
+         "SeparationCurve 'options' has a bad value for key 'max_samples': expected an integer of at least 6, got 1"),
     ],
     ids=["config-key", "option-key", "other-kinds-option", "cell-key", "timing-string", "constant-string",
          "options-list", "trials-fraction", "seed-string", "N-boolean", "N-negative", "separation-n",
-         "separation-k", "separation-N"],
+         "separation-k", "separation-N", "separation-max-samples"],
 )
 def test_experiment_config_that_is_not_read_as_written_exits_1(tmp_path, capsys, doc, message):
     config = tmp_path / "config.json"
@@ -126,16 +130,25 @@ def test_tester_config_with_a_misspelled_key_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc,message",
     [
-        (with_cell(ADD1, n=50), "Add1Risk grid cell 1 needs n 1, got n 50, k 3, N 20"),
+        (with_cell(ADD1, n=50),
+         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 50, k 3, epsilon 0.05, N 20"),
         ({**ADD1, "kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3},
                                                     {"n": 1, "k": 2, "epsilon": 0.3}]},
-         "CITesterRates grid cell 1 needs n 3, got n 1, k 2, N 0"),
+         "CITesterRates grid cell 1 needs n 3, got n 1, k 2, epsilon 0.3, N 0"),
         ({**ADD1, "kind": "NonRealizableRecovery", "grid": [{"n": 3, "k": 2, "epsilon": 0.3, "N": 50},
                                                             {"n": 3, "k": 3, "epsilon": 0.3, "N": 50}]},
          "NonRealizableRecovery grid cell 1 needs n a positive multiple of 3 and k 2 (the triples are binary), "
-         "got n 3, k 3, N 50"),
+         "got n 3, k 3, epsilon 0.3, N 50"),
+        (with_cell(ADD1, epsilon=0),
+         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 1, k 3, epsilon 0.0, N 20"),
+        (with_cell(ADD1, epsilon=-0.1),
+         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 1, k 3, epsilon -0.1, N 20"),
+        ({**ADD1, "kind": "RealizableRecovery", "grid": [{"n": 4, "k": 2, "epsilon": 0.1, "N": 50},
+                                                         {"n": 0, "k": 2, "epsilon": 0.1, "N": 50}]},
+         "RealizableRecovery grid cell 1 needs n at least 1, got n 0, k 2, epsilon 0.1, N 50"),
     ],
-    ids=["Add1Risk-n", "CITesterRates-n", "NonRealizableRecovery-k"],
+    ids=["Add1Risk-n", "CITesterRates-n", "NonRealizableRecovery-k", "Add1Risk-zero-delta", "Add1Risk-negative-delta",
+         "RealizableRecovery-n"],
 )
 def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, capsys, monkeypatch, doc, message):
     def no_trials(*args):
@@ -146,6 +159,19 @@ def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, caps
     config.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(config)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_separation_target_out_of_reach_exits_1_naming_the_cell(tmp_path, capsys):
+    doc = {"kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.01}, {"n": 3, "k": 2, "epsilon": 0.02}],
+           "trials": 20, "seed": 1, "options": {"max_samples": 100}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: SeparationCurve grid cell 0 reached a success rate of 0.8 at no sample size up to "
+        "'options' key 'max_samples' 100, got epsilon 0.01"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -229,7 +255,7 @@ def test_readme_cell_table_matches_the_kinds():
 
 
 def test_readme_option_table_matches_the_kinds():
-    types = {_int: "integer", _float: "number", _bool: "boolean", _str: "string"}
+    types = {_int: "integer", _float: "number", _bool: "boolean", _str: "string", _grid_maximum: "integer"}
     want = [("every kind", "`timing`", "boolean", "`false`")]
     for kind in KINDS:
         for key, (convert, default) in _KINDS[kind][2].items():

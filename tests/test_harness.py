@@ -221,7 +221,7 @@ def test_nonrealizable_recovery_rejects_a_later_cell_before_any_trial(monkeypatc
     with pytest.raises(ValueError) as err:
         run_experiment(ExperimentConfig("NonRealizableRecovery", grid, trials=2, seed=1))
     assert str(err.value) == ("NonRealizableRecovery grid cell 1 needs n a positive multiple of 3 and k 2 "
-                              "(the triples are binary), got n 4, k 2, N 100")
+                              "(the triples are binary), got n 4, k 2, epsilon 0.5, N 100")
 
 
 def test_citester_rates_cell_fills_sample_size():

@@ -2,10 +2,12 @@
 
 Core claims:
     - the count pass yields exactly empirical_counts for every pair i < j,
-      by i and then j ascending, as one stack of tables per row i (several
-      when a row exceeds the stack budget), on both sides of the
-      alphabet-size crossover, at every chunk edge and across several
-      variable blocks
+      by i and then j ascending, in C-contiguous int64 stacks cut by
+      info._row_spans, at every alphabet size where the group size changes,
+      for n below, at and above one and two groups, at every row-chunk edge
+      and with symbols that never occur
+    - its extra memory is the uint8 group codes, one row chunk of pair codes
+      and a few stack budgets, whatever N and k are
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
       however the rows are cut into stacks
@@ -40,19 +42,22 @@ from chowliu import (
     random_tree_model,
 )
 from chowliu import estimation, info, model
-from chowliu.estimation import _ONE_HOT_MAX_K, _count_plan, _pair_counts
+from chowliu.estimation import _group_size, _pair_counts
 from chowliu.model import _conditional_rows
 
 from oracles import pairwise_plug_in_mi
 
-# Alphabet sizes on both sides of the one-hot / bincount crossover.
-ALPHABETS = (2, 3, 8, _ONE_HOT_MAX_K, _ONE_HOT_MAX_K + 1, 17)
+# The widest group at each alphabet size where it changes, and on both sides
+# of each change: k^(2g) <= 10,000 bins a pair of groups.
+WIDEST_GROUP = {2: 6, 3: 4, 4: 3, 5: 2, 8: 2, 9: 2, 10: 2, 11: 1, 16: 1, 17: 1, 64: 1, 65: 1, 256: 1}
+ALPHABETS = tuple(WIDEST_GROUP)
+# A row chunk small enough that a few dozen rows cross several of its edges.
+SMALL_CHUNK = 7
 
 
-def chunk_edge_sizes(n: int, k: int) -> tuple:
-    """Sample counts around the chunk size of the one-hot pass."""
-    rows = _count_plan(n, k)[0]
-    return (1, rows - 1, rows, rows + 1, 3 * rows + 5)
+def chunk_edge_sizes() -> tuple:
+    """Sample counts around the edges of row chunks of SMALL_CHUNK rows."""
+    return (0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 3 * SMALL_CHUNK + 5)
 
 
 def random_set(n: int, k: int, count: int, seed: int) -> SampleSet:
@@ -74,29 +79,67 @@ def assert_counts_match(s: SampleSet) -> None:
             assert np.array_equal(table, empirical_counts(s, (i, j)).counts), (i, j)
 
 
-@pytest.mark.parametrize("one_hot_everywhere", [False, True], ids=["default", "one-hot-forced"])
+def test_group_sizes():
+    for k, widest in WIDEST_GROUP.items():
+        assert _group_size(10 * widest, k) == widest, k
+    # As few groups as the widest allows, each as small as their number allows.
+    assert [_group_size(n, 2) for n in (0, 1, 2, 3, 6, 7, 12, 13, 16, 100)] == [1, 1, 2, 3, 6, 4, 6, 5, 6, 6]
+    assert [_group_size(n, 4) for n in (2, 4, 100)] == [2, 2, 3]
+
+
+# "one-hot-forced" widens every group to the most variables whose code fits a
+# byte (k^g <= 256), so the pair tables are read off the widest histograms by
+# the one-hot digit selectors.
+@pytest.mark.parametrize("widest", [False, True], ids=["default", "one-hot-forced"])
 @pytest.mark.parametrize("k", ALPHABETS)
-def test_pair_counts_equal_empirical_counts(k, one_hot_everywhere, monkeypatch):
-    if one_hot_everywhere:
-        monkeypatch.setattr(estimation, "_ONE_HOT_MAX_K", 256)
-    for count in chunk_edge_sizes(5, k):
-        assert_counts_match(random_set(5, k, count, seed=count))
+def test_pair_counts_equal_empirical_counts(k, widest, monkeypatch):
+    if widest:
+        monkeypatch.setattr(estimation, "_GROUP_BINS", 1 << 16)
+    monkeypatch.setattr(estimation, "_COUNT_CHUNK_ROWS", SMALL_CHUNK)
+    g = _group_size(1 << 20, k)
+    for n in sorted({1, 2, max(1, g - 1), g, g + 1, 2 * g + 1}):
+        for count in chunk_edge_sizes():
+            assert_counts_match(random_set(n, k, count, seed=count + 100 * n))
 
 
-def test_pair_counts_across_variable_blocks():
+def test_pair_counts_at_the_row_chunk_edges():
+    chunk = estimation._COUNT_CHUNK_ROWS
+    for count in (chunk - 1, chunk, chunk + 1):
+        assert_counts_match(random_set(8, 3, count, seed=count))
+
+
+def test_group_codes_across_their_chunks(monkeypatch):
+    n, k = 13, 3
+    monkeypatch.setattr(estimation, "_CODE_CHUNK_BYTES", 2 * n)  # two rows a chunk
+    assert_counts_match(random_set(n, k, 9, seed=5))
+
+
+@pytest.mark.parametrize("k", [2, 5, 17, 256])
+def test_pair_counts_with_symbols_that_never_occur(k):
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, 2, size=(300, 9))  # only symbols 0 and 1 of k
+    # Constant columns at the last symbol; at k = 256 their pair code is
+    # 2^16 - 1, the largest.
+    rows[:, 4] = rows[:, 6] = k - 1
+    rows[:, 7] = 0
+    assert_counts_match(SampleSet(Alphabet(k), rows))
+
+
+def test_pair_counts_across_variable_blocks(monkeypatch):
     n, k = 60, 8
-    rows, block = _count_plan(n, k)
-    assert block < n, "n * k must be large enough to need more than one block"
-    assert_counts_match(random_set(n, k, rows + 3, seed=1))
+    monkeypatch.setattr(estimation, "_COUNT_CHUNK_ROWS", 64)
+    assert _group_size(n, k) == 2  # 30 groups, 465 pairs of them
+    assert_counts_match(random_set(n, k, 150, seed=1))
 
 
 def test_pair_counts_of_an_empty_sample_set_are_zero():
     s = SampleSet(Alphabet(3), np.zeros((0, 3), dtype=np.uint8))
     assert all(np.array_equal(counts, np.zeros((len(js), 3, 3))) for _, js, counts in _pair_counts(s))
+    assert list(_pair_counts(SampleSet(Alphabet(3), np.zeros((5, 0), dtype=np.uint8)))) == []
 
 
 def test_rows_split_into_stacks_within_the_budget(monkeypatch):
-    n, k = 7, _ONE_HOT_MAX_K + 1
+    n, k = 7, 11
     monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 2 * 8 * k * k)  # two tables a stack
     s = random_set(n, k, 500, seed=3)
     rows = list(_pair_counts(s))
@@ -105,7 +148,41 @@ def test_rows_split_into_stacks_within_the_budget(monkeypatch):
     assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
 
 
-@pytest.mark.parametrize("k", [2, _ONE_HOT_MAX_K + 1])
+@pytest.mark.parametrize("k", [2, 4, 256])
+def test_grouped_rows_split_into_stacks_within_the_budget(k, monkeypatch):
+    n = 2 * _group_size(1 << 20, k) + 3
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 3 * 8 * k * k)  # three tables a stack, one group pair a span
+    s = random_set(n, k, 200, seed=k)
+    rows = list(_pair_counts(s))
+    assert [len(js) for i, js, _ in rows if i == 0] == [3] * ((n - 1) // 3) + [(n - 1) % 3] * ((n - 1) % 3 > 0)
+    assert_counts_match(s)
+    assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
+
+
+@pytest.mark.parametrize("n, k, count, budget", [(40, 2, 300_000, 64), (8, 256, 2000, 2 * 8 * 256 * 256)],
+                         ids=["tall", "k256"])
+def test_count_pass_memory_is_bounded(n, k, count, budget, monkeypatch):
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", budget)
+    s = SampleSet(Alphabet(k), np.random.default_rng(6).integers(0, k, size=(count, n), dtype=np.uint8))
+    list(_pair_counts(random_set(n, k, 3, seed=7)))  # caches the digit selectors
+    tracemalloc.start()
+    try:
+        for _ in _pair_counts(s):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g = _group_size(n, k)
+    codes = -(-n // g) * count  # one byte a group and sample: at most the sample's bytes / g, rounded up
+    pair_codes = 12 * estimation._COUNT_CHUNK_ROWS  # two uint16 arrays and bincount's intp copy
+    # A span of group-pair histograms (at least one) and its float64 copy, or
+    # a stack and the one before it, which the caller may still hold.
+    spans = 3 * max(budget, 8 * k ** (2 * g))
+    tables = (g + 2) * 8 * n * k * k if g > 1 else 0  # a group's rows of tables, and one row
+    assert peak < codes + pair_codes + spans + tables + (64 << 10)
+
+
+@pytest.mark.parametrize("k", [2, 11])
 def test_exact_mi_matrix_is_bit_identical_to_the_per_pair_call(k, monkeypatch):
     n = 40  # long paths: many steps up and down between most pairs
     m = random_tree_model(n, k, seed=k)
@@ -218,15 +295,15 @@ def test_exact_mi_matrix_walks_once_per_stack(monkeypatch):
 
 
 @pytest.mark.parametrize("k", ALPHABETS)
-def test_mi_matrix_bit_identical_to_per_pair_loop(k):
-    for count in chunk_edge_sizes(6, k):
-        s = random_set(6, k, count, seed=k * count)
+def test_mi_matrix_bit_identical_to_per_pair_loop(k, monkeypatch):
+    monkeypatch.setattr(estimation, "_COUNT_CHUNK_ROWS", SMALL_CHUNK)
+    for count in chunk_edge_sizes()[1:]:
+        s = random_set(2 * _group_size(1 << 20, k) + 1, k, count, seed=k * count)
         assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
 
 
 def test_mi_matrix_bit_identical_across_variable_blocks():
     n, k = 60, 8
-    assert _count_plan(n, k)[1] < n
     s = random_set(n, k, 700, seed=2)
     assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
 

@@ -11,7 +11,6 @@ across runs; measured wall time always goes to the returned rows.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -125,20 +124,6 @@ class ExperimentConfig:
         cell = {"n": _int, "k": _int, "epsilon": _float, "N": (_int, 0)}
         grid = tuple(ExperimentCell(*_json_fields(c, "experiment grid cell", cell)) for c in cells)
         return ExperimentConfig(kind, grid, trials, seed, out_path, options)
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "grid": [
-                {"n": c.n, "k": c.k, "epsilon": c.epsilon, "N": c.n_samples} for c in self.grid
-            ],
-            "trials": self.trials,
-            "seed": self.seed,
-            "options": self.options,
-        }
-        if self.out_path is not None:
-            doc["out"] = self.out_path
-        return json.dumps(doc, indent=2)
 
 
 @dataclass(frozen=True)
@@ -327,6 +312,9 @@ def separation_curve(
     """
     if regime not in ("realizable", "nonrealizable"):
         raise ValueError(f"unknown regime {regime!r}")
+    epsilons = list(epsilons)
+    if len(set(epsilons)) < 2 or not min(epsilons) > 0.0:
+        raise ValueError(f"need at least two distinct epsilons, all above 0, to fit a slope, got {epsilons}")
     make = realizable_triple if regime == "realizable" else nonrealizable_triple
     points = []
     rows = []
@@ -392,6 +380,9 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
 def _separation_kind(cfg: ExperimentConfig, **options) -> list:
     """Every probe runs the three-bit families, at sample sizes of its own."""
     epsilons = [cell.epsilon for cell in cfg.grid]
+    if len(set(epsilons)) < 2:  # each is above 0 by the cell rule
+        raise ValueError(f"SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, "
+                         f"got {epsilons}")
     try:
         return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
     except _Unreached as err:
@@ -417,7 +408,8 @@ _KINDS = {
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
     "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"),
                                               "max_samples": (_grid_maximum, 1 << 20)},
-                        ("n 3, k 2 and no key 'N'", lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0))),
+                        ("n 3, k 2, an epsilon above 0 and no key 'N'",
+                         lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0) and cell.epsilon > 0.0)),
     "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},
                  ("n 1 and an epsilon (the delta) above 0", lambda cell: cell.n == 1 and cell.epsilon > 0.0)),
     "CITesterRates": (_each_cell(_citester_cell), 0, {"delta": (_float, 0.1),

@@ -353,20 +353,15 @@ def to_dense(m: TreeModel) -> DenseJoint:
 
 
 def _conditional_rows(joint: np.ndarray) -> tuple:
-    """Rows of P(second | first) from a pair table with the conditioning
-    variable on axis 0, together with the list of conditioning symbols whose
-    mass is zero (those rows are set to uniform)."""
-    k = joint.shape[0]
-    rows = np.empty((k, k))
-    degenerate = []
-    for a in range(k):
-        mass = float(joint[a].sum())
-        if mass <= 0.0:
-            rows[a] = 1.0 / k
-            degenerate.append(a)
-        else:
-            rows[a] = joint[a] / mass
-    return rows, degenerate
+    """Rows of P(second | first) from a pair table or a stack of them, the
+    conditioning variable on the second-to-last axis: C-contiguous rows,
+    uniform where that symbol has no mass, and the mask of those symbols.
+    Rows are summed in C order, so their bits do not depend on the layout."""
+    joint = np.ascontiguousarray(joint)
+    mass = joint.sum(axis=-1, keepdims=True)
+    zero = mass <= 0.0
+    rows = np.divide(joint, mass, out=np.full(joint.shape, 1.0 / joint.shape[-1]), where=~zero)
+    return rows, zero[..., 0]
 
 
 def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
@@ -428,39 +423,33 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     """Exact joint table of (X_u, X_v) by transition composition, without
     materializing the full joint.
 
-    Takes one node v and returns a k x k table, or a sequence of nodes and
-    returns a (len(v), k, k) stack of the tables of u with each.  u may also
-    be a sequence as long as v; table t is then that of (u[t], v[t]).
+    Takes two nodes and returns a k x k table, or two sequences of one length
+    and returns the (len(u), k, k) stack of the tables of (u[t], v[t]).
 
     The walk goes outward from every source at once, one distance at a time:
     the transitions from the sources to all nodes at one distance are one
     stacked matmul of their walk parents' transitions times their steps,
     starting from the identity.  That is the left-to-right product along the
     tree path, so each table is bit-identical to the call on its pair alone.
-    Each step matrix is formed once per call.  Only nodes on the way to a
-    wanted node are walked to, and the (source, node) pairs go in blocks
-    that fit a stack budget, so the transitions held at two distances stay
-    within twice that budget."""
-    single = np.ndim(v) == 0
-    nodes = [v] if single else list(v)
-    if np.ndim(u) == 0:
-        sources = [u] * len(nodes)
-    else:
-        sources = list(u)
-        if single:
-            raise ValueError("a sequence of sources needs a sequence of nodes")
-        if len(sources) != len(nodes):
-            raise ValueError(f"sources and nodes differ in length: {len(sources)} and {len(nodes)}")
-    pairs = [_variables(pair, m.n) for pair in zip(sources, nodes)]
-    if np.ndim(u) == 0:  # checked also when there are no nodes
-        _variables((u,), m.n)
+    Each upward step is inverted once per call.  Only nodes on the way to a
+    wanted node are walked to, each at one distance on the way to a table of
+    its own, so the transitions held at two distances are at most twice the
+    output, which exact_mi_matrix bounds by its stack-budget spans."""
+    single = np.ndim(u) == 0
+    if single != (np.ndim(v) == 0):
+        raise ValueError("give two nodes or two sequences of nodes")
+    sources, nodes = ([u], [v]) if single else (list(u), list(v))
+    if len(sources) != len(nodes):
+        raise ValueError(f"sources and nodes differ in length: {len(sources)} and {len(nodes)}")
     k = m.k
     marginals = node_marginals(m)
-    out = np.empty((len(pairs), k, k))
+    out = np.empty((len(nodes), k, k))
     wanted = {}  # (source, node) -> the positions of its table in out
-    for t, pair in enumerate(pairs):
-        wanted.setdefault(pair, []).append(t)
-    keys = sorted(wanted, key=lambda pair: pair[0])  # each source's nodes together
+    targets = {}  # source -> its nodes
+    for t, pair in enumerate(zip(sources, nodes)):
+        s, x = _variables(pair, m.n)
+        wanted.setdefault((s, x), []).append(t)
+        targets.setdefault(s, []).append(x)
     neighbours = m.tree.children()
     for x, p in enumerate(m.tree.parent):
         if p >= 0:
@@ -475,41 +464,37 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
             up[w] = _conditional_rows((marginals[x][:, None] * m.cpt[w]).T)[0]
         return up[w]
 
-    for span in _row_spans(0, len(keys), k):
-        block = {}
-        for s, x in keys[span.start:span.stop]:
-            block.setdefault(s, []).append(x)
-        levels = []  # levels[d - 1]: (source, walk parent, node) at distance d
-        for s, targets in block.items():
-            order, towards = _bfs(neighbours, s)
-            on_way = {s}
-            for x in targets:
-                while x not in on_way:
-                    on_way.add(x)
-                    x = towards[x]
-            depth = {s: 0}
-            for x in order[1:]:
-                if x in on_way:
-                    depth[x] = d = depth[towards[x]] + 1
-                    if d > len(levels):
-                        levels.append([])
-                    levels[d - 1].append((s, towards[x], x))
-        held = np.broadcast_to(np.eye(k), (len(block), k, k))
-        slot = {(s, s): i for i, s in enumerate(block)}
-        for level in levels:
-            held = np.matmul(held[[slot[s, w] for s, w, _ in level]], np.stack([step(w, x) for _, w, x in level]))
-            slot = {(s, x): i for i, (s, _, x) in enumerate(level)}
-            taken = [(t, s, i) for i, (s, _, x) in enumerate(level) for t in wanted.get((s, x), ())]
-            if taken:
-                t, s, i = map(list, zip(*taken))
-                out[t] = marginals[s][:, :, None] * held[i]
+    levels = []  # levels[d - 1]: (source, walk parent, node) at distance d
+    for s, xs in targets.items():
+        order, towards = _bfs(neighbours, s)
+        on_way = {s}
+        for x in xs:
+            while x not in on_way:
+                on_way.add(x)
+                x = towards[x]
+        depth = {s: 0}
+        for x in order[1:]:
+            if x in on_way:
+                depth[x] = d = depth[towards[x]] + 1
+                if d > len(levels):
+                    levels.append([])
+                levels[d - 1].append((s, towards[x], x))
+    held = np.broadcast_to(np.eye(k), (len(targets), k, k))
+    slot = {(s, s): i for i, s in enumerate(targets)}
+    for level in levels:
+        held = np.matmul(held[[slot[s, w] for s, w, _ in level]], np.stack([step(w, x) for _, w, x in level]))
+        slot = {(s, x): i for i, (s, _, x) in enumerate(level)}
+        taken = [(t, s, i) for i, (s, _, x) in enumerate(level) for t in wanted.get((s, x), ())]
+        if taken:
+            t, s, i = map(list, zip(*taken))
+            out[t] = marginals[s][:, :, None] * held[i]
     return out[0] if single else out
 
 
 def exact_mi_matrix(m: TreeModel) -> np.ndarray:
     """Pairwise mutual information of all variable pairs under the model: the
-    pairs u < v in row order, cut into stack-budget spans, one pair_marginal
-    call per span."""
+    pairs u < v in row order, cut into stack-budget spans (the one place the
+    budget bounds the oracle), one pair_marginal call per span."""
     us, vs = np.triu_indices(m.n, 1)
     spans = (slice(span.start, span.stop) for span in _row_spans(0, len(us), m.k))
     return _pairwise_mi(m.n, ((us[at], vs[at], pair_marginal(m, us[at], vs[at])) for at in spans))
@@ -530,8 +515,8 @@ def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:
     for node in range(p.n):
         if node == root:
             continue
-        cpt[node], degenerate = _conditional_rows(p.marginal((tree.parent[node], node)))
-        flags.extend((node, a) for a in degenerate)
+        cpt[node], zero = _conditional_rows(p.marginal((tree.parent[node], node)))
+        flags.extend((node, int(a)) for a in np.flatnonzero(zero))
     return TreeModel(tree, p.alphabet, p.marginal((root,)), cpt, tuple(flags))
 
 

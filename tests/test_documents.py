@@ -9,7 +9,10 @@ Core claims:
     or fraction, a number key no string, and `timing` only true or false.
   * Grid cells the kind cannot run are errors naming the cell, raised before
     any cell runs: a negative `N`, SeparationCurve cells other than n = 3,
-    k = 2 without `N`, and the `n` (and `k`) rules of the other kinds.
+    k = 2 and an epsilon above 0 without `N`, and the `n` (and `k`) rules of
+    the other kinds.  A SeparationCurve grid without two distinct epsilons,
+    which cannot give a slope, is an error naming the key `grid`, also
+    raised before any cell runs.
   * Probability arrays take numbers only: a boolean or a string at any depth
     of `root_marginal` or a `cpt` row names its key.
   * `--k` sets the alphabet of CSV and CLS1 input alike.
@@ -47,6 +50,10 @@ def with_cell(doc, **cell):
     return {**doc, "grid": [doc["grid"][0], {**doc["grid"][0], **cell}]}
 
 
+def no_trials(*args):
+    raise AssertionError("a cell ran")
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -66,11 +73,11 @@ def with_cell(doc, **cell):
         ({**ADD1, "kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3, "N": -5}]},
          "CITesterRates grid cell 0 needs key 'N' of at least 0, got -5"),
         (with_cell(SEPARATION, n=4),
-         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 4, k 2, epsilon 0.3, N 0"),
+         "SeparationCurve grid cell 1 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 4, k 2, epsilon 0.3, N 0"),
         (with_cell(SEPARATION, k=3),
-         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 3, epsilon 0.3, N 0"),
+         "SeparationCurve grid cell 1 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 3, epsilon 0.3, N 0"),
         (with_cell(SEPARATION, N=24),
-         "SeparationCurve grid cell 1 needs n 3, k 2 and no key 'N', got n 3, k 2, epsilon 0.3, N 24"),
+         "SeparationCurve grid cell 1 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 2, epsilon 0.3, N 24"),
         ({**SEPARATION, "options": {"max_samples": 1}},
          "SeparationCurve 'options' has a bad value for key 'max_samples': expected an integer of at least 6, got 1"),
     ],
@@ -146,19 +153,30 @@ def test_tester_config_with_a_misspelled_key_exits_1(tmp_path, capsys):
         ({**ADD1, "kind": "RealizableRecovery", "grid": [{"n": 4, "k": 2, "epsilon": 0.1, "N": 50},
                                                          {"n": 0, "k": 2, "epsilon": 0.1, "N": 50}]},
          "RealizableRecovery grid cell 1 needs n at least 1, got n 0, k 2, epsilon 0.1, N 50"),
+        ({**SEPARATION, "grid": [{"n": 3, "k": 2, "epsilon": 0.0}, {"n": 3, "k": 2, "epsilon": 0.3}]},
+         "SeparationCurve grid cell 0 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 2, epsilon 0.0, N 0"),
     ],
     ids=["Add1Risk-n", "CITesterRates-n", "NonRealizableRecovery-k", "Add1Risk-zero-delta", "Add1Risk-negative-delta",
-         "RealizableRecovery-n"],
+         "RealizableRecovery-n", "SeparationCurve-zero-epsilon"],
 )
 def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, capsys, monkeypatch, doc, message):
-    def no_trials(*args):
-        raise AssertionError("a cell ran")
-
     monkeypatch.setattr(harness, "_run_trials", no_trials)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(config)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("epsilons", [[0.3], [0.3, 0.3]], ids=["one", "repeated"])
+def test_separation_grid_without_two_distinct_epsilons_exits_1_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                                              epsilons):
+    # The slope of log N* against log(1 / epsilon) needs two distinct points.
+    monkeypatch.setattr(harness, "_run_trials", no_trials)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SEPARATION, "grid": [{"n": 3, "k": 2, "epsilon": eps} for eps in epsilons]}))
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, got {epsilons}"]
 
 
 def test_separation_target_out_of_reach_exits_1_naming_the_cell(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Experiment harness: deterministic seeding, grid running, CSV output.
 
 Core claims:
-  * ExperimentConfig validates its kind, grid, and trial count, and survives
-    a JSON round trip unchanged.
+  * ExperimentConfig validates its kind, grid, and trial count, and reads
+    from a JSON document with every key given as the config built by hand.
   * Rows serialize under a fixed header with repr floats; the seconds column
     is 0.0 unless timing is requested, so default output is byte-stable.
   * run_experiment is deterministic given (kind, grid, trials, seed): two
@@ -13,7 +13,8 @@ Core claims:
     epsilon in (1, 2), outside the realizable pair's domain.
   * separation_curve probes a doubling sample-size grid from 6 until a
     success rate of 0.8 is reached and fits the log-log slope of N* vs
-    1/epsilon; its only option keys are 'regime' and 'max_samples'.
+    1/epsilon; its only option keys are 'regime' and 'max_samples', and it
+    rejects epsilons that cannot give a slope before any trial runs.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
 """
 
@@ -75,7 +76,15 @@ def test_config_coerces_grid_to_tuple():
 
 
 def test_config_json_round_trip():
-    cfg = ExperimentConfig(
+    doc = {
+        "kind": "CITesterRates",
+        "grid": [{"n": 3, "k": 2, "epsilon": 0.3}, {"n": 3, "k": 3, "epsilon": 0.1, "N": 500}],
+        "trials": 40,
+        "seed": 123,
+        "out": "rates.csv",
+        "options": {"delta": 0.05},
+    }
+    assert ExperimentConfig.from_json(json.dumps(doc)) == ExperimentConfig(
         "CITesterRates",
         (ExperimentCell(3, 2, 0.3, 0), ExperimentCell(3, 3, 0.1, 500)),
         trials=40,
@@ -83,7 +92,6 @@ def test_config_json_round_trip():
         out_path="rates.csv",
         options={"delta": 0.05},
     )
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_from_json_defaults():
@@ -312,7 +320,18 @@ def test_separation_curve_rejects_unknown_regime():
 
 def test_separation_curve_reports_unreachable_target():
     with pytest.raises(RuntimeError, match="no sample size"):
-        separation_curve("realizable", (0.01,), trials=5, seed=1, max_samples=6)
+        separation_curve("realizable", (0.01, 0.02), trials=5, seed=1, max_samples=6)
+
+
+@pytest.mark.parametrize("epsilons", [(0.0, 0.3), (-0.1, 0.3), (0.3,), (0.3, 0.3), ()],
+                         ids=["zero", "negative", "one", "repeated", "none"])
+def test_separation_curve_needs_two_distinct_positive_epsilons_before_any_trial(epsilons, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trials", no_trials)
+    with pytest.raises(ValueError, match=r"^need at least two distinct epsilons, all above 0, to fit a slope"):
+        separation_curve("realizable", epsilons, trials=5, seed=1)
 
 
 # ---------------------------------------------------------------- seed deriving

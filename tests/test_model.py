@@ -9,9 +9,10 @@ Core claims:
     - ancestral sampling is deterministic per seed and consistent at large N
     - pair_marginal composes transitions along the unique path and matches
       dense marginalization, including where it inverts a conditional through
-      a zero-probability parent symbol; given a sequence of nodes, or of
-      sources and nodes as long, it returns their tables as one stack, empty
-      for none, after checking every pair with the same wording
+      a zero-probability parent symbol; given sequences of sources and nodes
+      of one length, it returns their tables as one stack, empty for none,
+      after checking every pair with the same wording, and it rejects a node
+      given with a sequence
     - projecting a tree model's joint onto its own skeleton gives back the
       same joint at every root
     - every path triple in a tree model has exactly zero conditional MI
@@ -380,35 +381,31 @@ def test_pair_marginal_matches_dense():
         pair_marginal(m, 2, 2)
 
 
-@pytest.mark.parametrize("empty", [[], range(0)], ids=["list", "range"])
-def test_pair_marginal_of_no_nodes_is_an_empty_stack(empty):
-    assert pair_marginal(random_tree_model(4, 3, seed=5), 0, empty).shape == (0, 3, 3)
-
-
 def test_pair_marginal_stack_rejects_the_source_node_among_its_nodes():
     m = random_tree_model(4, 2, seed=5)
     with pytest.raises(ValueError, match=r"^duplicate variables in \(0, 0\)$"):
-        pair_marginal(m, 0, [1, 0, 2])
+        pair_marginal(m, [0, 0, 0], [1, 0, 2])
 
 
 def test_pair_marginal_stack_rejects_a_node_out_of_range():
     m = random_tree_model(4, 2, seed=5)
     with pytest.raises(ValueError, match=r"^variable 9 out of range for n=4$"):
-        pair_marginal(m, 0, [1, 9])
+        pair_marginal(m, [0, 0], [1, 9])
 
 
 def test_pair_marginal_stack_rejects_a_fractional_node():
     m = random_tree_model(4, 2, seed=5)
     with pytest.raises(ValueError, match=r"^variable 1\.5 is not an integer$"):
-        pair_marginal(m, 0, [2, 1.5])
+        pair_marginal(m, [0, 0], [2, 1.5])
 
 
 def test_pair_marginal_of_pairs_rejects_sequences_of_different_lengths():
     m = random_tree_model(4, 2, seed=5)
     with pytest.raises(ValueError, match=r"^sources and nodes differ in length: 3 and 2$"):
         pair_marginal(m, [0, 1, 2], [1, 2])
-    with pytest.raises(ValueError, match=r"^a sequence of sources needs a sequence of nodes$"):
-        pair_marginal(m, [0], 1)
+    for u, v in (([0], 1), (0, [1, 2]), (0, [])):  # a node with a sequence
+        with pytest.raises(ValueError, match=r"^give two nodes or two sequences of nodes$"):
+            pair_marginal(m, u, v)
 
 
 @pytest.mark.parametrize("us,vs,message", [
@@ -440,7 +437,7 @@ def test_pair_marginal_of_pairs_holds_each_pairs_table_in_the_given_order():
 def test_pair_marginal_stack_holds_each_nodes_table_in_the_given_order():
     m = random_tree_model(6, 3, seed=8)
     nodes = [4, 1, 4, 5]
-    stack = pair_marginal(m, 2, nodes)
+    stack = pair_marginal(m, [2] * len(nodes), nodes)
     assert stack.shape == (4, 3, 3)
     for table, v in zip(stack, nodes):
         assert np.array_equal(table, pair_marginal(m, 2, v))

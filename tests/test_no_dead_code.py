@@ -20,6 +20,10 @@ Core claims:
     `tests/test_acceptance.py`.  A name that only its own unit tests call is
     not part of the paper's pipeline.  A use as the type argument of an
     `isinstance()` call does not count as a caller.
+  * Every public method, staticmethod and property of a class in
+    `src/chowliu` has a caller by the same rule: its name is used in
+    `src/chowliu` outside its own definition, is a word of `README.md`, or is
+    used in `tests/test_acceptance.py`.
 
 A refactor that leaves a helper, a constant, an import, a parameter that
 only ever takes its default or a public name without a caller behind fails
@@ -175,9 +179,13 @@ def caller_names(tree) -> set:
     return used_names(tree, type_arguments(tree))
 
 
-def test_every_exported_name_has_a_caller():
+def outside_callers() -> set:
+    """The words of README.md and the names used in tests/test_acceptance.py."""
     words = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    acceptance = caller_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    return words | caller_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+
+
+def test_every_exported_name_has_a_caller():
     uses = set()
     for module, tree in MODULES.items():
         if module == "__init__.py":
@@ -188,5 +196,22 @@ def test_every_exported_name_has_a_caller():
             uses |= caller_names(statement) - defines
     exports = set().union(*(exported(tree) for tree in MODULES.values()))
     assert set(NO_CALLER_NEEDED) <= exports
-    no_caller = sorted(exports - uses - words - acceptance - set(NO_CALLER_NEEDED))
+    no_caller = sorted(exports - uses - outside_callers() - set(NO_CALLER_NEEDED))
     assert no_caller == [], f"public names without a caller: {no_caller}"
+
+
+def test_every_public_method_has_a_caller():
+    outside = outside_callers()
+    no_caller = []
+    for module, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                uses = set().union(*(used_names(other, type_arguments(other) | own) for other in MODULES.values()))
+                if method.name not in uses | outside:
+                    no_caller.append(f"{module}: {cls.name}.{method.name}")
+    assert no_caller == [], f"public methods without a caller: {no_caller}"

@@ -11,12 +11,13 @@ Core claims:
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
       however the rows are cut into stacks
-    - each table of a pair_marginal stack, of one source's nodes or of
-      pairs with many sources, is bit-identical to the product of transition
-      steps along the tree path from the identity, and exact_mi_matrix makes
-      one pair_marginal call per stack-budget span of its pairs, not one per
-      source row; the transitions a call holds stay within a fixed multiple
-      of the stack budget
+    - each table of a pair_marginal stack, of pairs with one source or with
+      many, is bit-identical to the product of transition steps along the
+      tree path from the identity, whose upward steps this file inverts one
+      row at a time, up to k = 64 and on walks made only of upward steps;
+      exact_mi_matrix makes one pair_marginal call per stack-budget span of
+      its pairs, not one per source row, and a call holds a fixed multiple
+      of its own output beside per-node bookkeeping
     - equal count tables give bit-equal weights, so the pinned Kruskal
       tie-break still decides between duplicated columns
 """
@@ -43,7 +44,6 @@ from chowliu import (
 )
 from chowliu import estimation, info, model
 from chowliu.estimation import _group_size, _pair_counts
-from chowliu.model import _conditional_rows
 
 from oracles import pairwise_plug_in_mi
 
@@ -182,10 +182,15 @@ def test_count_pass_memory_is_bounded(n, k, count, budget, monkeypatch):
     assert peak < codes + pair_codes + spans + tables + (64 << 10)
 
 
-@pytest.mark.parametrize("k", [2, 11])
+def oracle_model(n: int, k: int, seed: int) -> TreeModel:
+    """random_tree_model with its default cpt floor where that is feasible."""
+    return random_tree_model(n, k, seed, cpt_floor=0.05 if 0.05 * k < 1 else 0.01)
+
+
+@pytest.mark.parametrize("k", [2, 11, 17, 64])
 def test_exact_mi_matrix_is_bit_identical_to_the_per_pair_call(k, monkeypatch):
     n = 40  # long paths: many steps up and down between most pairs
-    m = random_tree_model(n, k, seed=k)
+    m = oracle_model(n, k, seed=k)
     reference = np.zeros((n, n))
     for u in range(n):
         for v in range(u + 1, n):
@@ -193,6 +198,18 @@ def test_exact_mi_matrix_is_bit_identical_to_the_per_pair_call(k, monkeypatch):
     assert np.array_equal(exact_mi_matrix(m), reference)
     monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 1)  # one table a stack
     assert np.array_equal(exact_mi_matrix(m), reference)
+
+
+def upward_step(parent_marginal: np.ndarray, cpt: np.ndarray) -> np.ndarray:
+    """P(X_parent | X_child), one child symbol's row at a time: that column of
+    the (parent, child) joint over its mass, uniform where the mass is zero."""
+    joint = parent_marginal[:, None] * cpt
+    k = len(joint)
+    rows = np.empty((k, k))
+    for b in range(k):
+        mass = float(joint[:, b].sum())
+        rows[b] = joint[:, b] / mass if mass > 0.0 else 1.0 / k
+    return rows
 
 
 def path_product_table(m, marginals, u: int, v: int) -> np.ndarray:
@@ -203,11 +220,7 @@ def path_product_table(m, marginals, u: int, v: int) -> np.ndarray:
     path = m.tree.path(u, v)
     trans = np.eye(m.k)
     for a, b in zip(path, path[1:]):
-        if m.tree.parent[b] == a:
-            step = m.cpt[b]
-        else:
-            step = _conditional_rows((marginals[b][:, None] * m.cpt[a]).T)[0]
-        trans = trans @ step
+        trans = trans @ (m.cpt[b] if m.tree.parent[b] == a else upward_step(marginals[b], m.cpt[a]))
     return marginals[u][:, None] * trans
 
 
@@ -221,17 +234,17 @@ def test_pair_marginal_stack_is_bit_identical_to_the_path_product(k):
     m = zero_mass_parent_model() if k == "zero-mass-parent" else random_tree_model(12, k, seed=20 + k)
     marginals = node_marginals(m)
     rng = np.random.default_rng(m.n * m.k)
-    for u in range(m.n):
+    for u in range(m.n):  # one source a stack
         vs = [v for v in range(m.n) if v != u]
         rng.shuffle(vs)
-        stack = pair_marginal(m, u, vs)
+        stack = pair_marginal(m, [u] * len(vs), vs)
         reference = np.stack([path_product_table(m, marginals, u, v) for v in vs])
         assert np.array_equal(stack, reference) and np.array_equal(np.signbit(stack), np.signbit(reference)), u
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 11, "zero-mass-parent"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 11, 17, 64, "zero-mass-parent"])
 def test_pair_marginal_of_pairs_is_bit_identical_to_the_path_product(k):
-    m = zero_mass_parent_model() if k == "zero-mass-parent" else random_tree_model(12, k, seed=20 + k)
+    m = zero_mass_parent_model() if k == "zero-mass-parent" else oracle_model(12, k, seed=20 + k)
     marginals = node_marginals(m)
     pairs = [(u, v) for u in range(m.n) for v in range(m.n) if u != v]
     np.random.default_rng(m.n * m.k).shuffle(pairs)
@@ -241,16 +254,34 @@ def test_pair_marginal_of_pairs_is_bit_identical_to_the_path_product(k):
     assert np.array_equal(stack, reference) and np.array_equal(np.signbit(stack), np.signbit(reference))
 
 
+def chain_model(n: int, k: int) -> TreeModel:
+    """Node i's parent is i - 1, so the walk from a node to any lower node
+    takes only upward steps; sparse Dirichlet rows spread the masses."""
+    rng = np.random.default_rng(k)
+    cpt = {x: rng.dirichlet(np.full(k, 0.3), size=k) for x in range(1, n)}
+    return TreeModel(RootedTree(n, 0, tuple(range(-1, n - 1))), Alphabet(k), rng.dirichlet(np.ones(k)), cpt)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9, 17, 33, 64])
+def test_pair_marginal_of_only_upward_steps_is_bit_identical_to_the_path_product(k):
+    m = chain_model(8, k)
+    marginals = node_marginals(m)
+    pairs = [(u, v) for u in range(m.n) for v in range(u)]
+    reference = [path_product_table(m, marginals, u, v) for u, v in pairs]
+    for (u, v), table in zip(pairs, reference):
+        assert np.array_equal(pair_marginal(m, u, v), table), (u, v)
+    assert np.array_equal(pair_marginal(m, *zip(*pairs)), np.stack(reference))
+
+
 def star_model(n: int, k: int) -> TreeModel:
     rng = np.random.default_rng(n)
     cpt = {x: rng.dirichlet(np.ones(k), size=k) for x in range(1, n)}
     return TreeModel(RootedTree(n, 0, (-1,) + (0,) * (n - 1)), Alphabet(k), rng.dirichlet(np.ones(k)), cpt)
 
 
-def test_pair_marginal_holds_transitions_within_the_stack_budget(monkeypatch):
+def test_pair_marginal_holds_transitions_within_the_stack_budget():
     n, k = 400, 16
     m = star_model(n, k)
-    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 4 * 8 * k * k)  # four tables a stack
     pairs = [(1, 2), (1, 3), (5, 2), (5, 0), (7, 9), (8, 399)]
     pair_marginal(m, *zip(*pairs))
     tracemalloc.start()
@@ -260,10 +291,12 @@ def test_pair_marginal_holds_transitions_within_the_stack_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     # Walking to every leaf from a leaf source would hold n - 2 transitions
-    # (800 KB) at distance 2.  Within the budget a call holds a few budgets'
-    # worth of them, beside per-node bookkeeping (the node marginals and the
-    # walks' lists) and its own output.
-    assert peak < 4 * info._STACK_BUDGET_BYTES + 3 * n * k * 8 + 200 * n + stack.nbytes
+    # (800 KB) at distance 2.  A call walks only towards its wanted nodes, so
+    # the transitions of two distances and the inverted upward steps hold at
+    # most a few times its own output, beside per-node bookkeeping (the node
+    # marginals and the walks' lists); exact_mi_matrix's stack-budget spans
+    # bound that output.
+    assert peak < 4 * stack.nbytes + 3 * n * k * 8 + 200 * n
     marginals = node_marginals(m)
     for table, (u, v) in zip(stack, pairs):
         assert np.array_equal(table, path_product_table(m, marginals, u, v))

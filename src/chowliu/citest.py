@@ -91,7 +91,7 @@ def required_samples_mi(cfg: TesterConfig) -> int:
 def _statistic(s: SampleSet) -> float:
     """Plug-in MI of a 2-column set, or plug-in I(col0; col1 | col2) of a
     3-column set."""
-    joint = empirical_counts(s, tuple(range(s.n_variables))).counts / s.n_samples
+    joint = empirical_counts(s, tuple(range(s.n_variables))) / s.n_samples
     return mutual_information(joint) if s.n_variables == 2 else conditional_mi(joint)
 
 
@@ -223,7 +223,7 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
                 empirical_counts(
                     sample_dense(member.joint, count, derive_seed(seed, "calibrate", member.name, candidate, t)),
                     (0, 1, 2),
-                ).counts
+                )
                 for t in range(trials)
             ]) / count
             stats = conditional_mi(tables)

@@ -69,14 +69,14 @@ def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str |
 
 def cmd_learn(samples_path: str, mode: str, tree_path: str | None = None,
               out_path: str | None = None, fmt: str | None = None, k: int | None = None) -> int:
+    if mode == "params" and tree_path is None:
+        raise ValueError("--tree is required with --mode params")
     start = time.perf_counter()
     s = _read_samples(samples_path, fmt, k)
     _log(f"read N={s.n_samples} n={s.n_variables} k={s.alphabet.size} from {samples_path}")
     if mode == "structure":
         payload = undirected_tree_to_json(chow_liu_structure(s))
     elif mode == "params":
-        if tree_path is None:
-            raise SystemExit("--tree is required with --mode params")
         with open(tree_path) as fh:
             skeleton = undirected_tree_from_json(fh.read())
         payload = tree_model_to_json(learn_parameters(s, root_at(skeleton, 0)))
@@ -113,7 +113,7 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
         kind = "unconditional"
         recommended = citest_mod.required_samples_mi(cfg)
     else:
-        raise SystemExit(f"citest expects 2 or 3 columns, got {s.n_variables}")
+        raise ValueError(f"citest expects 2 or 3 columns, got {s.n_variables}")
     print(json.dumps({"kind": kind, **dataclasses.asdict(verdict), "recommended_samples": recommended,
                       **dataclasses.asdict(cfg)}))
     if verdict.n_samples < recommended:

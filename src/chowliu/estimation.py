@@ -23,7 +23,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "SampleSet",
-    "CountTable",
     "SampleFormatError",
     "empirical_counts",
     "add_one_estimate",
@@ -80,24 +79,11 @@ class SampleSet:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Joint occurrence counts over 1-3 variables; 64-bit so totals up to 1e9
-    rows stay exact.  Counts are additive across disjoint sample chunks."""
-
-    variables: tuple
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "variables", tuple(int(v) for v in self.variables))
-
-
-def empirical_counts(s: SampleSet, variables) -> CountTable:
-    """Exact joint counts of the given 1-3 distinct variables."""
+def empirical_counts(s: SampleSet, variables) -> np.ndarray:
+    """Exact joint counts of the given 1-3 distinct variables: a read-only
+    int64 array shaped (k,) * len(variables), axes in the given order.
+    64-bit, so totals up to 1e9 rows stay exact; counts are additive across
+    disjoint sample chunks."""
     vs = _variables(variables, s.n_variables)
     if not 1 <= len(vs) <= 3:
         raise ValueError("counting supports 1 to 3 variables")
@@ -105,8 +91,9 @@ def empirical_counts(s: SampleSet, variables) -> CountTable:
     code = s.rows[:, vs[0]].astype(np.int64)
     for v in vs[1:]:
         code = code * k + s.rows[:, v]
-    counts = np.bincount(code, minlength=k ** len(vs)).astype(np.int64)
-    return CountTable(vs, counts.reshape((k,) * len(vs)), s.n_samples)
+    counts = np.bincount(code, minlength=k ** len(vs)).astype(np.int64).reshape((k,) * len(vs))
+    counts.flags.writeable = False
+    return counts
 
 
 # A group of the count pass has at most the largest g variables with
@@ -181,57 +168,51 @@ def _digit_selectors(k: int, g: int) -> np.ndarray:
 
 
 def _variable_tables(hist: np.ndarray, k: int, g: int) -> np.ndarray:
-    """The (B, g, k, g, k) int64 array whose [t, p, x, q, y] counts x at digit p
+    """The (B, g, g, k, k) int64 array whose [t, p, q, x, y] counts x at digit p
     of the first group and y at digit q of the second, from a (B, k^g, k^g)
-    stack of group-pair counts.
+    stack of group-pair counts; at g = 1 that stack itself, reshaped.
 
     Each entry sums counts below 2^53, so the float64 products are exact.
     Each product takes at most g k k^(2g) <= 200,000 multiply-adds, below
     OpenBLAS's 2^18 threshold for threading."""
+    if g == 1:
+        return hist.reshape(len(hist), 1, 1, k, k)
     select = _digit_selectors(k, g)
     tables = select.T @ hist.astype(np.float64) @ select
-    return tables.astype(np.int64).reshape(len(hist), g, k, g, k)
+    return tables.astype(np.int64).reshape(len(hist), g, k, g, k).transpose(0, 1, 3, 2, 4)
 
 
 def _pair_counts(s: SampleSet):
-    """Yield (i, js, counts) for every variable i with partners j > i, by i and
-    then j ascending, where counts[t] equals empirical_counts(s, (i, js[t])).counts
-    and counts is a C-contiguous int64 stack of k x k tables cut by
-    info._row_spans.
+    """Yield (us, vs, counts) such that every variable pair u < v comes exactly
+    once as some (us[t], vs[t]), where counts[t] equals
+    empirical_counts(s, (us[t], vs[t])) and counts is a C-contiguous int64
+    stack of k x k tables.
 
     The variables are cut into groups of g = _group_size(n, k); each group's
     symbols become one uint8 code per sample, and one bincount of joint codes
     per pair of groups gives the k^g x k^g table of the pair, from which every
-    variable pair's table is read off.  With g = 1 that table is the pair's.
-    Besides the codes, the pass holds one row chunk of joint codes, one span
-    of group-pair tables within the stack budget and one group's rows."""
+    variable pair's table is read off.  Each group a is paired with the later
+    groups, and with itself when g > 1, in spans cut by info._row_spans; a
+    span yields the pairs u < v < n of its group pairs, by group pair and
+    then u and v, so a stack is within the stack budget or one group-pair
+    histogram, whichever is larger.  Besides the codes, the pass holds one
+    row chunk of joint codes and one span of group-pair tables."""
     n, k = s.n_variables, s.alphabet.size
     g = _group_size(n, k)
     size = k ** g
     codes = _group_codes(s, g)
+    digits = np.arange(g)
     for a in range((n - 2) // g + 1):  # the groups that hold a variable with partners
-        if g == 1:
-            for js in _row_spans(a + 1, n, k):
-                yield a, js, _group_pair_counts(codes, a, js, k)
-            continue
-        # tables[b - a, p, :, q, :] is the table of variables ag + p and bg + q.
-        tables = np.concatenate([_variable_tables(_group_pair_counts(codes, a, bs, size), k, g)
-                                 for bs in _row_spans(a, len(codes), size)])
-        for p in range(min(g, n - 1 - a * g)):
-            i = a * g + p
-            row = np.ascontiguousarray(tables[:, p].transpose(0, 2, 1, 3)).reshape(-1, k, k)  # (i, ag + t) at t
-            for js in _row_spans(i + 1, n, k):
-                yield i, js, row[js.start - a * g:js.stop - a * g]
+        # From the group of variable ag + 1, the first partner of the group's first variable.
+        for bs in _row_spans((a * g + 1) // g, len(codes), size):
+            us, vs = np.broadcast_arrays(a * g + digits[:, None], np.asarray(bs)[:, None, None] * g + digits)
+            keep = (us < vs) & (vs < n)
+            yield us[keep], vs[keep], _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)[keep]
 
 
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
     """Add-1 smoothed distribution (t_i + 1) / (N + k) from a count vector."""
-    if isinstance(counts, CountTable):
-        if len(counts.variables) != 1:
-            raise ValueError("add-1 estimation expects single-variable counts")
-        vec = counts.counts
-    else:
-        vec = np.asarray(counts, dtype=np.int64)
+    vec = np.asarray(counts, dtype=np.int64)
     if vec.ndim != 1:
         raise ValueError("expected a 1-dimensional count vector")
     size = vec.shape[0]
@@ -262,7 +243,7 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
     for node in range(tree.n):
         if node == tree.root:
             continue
-        cpt[node] = _add_one(empirical_counts(s, (tree.parent[node], node)).counts)
+        cpt[node] = _add_one(empirical_counts(s, (tree.parent[node], node)))
     return TreeModel(tree, s.alphabet, root_marginal, cpt)
 
 

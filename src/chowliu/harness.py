@@ -215,10 +215,9 @@ def _block_mi_matrix(blocks) -> np.ndarray:
     """Exact pairwise MI of an independent block product: block-diagonal, with
     cross-block entries exactly zero."""
     offsets = list(itertools.accumulate((b.n for b in blocks), initial=0))
-    rows = ((offset + i, range(offset + i + 1, offset + b.n),
-             np.stack([b.marginal((i, j)) for j in range(i + 1, b.n)]))
-            for b, offset in zip(blocks, offsets) for i in range(b.n - 1))
-    return _pairwise_mi(offsets[-1], rows)
+    pairs = ((offset + us, offset + vs, np.stack([b.marginal(pair) for pair in zip(us, vs)]))
+             for b, offset in zip(blocks, offsets) for us, vs in [np.triu_indices(b.n, 1)])
+    return _pairwise_mi(offsets[-1], pairs)
 
 
 def _sample_blocks(blocks, count: int, seed: int) -> SampleSet:
@@ -362,7 +361,12 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
     """Each trial tests one conditionally independent and one dependent member
     of the calibration family; success means both verdicts are correct."""
     cfg = TesterConfig(epsilon=cell.epsilon, delta=delta, k=cell.k, c_sample=c_sample)
-    count = cell.n_samples if cell.n_samples > 0 else required_samples_cmi(cfg)
+    count = cell.n_samples
+    if count == 0:
+        count = required_samples_cmi(cfg)
+        if count > np.iinfo(np.intp).max // 8:  # the float64 draws of one sample set would not fit an array
+            raise ValueError(f"CITesterRates grid cell {index} needs key 'N' or a larger key 'epsilon': epsilon "
+                             f"{cell.epsilon} gives a formula sample size of {count:.3g}, more than numpy can draw")
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
     ci = family["ci-common-cause"]
     dep = family["dep-borderline"]

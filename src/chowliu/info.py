@@ -140,10 +140,10 @@ def mutual_information(table) -> float | np.ndarray:
     return float(values[0]) if single else values
 
 
-# Byte size above which one source row of an MI matrix is cut into several
-# stacks of k x k tables (8 bytes an entry); the count pass cuts its spans of
-# group-pair tables by it too.  Without the cut, one row of n = 100 variables
-# at k = 256 would take 52 MB.
+# Byte size above which the pairs of an MI matrix are cut into several stacks
+# of k x k tables (8 bytes an entry): the exact oracle cuts its pair list by
+# it, and the count pass its spans of group-pair tables.  Without the cut, the
+# pairs of n = 100 variables at k = 256 would take 2.6 GB.
 _STACK_BUDGET_BYTES = 3 << 20
 
 
@@ -154,14 +154,14 @@ def _row_spans(lo: int, hi: int, k: int):
     return (range(j, min(j + step, hi)) for j in range(lo, hi, step))
 
 
-def _pairwise_mi(n: int, rows) -> np.ndarray:
-    """The n x n MI matrix: mutual_information(stack)[t] at (i, js[t]) and
-    (js[t], i) for each (i, js, stack) in rows, where stack holds the tables of
-    i with each j in js, or of i[t] with js[t] when i is an array of sources;
-    rows come in any order, and other entries are zero."""
+def _pairwise_mi(n: int, pairs) -> np.ndarray:
+    """The n x n MI matrix: mutual_information(stack)[t] at (us[t], vs[t]) and
+    (vs[t], us[t]) for each (us, vs, stack) in pairs, where stack holds the
+    table of each pair (us[t], vs[t]); the lists come in any order, and other
+    entries are zero."""
     w = np.zeros((n, n))
-    for i, js, stack in rows:
-        w[i, js] = w[js, i] = mutual_information(stack)
+    for us, vs, stack in pairs:
+        w[us, vs] = w[vs, us] = mutual_information(stack)
     return w
 
 

@@ -55,7 +55,7 @@ def mi_matrix(s: SampleSet) -> MIMatrix:
     """Plug-in mutual information for every variable pair of a sample set."""
     if s.n_samples < 1:
         raise ValueError("need at least one sample")
-    return MIMatrix(_pairwise_mi(s.n_variables, ((i, js, counts / s.n_samples) for i, js, counts in _pair_counts(s))))
+    return MIMatrix(_pairwise_mi(s.n_variables, ((us, vs, counts / s.n_samples) for us, vs, counts in _pair_counts(s))))
 
 
 def _weights_of(w) -> np.ndarray:

@@ -18,7 +18,9 @@ Core claims:
   * The SeparationCurve key 'regime' takes only a JSON string.
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, running out of memory is one error line and
-    exit 1, bad usage raises SystemExit.
+    exit 1.  `learn --mode params` without `--tree`, checked before the
+    samples are read, and `citest` on neither 2 nor 3 columns are one error
+    line and exit 1; only argparse's usage errors raise SystemExit.
   * Two subprocess invocations with the same seed produce identical bytes.
 """
 
@@ -124,11 +126,16 @@ def test_learn_params_uses_given_skeleton(model_path, tmp_path, capsys):
     assert payload == tree_model_to_json(learn_parameters(s, root_at(skeleton, 0)))
 
 
-def test_learn_params_requires_tree(model_path, tmp_path):
+def test_learn_params_requires_tree(model_path, tmp_path, capsys):
     samples = tmp_path / "data.csv"
     cmd_sample(str(model_path), 100, 8, str(samples))
-    with pytest.raises(SystemExit, match="--tree"):
-        cmd_learn(str(samples), "params")
+    capsys.readouterr()
+    # Checked before the samples are read: a missing file is not reported.
+    for path in (samples, tmp_path / "missing.csv"):
+        assert main(["learn", "--samples", str(path), "--mode", "params"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --tree is required with --mode params"]
+        assert captured.out == ""
     with pytest.raises(SystemExit, match="mode"):
         cmd_learn(str(samples), "everything")
 
@@ -181,12 +188,14 @@ def test_citest_two_columns(tmp_path, capsys):
     assert doc["kind"] == "unconditional" and doc["verdict"] == "independent"
 
 
-def test_citest_rejects_other_column_counts(tmp_path):
+def test_citest_rejects_other_column_counts(tmp_path, capsys):
     rng = np.random.default_rng(2)
     path = tmp_path / "four.csv"
     write_csv(columns(*(rng.integers(0, 2, 50) for _ in range(4))), path)
-    with pytest.raises(SystemExit, match="2 or 3 columns"):
-        cmd_citest(str(path), 0.3, 0.1)
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.3", "--delta", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: citest expects 2 or 3 columns, got 4"]
+    assert captured.out == ""
 
 
 def test_citest_config_overrides(tmp_path, capsys):

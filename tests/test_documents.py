@@ -179,6 +179,20 @@ def test_separation_grid_without_two_distinct_epsilons_exits_1_naming_the_key(tm
         f"error: SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, got {epsilons}"]
 
 
+@pytest.mark.parametrize("epsilon,size", [(1e-300, "3.11e+303"), (1e-20, "2.14e+22")])
+def test_citester_sample_size_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path, capsys, epsilon, size):
+    doc = {"kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3, "N": 20},
+                                             {"n": 3, "k": 2, "epsilon": epsilon}], "trials": 1, "seed": 1}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: CITesterRates grid cell 1 needs key 'N' or a larger key 'epsilon': epsilon {epsilon} gives "
+        f"a formula sample size of {size}, more than numpy can draw"]
+    assert captured.out == ""
+
+
 def test_separation_target_out_of_reach_exits_1_naming_the_cell(tmp_path, capsys):
     doc = {"kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.01}, {"n": 3, "k": 2, "epsilon": 0.02}],
            "trials": 20, "seed": 1, "options": {"max_samples": 100}}

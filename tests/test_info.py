@@ -354,20 +354,21 @@ def test_conditional_mi_rejects_2d_and_5d_input(shape):
 def test_pairwise_mi_does_not_depend_on_the_order_of_its_pairs():
     rng = np.random.default_rng(23)
     n = 6
-    rows = []
-    for i in range(n):
-        js = [j for j in range(i + 1, n) if (i + j) % 4]
-        if js:
-            rows.append((i, js, np.stack([random_joint_table(2, 3, rng) for _ in js])))
-    w = _pairwise_mi(n, rows)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u + v) % 4]
+    rng.shuffle(pairs)
+    lists = []
+    for start, stop in [(0, 1), (1, 4), (4, 9), (9, len(pairs))]:  # lists of one pair to several sources
+        us, vs = map(np.array, zip(*pairs[start:stop]))
+        lists.append((us, vs, np.stack([random_joint_table(2, 3, rng) for _ in us])))
+    w = _pairwise_mi(n, lists)
     missing = np.ones((n, n), dtype=bool)
-    for i, js, stack in rows:
-        for j, table in zip(js, stack):
-            assert w[i, j] == w[j, i] == mutual_information(table)
-            missing[i, j] = missing[j, i] = False
+    for us, vs, stack in lists:
+        for u, v, table in zip(us, vs, stack):
+            assert w[u, v] == w[v, u] == mutual_information(table)
+            missing[u, v] = missing[v, u] = False
     assert not w[missing].any()  # the diagonal and pairs not given
     for _ in range(5):
-        shuffled = [rows[index] for index in rng.permutation(len(rows))]
+        shuffled = [lists[index] for index in rng.permutation(len(lists))]
         assert np.array_equal(_pairwise_mi(n, iter(shuffled)), w)
 
 

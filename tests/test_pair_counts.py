@@ -1,16 +1,18 @@
 """Counting every variable pair in one pass, and the MI matrix built on it.
 
 Core claims:
-    - the count pass yields exactly empirical_counts for every pair i < j,
-      by i and then j ascending, in C-contiguous int64 stacks cut by
-      info._row_spans, at every alphabet size where the group size changes,
+    - the count pass yields every pair u < v exactly once, as pair lists
+      (us, vs, counts) whose C-contiguous int64 stacks hold exactly
+      empirical_counts, at every alphabet size where the group size changes,
       for n below, at and above one and two groups, at every row-chunk edge
       and with symbols that never occur
-    - its extra memory is the uint8 group codes, one row chunk of pair codes
-      and a few stack budgets, whatever N and k are
+    - each stack is within the stack budget or one group-pair histogram,
+      whichever is larger, and the pass's extra memory is the uint8 group
+      codes, one row chunk of pair codes and a few such spans, whatever N
+      and k are
     - mi_matrix weights are bit-identical to the per-pair bincount loop of
       tests/oracles.py, and exact_mi_matrix weights to the per-pair call,
-      however the rows are cut into stacks
+      however the pairs are cut into stacks
     - each table of a pair_marginal stack, of pairs with one source or with
       many, is bit-identical to the product of transition steps along the
       tree path from the identity, whose upward steps this file inverts one
@@ -69,14 +71,25 @@ def random_set(n: int, k: int, count: int, seed: int) -> SampleSet:
 
 
 def assert_counts_match(s: SampleSet) -> None:
-    n = s.n_variables
-    got = list(_pair_counts(s))
-    assert [(i, j) for i, js, _ in got for j in js] == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, js, counts in got:
+    """Every pair u < v comes exactly once, as a table of a C-contiguous int64
+    stack equal to empirical_counts."""
+    n, k = s.n_variables, s.alphabet.size
+    pairs = []
+    for us, vs, counts in _pair_counts(s):
         assert counts.dtype == np.int64 and counts.flags.c_contiguous
-        assert counts.shape == (len(js), s.alphabet.size, s.alphabet.size)
-        for j, table in zip(js, counts):
-            assert np.array_equal(table, empirical_counts(s, (i, j)).counts), (i, j)
+        assert counts.shape == (len(us), k, k) and len(vs) == len(us)
+        for u, v, table in zip(us, vs, counts):
+            assert np.array_equal(table, empirical_counts(s, (u, v))), (u, v)
+            pairs.append((int(u), int(v)))
+    assert sorted(pairs) == [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def assert_stacks_within(s: SampleSet, budget: int) -> None:
+    """Each stack of the count pass is within the budget or one group-pair
+    histogram, whichever is larger."""
+    k = s.alphabet.size
+    limit = max(budget, 8 * k ** (2 * _group_size(s.n_variables, k)))
+    assert all(counts.nbytes <= limit for _, _, counts in _pair_counts(s))
 
 
 def test_group_sizes():
@@ -134,16 +147,17 @@ def test_pair_counts_across_variable_blocks(monkeypatch):
 
 def test_pair_counts_of_an_empty_sample_set_are_zero():
     s = SampleSet(Alphabet(3), np.zeros((0, 3), dtype=np.uint8))
-    assert all(np.array_equal(counts, np.zeros((len(js), 3, 3))) for _, js, counts in _pair_counts(s))
+    assert all(np.array_equal(counts, np.zeros((len(us), 3, 3))) for us, _, counts in _pair_counts(s))
     assert list(_pair_counts(SampleSet(Alphabet(3), np.zeros((5, 0), dtype=np.uint8)))) == []
 
 
 def test_rows_split_into_stacks_within_the_budget(monkeypatch):
     n, k = 7, 11
-    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 2 * 8 * k * k)  # two tables a stack
+    budget = 2 * 8 * k * k  # two tables a stack
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", budget)
     s = random_set(n, k, 500, seed=3)
-    rows = list(_pair_counts(s))
-    assert [len(js) for i, js, _ in rows if i == 0] == [2, 2, 2]
+    assert [len(us) for us, _, _ in _pair_counts(s) if us[0] == 0] == [2, 2, 2]
+    assert_stacks_within(s, budget)
     assert_counts_match(s)
     assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
 
@@ -151,10 +165,10 @@ def test_rows_split_into_stacks_within_the_budget(monkeypatch):
 @pytest.mark.parametrize("k", [2, 4, 256])
 def test_grouped_rows_split_into_stacks_within_the_budget(k, monkeypatch):
     n = 2 * _group_size(1 << 20, k) + 3
-    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", 3 * 8 * k * k)  # three tables a stack, one group pair a span
+    budget = 3 * 8 * k * k  # three tables a stack, one group pair a span
+    monkeypatch.setattr(info, "_STACK_BUDGET_BYTES", budget)
     s = random_set(n, k, 200, seed=k)
-    rows = list(_pair_counts(s))
-    assert [len(js) for i, js, _ in rows if i == 0] == [3] * ((n - 1) // 3) + [(n - 1) % 3] * ((n - 1) % 3 > 0)
+    assert_stacks_within(s, budget)
     assert_counts_match(s)
     assert np.array_equal(mi_matrix(s).weights, pairwise_plug_in_mi(s.rows, k))
 
@@ -175,11 +189,11 @@ def test_count_pass_memory_is_bounded(n, k, count, budget, monkeypatch):
     g = _group_size(n, k)
     codes = -(-n // g) * count  # one byte a group and sample: at most the sample's bytes / g, rounded up
     pair_codes = 12 * estimation._COUNT_CHUNK_ROWS  # two uint16 arrays and bincount's intp copy
-    # A span of group-pair histograms (at least one) and its float64 copy, or
-    # a stack and the one before it, which the caller may still hold.
+    # A span of group-pair histograms (at least one) with its float64 copy and
+    # product, or a stack, the span it is read off and the stack before it,
+    # which the caller may still hold.
     spans = 3 * max(budget, 8 * k ** (2 * g))
-    tables = (g + 2) * 8 * n * k * k if g > 1 else 0  # a group's rows of tables, and one row
-    assert peak < codes + pair_codes + spans + tables + (64 << 10)
+    assert peak < codes + pair_codes + spans + (64 << 10)
 
 
 def oracle_model(n: int, k: int, seed: int) -> TreeModel:

@@ -72,7 +72,7 @@ def test_mi_matrix_matches_direct_oracle():
     w = mi_matrix(s)
     for i in range(4):
         for j in range(i + 1, 4):
-            joint = empirical_counts(s, (i, j)).counts / s.n_samples
+            joint = empirical_counts(s, (i, j)) / s.n_samples
             assert w.weights[i, j] == pytest.approx(direct_mi(joint), abs=1e-10)
 
 

@@ -207,7 +207,11 @@ def _pair_counts(s: SampleSet):
         for bs in _row_spans((a * g + 1) // g, len(codes), size):
             us, vs = np.broadcast_arrays(a * g + digits[:, None], np.asarray(bs)[:, None, None] * g + digits)
             keep = (us < vs) & (vs < n)
-            yield us[keep], vs[keep], _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)[keep]
+            tables = _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)
+            if keep.all():  # always at g = 1: the reshape is then a view
+                yield us.ravel(), vs.ravel(), tables.reshape(-1, k, k)
+            else:
+                yield us[keep], vs[keep], tables[keep]
 
 
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
@@ -239,12 +243,29 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
     if s.n_variables != tree.n:
         raise ValueError(f"sample set has {s.n_variables} variables but tree has {tree.n} nodes")
     root_marginal = add_one_estimate(empirical_counts(s, (tree.root,)))
-    cpt = {}
-    for node in range(tree.n):
-        if node == tree.root:
-            continue
-        cpt[node] = _add_one(empirical_counts(s, (tree.parent[node], node)))
+    nodes = [node for node in range(tree.n) if node != tree.root]
+    cpt = {node: _add_one(counts) for node, counts in zip(nodes, _edge_counts(s, tree, nodes))}
     return TreeModel(tree, s.alphabet, root_marginal, cpt)
+
+
+def _edge_counts(s: SampleSet, tree: RootedTree, nodes: list) -> np.ndarray:
+    """The (len(nodes), k, k) int64 stack whose table t equals
+    empirical_counts(s, (tree.parent[nodes[t]], nodes[t])), counted over row
+    chunks of about _CODE_CHUNK_BYTES, cut as _group_codes cuts them and each
+    transposed once, with one bincount of joint codes per edge and chunk."""
+    count, n = s.rows.shape
+    k = s.alphabet.size
+    dtype = np.uint8 if k <= 16 else np.uint16  # the narrowest that holds a joint code, below k * k
+    counts = np.zeros((len(nodes), k * k), dtype=np.int64)
+    step = max(1, _CODE_CHUNK_BYTES // n)
+    for start in range(0, count, step):
+        chunk = np.ascontiguousarray(s.rows[start:start + step].T)
+        for edge, node in enumerate(nodes):
+            code = chunk[tree.parent[node]].astype(dtype)
+            code *= k
+            code += chunk[node]
+            counts[edge] += np.bincount(code, minlength=k * k)
+    return counts.reshape(len(nodes), k, k)
 
 
 # -- file formats --------------------------------------------------------------

@@ -58,6 +58,7 @@ __all__ = [
 
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 _GRID_START = 6  # first sample size of the separation curve's doubling grid
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8  # beyond it the float64 draws of one sample set would not fit an array
 
 
 def _path_or_none(value):
@@ -364,7 +365,7 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
     count = cell.n_samples
     if count == 0:
         count = required_samples_cmi(cfg)
-        if count > np.iinfo(np.intp).max // 8:  # the float64 draws of one sample set would not fit an array
+        if count > _MAX_SAMPLES:
             raise ValueError(f"CITesterRates grid cell {index} needs key 'N' or a larger key 'epsilon': epsilon "
                              f"{cell.epsilon} gives a formula sample size of {count:.3g}, more than numpy can draw")
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
@@ -433,6 +434,9 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         if cell.n_samples < min_samples:
             raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least {min_samples}, "
                              f"got {cell.n_samples}")
+        if cell.n_samples > _MAX_SAMPLES:
+            raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at most {_MAX_SAMPLES}, the most "
+                             f"numpy can draw, got {cell.n_samples}")
     for index, cell in enumerate(cfg.grid):
         if not accepts(cell):
             raise ValueError(f"{cfg.kind} grid cell {index} needs {needs}, "

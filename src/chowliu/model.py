@@ -419,6 +419,38 @@ def sample_dense(p: DenseJoint, count: int, seed: int):
     return SampleSet(p.alphabet, rows)
 
 
+def _subtree_intervals(tree: RootedTree) -> tuple:
+    """Euler-tour intervals of a preorder walk as int arrays (tin, tout): y
+    lies in x's subtree exactly when tin[x] <= tin[y] < tout[x]."""
+    children = tree.children()
+    order = _bfs(children, tree.root)[0]
+    size = [1] * tree.n
+    for x in reversed(order[1:]):
+        size[tree.parent[x]] += size[x]
+    tin = [0] * tree.n
+    for x in order:
+        at = tin[x] + 1
+        for c in children[x]:
+            tin[c] = at
+            at += size[c]
+    tin = np.array(tin)
+    return tin, tin + np.array(size)
+
+
+def _pair_arrays(sources, nodes, n: int) -> tuple:
+    """The pairs (sources[t], nodes[t]) as two intp arrays; a ValueError worded
+    by _variables for the first pair that is not two distinct variables."""
+    us, vs = np.asarray(sources), np.asarray(nodes)
+    if us.ndim == vs.ndim == 1 and us.dtype.kind in "iu" and vs.dtype.kind in "iu":
+        bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
+        if not bad.any():
+            return us.astype(np.intp), vs.astype(np.intp)
+        first = int(np.argmax(bad))
+        sources, nodes = [sources[first]], [nodes[first]]
+    pairs = [_variables(pair, n) for pair in zip(sources, nodes)]
+    return np.array([u for u, _ in pairs], dtype=np.intp), np.array([v for _, v in pairs], dtype=np.intp)
+
+
 def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     """Exact joint table of (X_u, X_v) by transition composition, without
     materializing the full joint.
@@ -426,68 +458,64 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     Takes two nodes and returns a k x k table, or two sequences of one length
     and returns the (len(u), k, k) stack of the tables of (u[t], v[t]).
 
-    The walk goes outward from every source at once, one distance at a time:
-    the transitions from the sources to all nodes at one distance are one
-    stacked matmul of their walk parents' transitions times their steps,
-    starting from the identity.  That is the left-to-right product along the
-    tree path, so each table is bit-identical to the call on its pair alone.
-    Each upward step is inverted once per call.  Only nodes on the way to a
-    wanted node are walked to, each at one distance on the way to a table of
-    its own, so the transitions held at two distances are at most twice the
-    output, which exact_mi_matrix bounds by its stack-budget spans."""
+    All pairs walk from their sources at once, one distance at a time, each
+    by the next-hop rule: to the child towards its node when the Euler-tour
+    intervals put the node below the current one, else to the parent.  Pairs
+    at the same (source, node) share its transition, the stacked matmul of
+    the transition there one distance back times the step, starting from the
+    identity.  That is the left-to-right product along the tree path, so each
+    table is bit-identical to the call on its pair alone.  Each upward step
+    crossed is inverted once per call.  Only nodes on the way to a wanted node
+    are walked to, so the transitions held at two distances are at most twice
+    the output, which exact_mi_matrix bounds by its stack-budget spans."""
     single = np.ndim(u) == 0
     if single != (np.ndim(v) == 0):
         raise ValueError("give two nodes or two sequences of nodes")
-    sources, nodes = ([u], [v]) if single else (list(u), list(v))
+    sources, nodes = ([u], [v]) if single else (u, v)
     if len(sources) != len(nodes):
         raise ValueError(f"sources and nodes differ in length: {len(sources)} and {len(nodes)}")
-    k = m.k
+    n, k = m.n, m.k
+    src, target = _pair_arrays(sources, nodes, n)
     marginals = node_marginals(m)
-    out = np.empty((len(nodes), k, k))
-    wanted = {}  # (source, node) -> the positions of its table in out
-    targets = {}  # source -> its nodes
-    for t, pair in enumerate(zip(sources, nodes)):
-        s, x = _variables(pair, m.n)
-        wanted.setdefault((s, x), []).append(t)
-        targets.setdefault(s, []).append(x)
-    neighbours = m.tree.children()
-    for x, p in enumerate(m.tree.parent):
-        if p >= 0:
-            neighbours[x].append(p)
+    out = np.empty((len(src), k, k))
+    parent = np.array(m.tree.parent)
+    tin, tout = _subtree_intervals(m.tree)
+    # Non-root nodes sorted by (parent, tin): the child of x towards a node y
+    # below x is the last child of x whose tin is at most tin[y].
+    child_key = parent * n + tin
+    by_key = np.argsort(child_key)[1:]  # the root's key, -n + tin[root], sorts first
+    child_key = child_key[by_key]
     up = {}  # P(X_parent | X_child) by child, inverted once
-
-    def step(w: int, x: int) -> np.ndarray:
-        if m.tree.parent[x] == w:
-            return m.cpt[x]
-        if w not in up:  # w is x's child: invert its stored conditional through the joint
-            # Zero-mass w-symbols never occur; a uniform row keeps the matrix stochastic.
-            up[w] = _conditional_rows((marginals[x][:, None] * m.cpt[w]).T)[0]
-        return up[w]
-
-    levels = []  # levels[d - 1]: (source, walk parent, node) at distance d
-    for s, xs in targets.items():
-        order, towards = _bfs(neighbours, s)
-        on_way = {s}
-        for x in xs:
-            while x not in on_way:
-                on_way.add(x)
-                x = towards[x]
-        depth = {s: 0}
-        for x in order[1:]:
-            if x in on_way:
-                depth[x] = d = depth[towards[x]] + 1
-                if d > len(levels):
-                    levels.append([])
-                levels[d - 1].append((s, towards[x], x))
-    held = np.broadcast_to(np.eye(k), (len(targets), k, k))
-    slot = {(s, s): i for i, s in enumerate(targets)}
-    for level in levels:
-        held = np.matmul(held[[slot[s, w] for s, w, _ in level]], np.stack([step(w, x) for _, w, x in level]))
-        slot = {(s, x): i for i, (s, _, x) in enumerate(level)}
-        taken = [(t, s, i) for i, (s, _, x) in enumerate(level) for t in wanted.get((s, x), ())]
-        if taken:
-            t, s, i = map(list, zip(*taken))
-            out[t] = marginals[s][:, :, None] * held[i]
+    at = np.arange(len(src))  # the positions in out of the pairs still walking
+    here, target_tin = src, tin[target]
+    starts, slot = np.unique(src, return_inverse=True)  # slot: the pair's transition in held
+    held = np.broadcast_to(np.eye(k), (len(starts), k, k))
+    while len(at):
+        below = (tin[here] < target_tin) & (target_tin < tout[here])
+        step_to = parent[here]
+        if below.any():
+            step_to[below] = by_key[np.searchsorted(child_key, here[below] * n + target_tin[below], side="right") - 1]
+        # One transition per (source, node): its walk parent and slot come from its first pair.
+        _, first, shared = np.unique(src * n + step_to, return_index=True, return_inverse=True)
+        # Its step: down to child y is y's conditional, up from child x is x's inverted.
+        moves = list(zip(here[first].tolist(), step_to[first].tolist(), below[first].tolist()))
+        inverted = sorted({x for x, _, down in moves if not down} - up.keys())
+        if inverted:
+            # Zero-mass child symbols never occur; a uniform row keeps the matrix stochastic.
+            joint = marginals[parent[inverted]][:, :, None] * np.array([m.cpt[x] for x in inverted])
+            up.update(zip(inverted, _conditional_rows(joint.transpose(0, 2, 1))[0]))
+        held = np.matmul(held[slot[first]], np.array([m.cpt[y] if down else up[x] for x, y, down in moves]))
+        slot = shared
+        done = step_to == target
+        if done.any():
+            tables = held[slot[done]]
+            tables *= marginals[src[done]][:, :, None]
+            out[at[done]] = tables
+            walking = ~done
+            at, src, target, target_tin = at[walking], src[walking], target[walking], target_tin[walking]
+            here, slot = step_to[walking], slot[walking]
+        else:
+            here = step_to
     return out[0] if single else out
 
 
@@ -646,18 +674,11 @@ def random_tree_model(n: int, k: int, seed: int, cpt_floor: float = 0.05) -> Tre
         raise ValueError(f"cpt floor {cpt_floor} infeasible for alphabet size {k}")
     rng = np.random.default_rng(seed)
     tree = root_at(random_spanning_tree(n, rng), 0)
-    scale = 1.0 - k * cpt_floor
-
-    def row():
-        return cpt_floor + scale * rng.dirichlet(np.ones(k))
-
-    root_marginal = row()
-    cpt = {}
-    for node in range(n):
-        if node == 0:
-            continue
-        cpt[node] = np.stack([row() for _ in range(k)])
-    return TreeModel(tree, Alphabet(k), root_marginal, cpt)
+    # One draw of all rows gives the stream and bytes of one draw per row:
+    # the root marginal, then node 1's k rows, node 2's, and so on.
+    rows = cpt_floor + (1.0 - k * cpt_floor) * rng.dirichlet(np.ones(k), size=1 + (n - 1) * k)
+    cpt = {node: rows[1 + (node - 1) * k:1 + node * k] for node in range(1, n)}
+    return TreeModel(tree, Alphabet(k), rows[0], cpt)
 
 
 # -- JSON serialization -------------------------------------------------------

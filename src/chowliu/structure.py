@@ -70,10 +70,8 @@ def max_weight_spanning_tree(w) -> UndirectedTree:
     produce the same tree."""
     weights = _weights_of(w)
     n = weights.shape[0]
-    order = sorted(
-        ((u, v) for u in range(n) for v in range(u + 1, n)),
-        key=lambda e: (-weights[e[0], e[1]], e[0], e[1]),
-    )
+    us, vs = np.triu_indices(n, 1)
+    order = np.lexsort((vs, us, -weights[us, vs]))  # the pinned order: -w, then u, then v
     component = list(range(n))  # union-find forest
 
     def find(x: int) -> int:
@@ -82,7 +80,7 @@ def max_weight_spanning_tree(w) -> UndirectedTree:
         return x
 
     picked = []
-    for u, v in order:
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
         ru, rv = find(u), find(v)
         if ru != rv:
             component[rv] = ru

@@ -8,7 +8,7 @@ Core claims:
   * Scalar keys are typed strictly: an integer key takes no boolean, string
     or fraction, a number key no string, and `timing` only true or false.
   * Grid cells the kind cannot run are errors naming the cell, raised before
-    any cell runs: a negative `N`, SeparationCurve cells other than n = 3,
+    any cell runs: a negative `N` or one above what numpy can draw, SeparationCurve cells other than n = 3,
     k = 2 and an epsilon above 0 without `N`, and the `n` (and `k`) rules of
     the other kinds.  A SeparationCurve grid without two distinct epsilons,
     which cannot give a slope, is an error naming the key `grid`, also
@@ -190,6 +190,24 @@ def test_citester_sample_size_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path
     assert captured.err.splitlines() == [
         f"error: CITesterRates grid cell 1 needs key 'N' or a larger key 'epsilon': epsilon {epsilon} gives "
         f"a formula sample size of {size}, more than numpy can draw"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind,cell", [
+    ("Add1Risk", {"n": 1, "k": 3, "epsilon": 0.05}),
+    ("RealizableRecovery", {"n": 4, "k": 2, "epsilon": 0.1}),
+    ("CITesterRates", {"n": 3, "k": 2, "epsilon": 0.3}),
+], ids=["Add1Risk", "RealizableRecovery", "CITesterRates"])
+def test_grid_cell_N_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path, capsys, kind, cell):
+    # 10^19 rows of float64 draws would take more bytes than an array may hold.
+    doc = {"kind": kind, "grid": [{**cell, "N": 20}, {**cell, "N": 10**19}], "trials": 1, "seed": 1}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {kind} grid cell 1 needs key 'N' of at most {np.iinfo(np.intp).max // 8}, the most numpy can draw, "
+        f"got {10**19}"]
     assert captured.out == ""
 
 

@@ -21,6 +21,8 @@ Core claims:
     - the total-correlation-minus-weight identity and the three-term KL
       decomposition agree with brute-force KL
     - statistical distances: TV/Hellinger basics, Pinsker, tensorization
+    - random_tree_model draws the same tree and rows, bit for bit, as one
+      Dirichlet draw per row would
     - JSON round-trips preserve every float bit-exactly
 """
 
@@ -704,6 +706,26 @@ def test_random_tree_model_respects_floor():
         assert np.min(rows) >= 0.05
     with pytest.raises(ValueError):
         random_tree_model(4, 3, seed=5, cpt_floor=0.4)
+
+
+@pytest.mark.parametrize("k", [2, 3, 17])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_random_tree_model_equals_one_dirichlet_draw_per_row(n, k):
+    floor = 0.05 if 0.05 * k < 1 else 0.01
+    for cpt_floor in (floor, 0.0):
+        rng = np.random.default_rng(9)
+        tree = random_spanning_tree(n, rng)
+
+        def row():
+            return cpt_floor + (1.0 - k * cpt_floor) * rng.dirichlet(np.ones(k))
+
+        root_marginal = row()
+        cpt = {node: np.stack([row() for _ in range(k)]) for node in range(1, n)}
+        m = random_tree_model(n, k, 9, cpt_floor)
+        assert m.tree.skeleton() == tree and m.tree.root == 0
+        assert m.root_marginal.tobytes() == root_marginal.tobytes()
+        assert sorted(m.cpt) == sorted(cpt)
+        assert all(m.cpt[node].tobytes() == cpt[node].tobytes() for node in cpt)
 
 
 # -- serialization ------------------------------------------------------------------------

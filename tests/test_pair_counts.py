@@ -16,7 +16,8 @@ Core claims:
     - each table of a pair_marginal stack, of pairs with one source or with
       many, is bit-identical to the product of transition steps along the
       tree path from the identity, whose upward steps this file inverts one
-      row at a time, up to k = 64 and on walks made only of upward steps;
+      row at a time, up to k = 64, on walks made only of upward steps, on
+      a 200-node path's long walks and through a 200-node star's centre;
       exact_mi_matrix makes one pair_marginal call per stack-budget span of
       its pairs, not one per source row, and a call holds a fixed multiple
       of its own output beside per-node bookkeeping
@@ -291,6 +292,22 @@ def star_model(n: int, k: int) -> TreeModel:
     rng = np.random.default_rng(n)
     cpt = {x: rng.dirichlet(np.ones(k), size=k) for x in range(1, n)}
     return TreeModel(RootedTree(n, 0, (-1,) + (0,) * (n - 1)), Alphabet(k), rng.dirichlet(np.ones(k)), cpt)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_pair_marginal_of_long_walks_and_wide_fans_is_bit_identical_to_the_path_product(shape):
+    # A 200-node path walks up to 199 steps up or down; a star's pairs all
+    # turn at the centre, so each walk picks one child among 199.
+    n, k = 200, 3
+    m = chain_model(n, k) if shape == "path" else star_model(n, k)
+    marginals = node_marginals(m)
+    rng = np.random.default_rng(n)
+    pairs = [(0, n - 1), (n - 1, 0), (n // 2, 1), (1, n // 2), (n - 2, n - 1)]
+    pairs += [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(60)]
+    stack = pair_marginal(m, *zip(*pairs))
+    for table, (u, v) in zip(stack, pairs):
+        assert np.array_equal(table, path_product_table(m, marginals, u, v)), (u, v)
+        assert np.array_equal(pair_marginal(m, u, v), table), (u, v)
 
 
 def test_pair_marginal_holds_transitions_within_the_stack_budget():

@@ -6,7 +6,8 @@ Core claims:
       product data
     - Kruskal output weight equals the exhaustive maximum over all labeled
       trees (sequence-decoding oracle), with the pinned deterministic
-      tie-break
+      tie-break: its tree equals a Kruskal over sorted(key=(-w, u, v)),
+      also where most weights tie
     - the end-to-end structure learner finds dominant edges and is exactly
       the MST of the MI matrix
     - exchange_pairing is a bijection between the two one-sided edge
@@ -117,6 +118,38 @@ def test_mst_weight_equals_exhaustive_maximum():
         t = max_weight_spanning_tree(w)
         assert is_spanning_tree(n, t.edges)
         assert tree_weight(w, t) == pytest.approx(best_tree_weight(w), abs=1e-12)
+
+
+def sorted_order_kruskal(w: np.ndarray) -> tuple:
+    """Kruskal over sorted(key=(-w, u, v)) with a plain union-find: the pinned
+    edge order, written out pair by pair."""
+    n = len(w)
+    order = sorted(((u, v) for u in range(n) for v in range(u + 1, n)), key=lambda e: (-w[e], e[0], e[1]))
+    component = list(range(n))
+
+    def find(x):
+        while component[x] != x:
+            x = component[x]
+        return x
+
+    picked = []
+    for u, v in order:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            component[rv] = ru
+            picked.append((u, v))
+    return tuple(sorted(picked))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 100])
+def test_mst_equals_kruskal_over_the_sorted_order_under_ties(n):
+    rng = np.random.default_rng(n)
+    half = np.round(rng.random((n, n)), 1)  # ten weight levels: ties between most edges
+    w = (half + half.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    for weights in (w, np.zeros((n, n)), np.round(w * 2.0) / 2.0):
+        assert max_weight_spanning_tree(weights).edges == sorted_order_kruskal(weights)
+    assert max_weight_spanning_tree(np.zeros((n, n))).edges == tuple((0, v) for v in range(1, n))
 
 
 def test_mst_deterministic():

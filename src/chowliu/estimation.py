@@ -122,16 +122,15 @@ def _group_size(n: int, k: int) -> int:
     return max(1, -(-n // groups))
 
 
-def _group_codes(s: SampleSet, g: int) -> np.ndarray:
-    """The (ceil(n / g), N) uint8 array whose row a holds, per sample, the
-    base-k number with digits x_{ag}, ..., x_{ag+g-1}, the first most
-    significant; variables past n count as 0."""
-    count, n = s.rows.shape
-    k = s.alphabet.size
+def _group_codes(rows: np.ndarray, k: int, g: int) -> np.ndarray:
+    """The (ceil(n / g), N) uint8 array whose row a holds, per row of the
+    (N, n) symbol array `rows`, the base-k number with digits x_{ag}, ...,
+    x_{ag+g-1}, the first most significant; variables past n count as 0."""
+    count, n = rows.shape
     codes = np.zeros((-(-n // g), count), dtype=np.uint8)
     step = max(1, _CODE_CHUNK_BYTES // max(n, 1))
     for start in range(0, count, step):
-        chunk = s.rows[start:start + step].T
+        chunk = rows[start:start + step].T
         out = codes[:, start:start + step]
         for d in range(g):
             if d:
@@ -200,18 +199,14 @@ def _pair_counts(s: SampleSet):
     n, k = s.n_variables, s.alphabet.size
     g = _group_size(n, k)
     size = k ** g
-    codes = _group_codes(s, g)
+    codes = _group_codes(s.rows, k, g)
     digits = np.arange(g)
     for a in range((n - 2) // g + 1):  # the groups that hold a variable with partners
         # From the group of variable ag + 1, the first partner of the group's first variable.
         for bs in _row_spans((a * g + 1) // g, len(codes), size):
             us, vs = np.broadcast_arrays(a * g + digits[:, None], np.asarray(bs)[:, None, None] * g + digits)
             keep = (us < vs) & (vs < n)
-            tables = _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)
-            if keep.all():  # always at g = 1: the reshape is then a view
-                yield us.ravel(), vs.ravel(), tables.reshape(-1, k, k)
-            else:
-                yield us[keep], vs[keep], tables[keep]
+            yield us[keep], vs[keep], _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)[keep]
 
 
 def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
@@ -243,29 +238,20 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
     if s.n_variables != tree.n:
         raise ValueError(f"sample set has {s.n_variables} variables but tree has {tree.n} nodes")
     root_marginal = add_one_estimate(empirical_counts(s, (tree.root,)))
-    nodes = [node for node in range(tree.n) if node != tree.root]
-    cpt = {node: _add_one(counts) for node, counts in zip(nodes, _edge_counts(s, tree, nodes))}
-    return TreeModel(tree, s.alphabet, root_marginal, cpt)
-
-
-def _edge_counts(s: SampleSet, tree: RootedTree, nodes: list) -> np.ndarray:
-    """The (len(nodes), k, k) int64 stack whose table t equals
-    empirical_counts(s, (tree.parent[nodes[t]], nodes[t])), counted over row
-    chunks of about _CODE_CHUNK_BYTES, cut as _group_codes cuts them and each
-    transposed once, with one bincount of joint codes per edge and chunk."""
-    count, n = s.rows.shape
+    # At g = 1 the group codes are the transposed rows.  They are built one
+    # chunk of rows at a time, and each parent's children give one count stack.
     k = s.alphabet.size
-    dtype = np.uint8 if k <= 16 else np.uint16  # the narrowest that holds a joint code, below k * k
-    counts = np.zeros((len(nodes), k * k), dtype=np.int64)
-    step = max(1, _CODE_CHUNK_BYTES // n)
-    for start in range(0, count, step):
-        chunk = np.ascontiguousarray(s.rows[start:start + step].T)
-        for edge, node in enumerate(nodes):
-            code = chunk[tree.parent[node]].astype(dtype)
-            code *= k
-            code += chunk[node]
-            counts[edge] += np.bincount(code, minlength=k * k)
-    return counts.reshape(len(nodes), k, k)
+    families = [(node, children) for node, children in enumerate(tree.children()) if children]
+    counts = [np.zeros((len(children), k, k), dtype=np.int64) for _, children in families]
+    step = max(1, _CODE_CHUNK_BYTES // tree.n)
+    for start in range(0, s.n_samples, step):
+        codes = _group_codes(s.rows[start:start + step], k, 1)
+        for total, (node, children) in zip(counts, families):
+            total += _group_pair_counts(codes, node, children, k)
+    cpt = {}
+    for (_, children), total in zip(families, counts):
+        cpt.update(zip(children, _add_one(total)))
+    return TreeModel(tree, s.alphabet, root_marginal, cpt)
 
 
 # -- file formats --------------------------------------------------------------

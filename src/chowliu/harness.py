@@ -58,7 +58,12 @@ __all__ = [
 
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 _GRID_START = 6  # first sample size of the separation curve's doubling grid
-_MAX_SAMPLES = np.iinfo(np.intp).max // 8  # beyond it the float64 draws of one sample set would not fit an array
+
+
+def _max_samples(n: int) -> int:
+    """The most samples of n variables numpy can draw: beyond it the (N, n)
+    uint8 rows or the N float64 draws of one variable would not fit an array."""
+    return np.iinfo(np.intp).max // max(8, n)
 
 
 def _path_or_none(value):
@@ -163,6 +168,19 @@ def write_rows_csv(rows, path, timing: bool = False) -> None:
         fh.write(_csv_text(rows, timing))
 
 
+def _p95(values: np.ndarray) -> float:
+    """np.percentile(values, 95) with its default linear rule, bit for bit,
+    without the numpy.ma import its first call makes (through np.unique)."""
+    x = np.sort(values)
+    at = (len(x) - 1) * 0.95
+    i = math.floor(at)
+    if i >= len(x) - 1:
+        return float(x[-1])
+    t = at - i
+    step = x[i + 1] - x[i]
+    return float(x[i + 1] - step * (1 - t) if t >= 0.5 else x[i] + step * t)
+
+
 def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
     """Run trial(t) -> (success, excess) for t in range(trials) and
     aggregate the cell's row, timing the whole loop."""
@@ -182,7 +200,7 @@ def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
         trials=trials,
         success_rate=successes / trials,
         mean_excess=float(arr.mean()),
-        p95_excess=float(np.percentile(arr, 95)),
+        p95_excess=_p95(arr),
         seconds=time.perf_counter() - start,
     )
 
@@ -365,7 +383,7 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
     count = cell.n_samples
     if count == 0:
         count = required_samples_cmi(cfg)
-        if count > _MAX_SAMPLES:
+        if count > _max_samples(cell.n):
             raise ValueError(f"CITesterRates grid cell {index} needs key 'N' or a larger key 'epsilon': epsilon "
                              f"{cell.epsilon} gives a formula sample size of {count:.3g}, more than numpy can draw")
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
@@ -434,9 +452,9 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         if cell.n_samples < min_samples:
             raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at least {min_samples}, "
                              f"got {cell.n_samples}")
-        if cell.n_samples > _MAX_SAMPLES:
-            raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at most {_MAX_SAMPLES}, the most "
-                             f"numpy can draw, got {cell.n_samples}")
+        if cell.n_samples > _max_samples(cell.n):
+            raise ValueError(f"{cfg.kind} grid cell {index} needs key 'N' of at most {_max_samples(cell.n)}, the "
+                             f"most numpy can draw for n {cell.n}, got {cell.n_samples}")
     for index, cell in enumerate(cfg.grid):
         if not accepts(cell):
             raise ValueError(f"{cfg.kind} grid cell {index} needs {needs}, "

@@ -464,10 +464,11 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     at the same (source, node) share its transition, the stacked matmul of
     the transition there one distance back times the step, starting from the
     identity.  That is the left-to-right product along the tree path, so each
-    table is bit-identical to the call on its pair alone.  Each upward step
-    crossed is inverted once per call.  Only nodes on the way to a wanted node
-    are walked to, so the transitions held at two distances are at most twice
-    the output, which exact_mi_matrix bounds by its stack-budget spans."""
+    table is bit-identical to the call on its pair alone.  The walk runs on
+    integers first, so the upward steps it crosses are inverted in one pass,
+    once per call.  Only nodes on the way to a wanted node are walked to, so
+    the transitions held at two distances are at most twice the output, which
+    exact_mi_matrix bounds by its stack-budget spans."""
     single = np.ndim(u) == 0
     if single != (np.ndim(v) == 0):
         raise ValueError("give two nodes or two sequences of nodes")
@@ -476,7 +477,6 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
         raise ValueError(f"sources and nodes differ in length: {len(sources)} and {len(nodes)}")
     n, k = m.n, m.k
     src, target = _pair_arrays(sources, nodes, n)
-    marginals = node_marginals(m)
     out = np.empty((len(src), k, k))
     parent = np.array(m.tree.parent)
     tin, tout = _subtree_intervals(m.tree)
@@ -485,37 +485,46 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     child_key = parent * n + tin
     by_key = np.argsort(child_key)[1:]  # the root's key, -n + tin[root], sorts first
     child_key = child_key[by_key]
-    up = {}  # P(X_parent | X_child) by child, inverted once
-    at = np.arange(len(src))  # the positions in out of the pairs still walking
+    # Sorted by source, then by the target's preorder place counted on from
+    # the source's, the pairs at one (source, node) are adjacent at every
+    # distance: the nodes behind a step, down into a subtree or up out of one
+    # that holds the source, form one run of that cyclic order.
+    at = np.lexsort(((tin[target] - tin[src]) % n, src))
+    src, target = src[at], target[at]
+    fresh = np.ones(len(src), dtype=bool)
+    fresh[1:] = src[1:] != src[:-1]
+    slot = np.cumsum(fresh) - 1  # the pair's transition, here the identity of its source
+    held = np.broadcast_to(np.eye(k), (int(fresh.sum()), k, k))
     here, target_tin = src, tin[target]
-    starts, slot = np.unique(src, return_inverse=True)  # slot: the pair's transition in held
-    held = np.broadcast_to(np.eye(k), (len(starts), k, k))
+    levels = []  # per distance: the new transitions' slots one distance back and steps, the pairs ending
     while len(at):
         below = (tin[here] < target_tin) & (target_tin < tout[here])
         step_to = parent[here]
         if below.any():
             step_to[below] = by_key[np.searchsorted(child_key, here[below] * n + target_tin[below], side="right") - 1]
-        # One transition per (source, node): its walk parent and slot come from its first pair.
-        _, first, shared = np.unique(src * n + step_to, return_index=True, return_inverse=True)
-        # Its step: down to child y is y's conditional, up from child x is x's inverted.
-        moves = list(zip(here[first].tolist(), step_to[first].tolist(), below[first].tolist()))
-        inverted = sorted({x for x, _, down in moves if not down} - up.keys())
-        if inverted:
-            # Zero-mass child symbols never occur; a uniform row keeps the matrix stochastic.
-            joint = marginals[parent[inverted]][:, :, None] * np.array([m.cpt[x] for x in inverted])
-            up.update(zip(inverted, _conditional_rows(joint.transpose(0, 2, 1))[0]))
-        held = np.matmul(held[slot[first]], np.array([m.cpt[y] if down else up[x] for x, y, down in moves]))
-        slot = shared
+        fresh[0] = True
+        fresh[1:len(at)] = (step_to[1:] != step_to[:-1]) | (src[1:] != src[:-1])
+        first = np.flatnonzero(fresh[:len(at)])
+        shared = np.cumsum(fresh[:len(at)]) - 1
         done = step_to == target
-        if done.any():
-            tables = held[slot[done]]
-            tables *= marginals[src[done]][:, :, None]
-            out[at[done]] = tables
-            walking = ~done
-            at, src, target, target_tin = at[walking], src[walking], target[walking], target_tin[walking]
-            here, slot = step_to[walking], slot[walking]
-        else:
-            here = step_to
+        levels.append((slot[first], here[first], step_to[first], below[first], at[done], shared[done], src[done]))
+        walking = ~done
+        at, src, target, target_tin = at[walking], src[walking], target[walking], target_tin[walking]
+        here, slot = step_to[walking], shared[walking]
+    marginals = node_marginals(m)
+    up = {}  # P(X_parent | X_child) by child
+    crossed = sorted({x for _, xs, _, down, *_ in levels for x in xs[~down].tolist()})
+    if crossed:
+        # Zero-mass child symbols never occur; a uniform row keeps the matrix stochastic.
+        joint = marginals[parent[crossed]][:, :, None] * np.array([m.cpt[x] for x in crossed])
+        up = dict(zip(crossed, _conditional_rows(joint.transpose(0, 2, 1))[0]))
+    for back, xs, ys, down, ended, slots, ended_src in levels:
+        steps = [m.cpt[y] if d else up[x] for x, y, d in zip(xs.tolist(), ys.tolist(), down.tolist())]
+        held = np.matmul(held[back], np.array(steps))
+        if len(ended):
+            tables = held[slots]
+            tables *= marginals[ended_src][:, :, None]
+            out[ended] = tables
     return out[0] if single else out
 
 

@@ -193,21 +193,24 @@ def test_citester_sample_size_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kind,cell", [
-    ("Add1Risk", {"n": 1, "k": 3, "epsilon": 0.05}),
-    ("RealizableRecovery", {"n": 4, "k": 2, "epsilon": 0.1}),
-    ("CITesterRates", {"n": 3, "k": 2, "epsilon": 0.3}),
-], ids=["Add1Risk", "RealizableRecovery", "CITesterRates"])
-def test_grid_cell_N_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path, capsys, kind, cell):
-    # 10^19 rows of float64 draws would take more bytes than an array may hold.
-    doc = {"kind": kind, "grid": [{**cell, "N": 20}, {**cell, "N": 10**19}], "trials": 1, "seed": 1}
+@pytest.mark.parametrize("kind,cell,N", [
+    ("Add1Risk", {"n": 1, "k": 3, "epsilon": 0.05}, 10**19),
+    ("RealizableRecovery", {"n": 4, "k": 2, "epsilon": 0.1}, 10**19),
+    ("CITesterRates", {"n": 3, "k": 2, "epsilon": 0.3}, 10**19),
+    ("RealizableRecovery", {"n": 16, "k": 2, "epsilon": 0.1}, 10**18),
+], ids=["Add1Risk", "RealizableRecovery", "CITesterRates", "RealizableRecovery-wide"])
+def test_grid_cell_N_numpy_cannot_draw_exits_1_naming_the_cell(tmp_path, capsys, kind, cell, N):
+    # 10^19 rows of float64 draws would take more bytes than an array may
+    # hold; so would 10^18 rows of 16 one-byte symbols, though their draws would fit.
+    doc = {"kind": kind, "grid": [{**cell, "N": 20}, {**cell, "N": N}], "trials": 1, "seed": 1}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(config)]) == 1
     captured = capsys.readouterr()
+    n = cell["n"]
     assert captured.err.splitlines() == [
-        f"error: {kind} grid cell 1 needs key 'N' of at most {np.iinfo(np.intp).max // 8}, the most numpy can draw, "
-        f"got {10**19}"]
+        f"error: {kind} grid cell 1 needs key 'N' of at most {np.iinfo(np.intp).max // max(8, n)}, the most numpy "
+        f"can draw for n {n}, got {N}"]
     assert captured.out == ""
 
 

@@ -349,3 +349,14 @@ def test_derive_seed_range_and_spread():
     for s in seeds:
         assert isinstance(s, int)
         assert 0 <= s < 1 << 63
+
+
+def test_p95_is_bit_identical_to_numpy_percentile():
+    rng = np.random.default_rng(95)
+    for t in range(2000):
+        size = int(rng.integers(1, 45))
+        values = [rng.random(size), np.round(rng.normal(size=size), 2),
+                  rng.exponential(size=size) * 10.0 ** rng.integers(-20, 20),
+                  rng.choice([0.0, -0.0, 1e-17, -1e-17, 0.5, 3.0], size=size)][t % 4]
+        got, want = harness._p95(values), float(np.percentile(values, 95))
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (values, got, want)

@@ -333,6 +333,29 @@ def test_pair_marginal_holds_transitions_within_the_stack_budget():
         assert np.array_equal(table, path_product_table(m, marginals, u, v))
 
 
+@pytest.mark.parametrize("n", [2, 5, 17, 61])
+def test_pair_marginal_makes_one_transition_per_source_and_node(n, monkeypatch):
+    # Sorted by source and cyclic preorder place, the pairs at one (source,
+    # node) are one run at every distance; a split run would make its
+    # transition twice.
+    m = random_tree_model(n, 2, seed=n)
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rng.shuffle(pairs)
+    pairs = pairs[: max(1, len(pairs) // 2)]
+    walked = {(u, x) for u, v in pairs for x in m.tree.path(u, v)[1:]}
+    made = []
+    matmul = np.matmul
+
+    def counting(a, b):
+        made.append(len(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(model.np, "matmul", counting)
+    pair_marginal(m, *zip(*pairs))
+    assert sum(made) == len(walked)
+
+
 def test_exact_mi_matrix_walks_once_per_stack(monkeypatch):
     calls = {"pair_marginal": 0, "node_marginals": 0}
 

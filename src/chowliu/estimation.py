@@ -257,10 +257,14 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 # -- file formats --------------------------------------------------------------
 
 
-# Sets the extra memory of CSV reading and writing, whatever the file size:
-# the reader parses about this many bytes of the file at a time, with 11-15
-# times as much in numpy temporaries; the writer formats about this many
-# bytes of symbol text at a time, with 5-9 times as much in temporaries.
+# Sets the extra memory of CSV reading and writing, whatever the file size
+# (tracemalloc peaks on files of 1 to 64 fields a line, in multiples of this):
+# - the reader parses about this many bytes of the file at a time.  A chunk
+#   of one-digit fields takes the chunk and its rows, half its size, and under
+#   0.15 more; any other chunk takes 17-19 in the general parse's temporaries;
+# - the writer formats rows of about a quarter this many symbols at a time:
+#   3.1 for one-digit rows, 2 of them np.take's intp copy of the symbols, and
+#   6-9.2 for wider text, which also pays for np.extract.
 _CSV_CHUNK_BYTES = 1 << 20
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # Row i holds the text of symbol i followed by a comma, padded with zero bytes.
@@ -277,10 +281,14 @@ def write_csv(s: SampleSet, path) -> None:
             return
         step = max(1, _CSV_CHUNK_BYTES // (4 * n))
         for start in range(0, count, step):
-            cells = _SYMBOL_TEXT.take(s.rows[start:start + step], axis=0)
+            rows = s.rows[start:start + step]
+            # Two bytes hold a one-digit symbol and its comma.  Wider text takes
+            # all four: numpy's take copies 3-byte items about 3 times slower
+            # than 4-byte ones, more than the padding costs np.extract.
+            cells = _SYMBOL_TEXT[:, :2 if rows.max() < 10 else 4].take(rows, axis=0)
             last = cells[:, -1, :]
             last[last == _COMMA] = _NEWLINE
-            fh.write(np.extract(cells, cells))  # the nonzero bytes: text without padding
+            fh.write(cells if cells.all() else np.extract(cells, cells))  # the text without padding
 
 
 def read_csv(path, k: int | None = None) -> SampleSet:
@@ -325,8 +333,19 @@ def _canonical_block(chunk: bytes, width: int | None, limit):
     array; or None unless every line is canonical.  Canonical lines hold only
     ASCII digits, commas and the newline; every field has 1-3 digits; every
     non-blank line has `width` fields (the first line's count when `width` is
-    None); every value is below `limit`.  Blank lines are skipped."""
+    None); every value is below `limit`.  Blank lines are skipped.
+
+    A chunk of one-digit fields only, every line the 2 * width bytes digit,
+    comma, ..., digit, newline, is read off as a (lines, 2 * width) view of
+    its bytes; any other chunk goes through the general parse."""
     text = np.frombuffer(chunk, dtype=np.uint8)
+    line = 2 * ((chunk.index(b"\n") + 1) // 2 if width is None else width)
+    if line and len(text) % line == 0:
+        lines = text.reshape(-1, line)
+        if (lines[:, -1] == _NEWLINE).all() and (lines[:, 1:-1:2] == _COMMA).all():
+            values = lines[:, 0::2] - ord("0")  # wraps round for bytes below "0"
+            if values.max() < min(10, limit):
+                return values
     newline = text == _NEWLINE
     blank = newline.copy()  # a newline at the start or after a newline
     blank[1:] &= newline[:-1]
@@ -411,7 +430,7 @@ def write_binary(s: SampleSet, path) -> None:
     header = struct.pack("<4sIIQ", _BINARY_MAGIC, s.n_variables, s.alphabet.size, s.n_samples)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(s.rows.tobytes())
+        fh.write(s.rows)  # C-contiguous bytes, written without a copy
 
 
 def read_binary(path, k: int | None = None) -> SampleSet:

@@ -425,7 +425,7 @@ def _each_cell(run_cell):
 # Every kind also takes the key "timing".
 _KINDS = {
     "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)},
-                           ("n at least 1", lambda cell: cell.n >= 1)),
+                           ("n at least 1 and an epsilon above 0", lambda cell: cell.n >= 1 and cell.epsilon > 0.0)),
     "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
                               ("n a positive multiple of 3 and k 2 (the triples are binary)",
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
@@ -434,7 +434,8 @@ _KINDS = {
                         ("n 3, k 2, an epsilon above 0 and no key 'N'",
                          lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0) and cell.epsilon > 0.0)),
     "Add1Risk": (_each_cell(_add1_cell), 1, {"constant": (_float, DEFAULT_ADD_ONE_CONSTANT)},
-                 ("n 1 and an epsilon (the delta) above 0", lambda cell: cell.n == 1 and cell.epsilon > 0.0)),
+                 ("n 1, k at least 2 and an epsilon (the delta) above 0",
+                  lambda cell: cell.n == 1 and cell.k >= 2 and cell.epsilon > 0.0)),
     "CITesterRates": (_each_cell(_citester_cell), 0, {"delta": (_float, 0.1),
                                                       "c_sample": (_float, DEFAULT_C_SAMPLE)},
                       ("n 3", lambda cell: cell.n == 3)),

@@ -381,6 +381,15 @@ def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
     return np.minimum(idx, cum.shape[-1] - 1)
 
 
+# Uniforms per Generator.random call of a long draw.  Consecutive calls give
+# the same stream as one call for all of them, so the chunk sets only the
+# memory of the draw: in `sample` about 33 bytes a uniform, 2 MiB in all, for
+# the uniforms, the draws, the running totals gathered and the parent symbols
+# as intp (numpy gathers by an intp index about 4 times as fast as by a
+# strided uint8 column).
+_DRAW_CHUNK = 1 << 16
+
+
 def sample(m: TreeModel, count: int, seed: int):
     """Ancestral sampling: the root is drawn first, then each node in
     topological order given its parent's symbol.  The same (model, count,
@@ -393,12 +402,13 @@ def sample(m: TreeModel, count: int, seed: int):
     rows = np.zeros((count, m.n), dtype=np.uint8)
     rng = np.random.default_rng(seed)
     for node in m.tree.topological_order():
-        u = rng.random(count)
-        if node == m.tree.root:
-            rows[:, node] = _inverse_cdf(m.root_marginal, u)
-        else:
-            parent_sym = rows[:, m.tree.parent[node]].astype(np.intp)
-            rows[:, node] = _inverse_cdf(m.cpt[node], u, parent_sym)
+        for start in range(0, count, _DRAW_CHUNK):
+            chunk = rows[start:start + _DRAW_CHUNK]
+            u = rng.random(len(chunk))
+            if node == m.tree.root:
+                chunk[:, node] = _inverse_cdf(m.root_marginal, u)
+            else:
+                chunk[:, node] = _inverse_cdf(m.cpt[node], u, chunk[:, m.tree.parent[node]].astype(np.intp))
     return SampleSet(m.alphabet, rows)
 
 

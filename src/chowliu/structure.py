@@ -3,7 +3,10 @@
 The learner is classical: estimate all pairwise mutual informations by
 plug-in, then take a maximum-weight spanning tree.  Tie-breaking in the
 spanning tree is pinned exactly (weight descending, then smaller endpoint,
-then larger endpoint) so results are reproducible across runs and platforms.
+then larger endpoint), and that tie-break and the RNG streams are the same
+on every machine.  The last bits of the weights are not: they depend on the
+numpy build, its SIMD path and the BLAS kernel, so the same inputs and seed
+give the same bytes on one machine.
 """
 
 from __future__ import annotations

@@ -3,13 +3,17 @@
 Core claims:
     - a canonical file of several chunks is parsed without the per-line
       reader, into exactly the rows the reference reader gives
-    - a bad line just after a chunk boundary, a width change or a CRLF line in
-      a later chunk, an out-of-byte symbol under --k 300, and small files of
-      unequal widths, blank lines or other non-canonical text give the
-      reference reader's result or its exception type and message
+    - a bad line just after a chunk boundary, a width change, a CRLF line, a
+      two-digit symbol or a digit of at least --k in a later chunk, an
+      out-of-byte symbol under --k 300, and small files of unequal widths,
+      blank lines or other non-canonical text give the reference reader's
+      result or its exception type and message
     - bytes that are not valid UTF-8 are a format error naming the line
+    - the writer gives the reference writer's bytes for every symbol width,
+      in chunks of one-digit text, of padded text and of unpadded wider text
     - the extra memory of reading and writing is set by the chunk size, not
-      by the file size
+      by the file size; a one-digit file takes under one chunk to read besides
+      its rows, and under four to write
 """
 
 import tracemalloc
@@ -85,9 +89,11 @@ def test_canonical_file_of_several_chunks_skips_the_per_line_reader(tmp_path, mo
         (NEXT_CHUNK_LINE + 40, "0,1,0,1,0,280,0,1\n", 300),
         (NEXT_CHUNK_LINE + 40, "0,1,0,1,0,280,0,1\n", None),
         (NEXT_CHUNK_LINE + 40, "0,1,0,1,0,1,0,1 \n", 2),
+        (NEXT_CHUNK_LINE + 40, "0,1,0,1,0,12,0,1\n", None),
+        (NEXT_CHUNK_LINE + 40, "0,1,0,1,0,7,0,1\n", 5),
     ],
     ids=["bad-line-after-boundary", "width-change", "crlf-line", "k300-symbol-280",
-         "symbol-280", "trailing-space"],
+         "symbol-280", "trailing-space", "two-digit-symbol", "digit-above-k"],
 )
 def test_non_canonical_line_in_a_later_chunk_matches_reference(tmp_path, canonical, line, text, k):
     lines = list(canonical)
@@ -141,6 +147,24 @@ def test_writer_matches_reference_on_several_chunks(tmp_path):
     assert np.array_equal(read_csv(path).rows, s.rows)
 
 
+@pytest.mark.parametrize("k", [2, 10, 11, 100, 256])
+def test_writer_matches_reference_at_every_symbol_width(tmp_path, monkeypatch, k):
+    # A third of the rows one-digit, a third any symbol and a third only
+    # symbols of the widest text, so the chunks take both of the writer's
+    # widths, with and without padding.
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 1 << 14)
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, k, size=(6000, WIDTH))
+    rows[:2000] %= 10
+    low = 10 ** (len(str(k - 1)) - 1)
+    rows[4000:] = low + rows[4000:] % (k - low)
+    s = SampleSet(Alphabet(k), rows)
+    path, reference = tmp_path / "s.csv", tmp_path / "r.csv"
+    write_csv(s, path)
+    reference_write_csv(s.rows, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -160,3 +184,30 @@ def test_extra_memory_is_set_by_the_chunk_size(tmp_path, monkeypatch):
     assert path.stat().st_size > 20 * chunk
     # The parsed blocks and their concatenation hold the output twice.
     assert peak_bytes(lambda: read_csv(path)) < 2 * s.rows.nbytes + 32 * chunk
+
+
+@pytest.fixture
+def one_digit_file(tmp_path, monkeypatch):
+    """(sample set, CSV path) of 20,000 rows of one-digit symbols, written
+    with chunks of 64 KiB, the chunk size both tests here read and write in."""
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 1 << 16)
+    rng = np.random.default_rng(4)
+    s = SampleSet(Alphabet(10), rng.integers(0, 10, size=(20_000, WIDTH)))
+    path = tmp_path / "s.csv"
+    write_csv(s, path)
+    assert path.stat().st_size > 4 * estimation._CSV_CHUNK_BYTES
+    return s, path
+
+
+def test_one_digit_file_is_written_in_under_four_chunks(one_digit_file):
+    # Two-byte cells need no np.extract; most of the peak is np.take's intp
+    # copy of the symbols.
+    s, path = one_digit_file
+    assert peak_bytes(lambda: write_csv(s, path)) < 4 * estimation._CSV_CHUNK_BYTES
+
+
+def test_one_digit_file_is_read_in_under_one_chunk_besides_its_rows(one_digit_file):
+    # A one-digit chunk is read off its own bytes, with no index arrays; the
+    # parsed blocks and their concatenation hold the rows twice.
+    s, path = one_digit_file
+    assert peak_bytes(lambda: read_csv(path)) < 2 * s.rows.nbytes + estimation._CSV_CHUNK_BYTES

@@ -9,8 +9,8 @@ Core claims:
     or fraction, a number key no string, and `timing` only true or false.
   * Grid cells the kind cannot run are errors naming the cell, raised before
     any cell runs: a negative `N` or one above what numpy can draw, SeparationCurve cells other than n = 3,
-    k = 2 and an epsilon above 0 without `N`, and the `n` (and `k`) rules of
-    the other kinds.  A SeparationCurve grid without two distinct epsilons,
+    k = 2 and an epsilon above 0 without `N`, and the `n`, `k` and epsilon
+    rules of the other kinds.  A SeparationCurve grid without two distinct epsilons,
     which cannot give a slope, is an error naming the key `grid`, also
     raised before any cell runs.
   * Probability arrays take numbers only: a boolean or a string at any depth
@@ -138,7 +138,7 @@ def test_tester_config_with_a_misspelled_key_exits_1(tmp_path, capsys):
     "doc,message",
     [
         (with_cell(ADD1, n=50),
-         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 50, k 3, epsilon 0.05, N 20"),
+         "Add1Risk grid cell 1 needs n 1, k at least 2 and an epsilon (the delta) above 0, got n 50, k 3, epsilon 0.05, N 20"),
         ({**ADD1, "kind": "CITesterRates", "grid": [{"n": 3, "k": 2, "epsilon": 0.3},
                                                     {"n": 1, "k": 2, "epsilon": 0.3}]},
          "CITesterRates grid cell 1 needs n 3, got n 1, k 2, epsilon 0.3, N 0"),
@@ -147,17 +147,25 @@ def test_tester_config_with_a_misspelled_key_exits_1(tmp_path, capsys):
          "NonRealizableRecovery grid cell 1 needs n a positive multiple of 3 and k 2 (the triples are binary), "
          "got n 3, k 3, epsilon 0.3, N 50"),
         (with_cell(ADD1, epsilon=0),
-         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 1, k 3, epsilon 0.0, N 20"),
+         "Add1Risk grid cell 1 needs n 1, k at least 2 and an epsilon (the delta) above 0, got n 1, k 3, epsilon 0.0, N 20"),
         (with_cell(ADD1, epsilon=-0.1),
-         "Add1Risk grid cell 1 needs n 1 and an epsilon (the delta) above 0, got n 1, k 3, epsilon -0.1, N 20"),
+         "Add1Risk grid cell 1 needs n 1, k at least 2 and an epsilon (the delta) above 0, got n 1, k 3, epsilon -0.1, N 20"),
         ({**ADD1, "kind": "RealizableRecovery", "grid": [{"n": 4, "k": 2, "epsilon": 0.1, "N": 50},
                                                          {"n": 0, "k": 2, "epsilon": 0.1, "N": 50}]},
-         "RealizableRecovery grid cell 1 needs n at least 1, got n 0, k 2, epsilon 0.1, N 50"),
+         "RealizableRecovery grid cell 1 needs n at least 1 and an epsilon above 0, got n 0, k 2, epsilon 0.1, N 50"),
+        ({**ADD1, "kind": "RealizableRecovery", "grid": [{"n": 4, "k": 2, "epsilon": 0.1, "N": 50},
+                                                         {"n": 4, "k": 2, "epsilon": -0.1, "N": 50}]},
+         "RealizableRecovery grid cell 1 needs n at least 1 and an epsilon above 0, got n 4, k 2, epsilon -0.1, N 50"),
+        (with_cell(ADD1, k=1),
+         "Add1Risk grid cell 1 needs n 1, k at least 2 and an epsilon (the delta) above 0, got n 1, k 1, epsilon 0.05, N 20"),
+        (with_cell(ADD1, k=0),
+         "Add1Risk grid cell 1 needs n 1, k at least 2 and an epsilon (the delta) above 0, got n 1, k 0, epsilon 0.05, N 20"),
         ({**SEPARATION, "grid": [{"n": 3, "k": 2, "epsilon": 0.0}, {"n": 3, "k": 2, "epsilon": 0.3}]},
          "SeparationCurve grid cell 0 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 2, epsilon 0.0, N 0"),
     ],
     ids=["Add1Risk-n", "CITesterRates-n", "NonRealizableRecovery-k", "Add1Risk-zero-delta", "Add1Risk-negative-delta",
-         "RealizableRecovery-n", "SeparationCurve-zero-epsilon"],
+         "RealizableRecovery-n", "RealizableRecovery-negative-epsilon", "Add1Risk-k1", "Add1Risk-k0",
+         "SeparationCurve-zero-epsilon"],
 )
 def test_cell_outside_the_kinds_rule_exits_1_before_any_cell_runs(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(harness, "_run_trials", no_trials)

@@ -8,13 +8,16 @@ Core claims:
     - learn_parameters reproduces the hand-computed add-1 model on degenerate
       data, is uniform at N=0, and is consistent at large N
     - CSV and binary round-trips are lossless; malformed input errors name
-      the offending line or byte-level defect
+      the offending line or byte-level defect; write_binary writes the rows
+      in the documented layout without copying them
     - the add-1 risk bound formula and its calibration are deterministic and
       reproduce the shipped constants exactly; fixed_structure_samples
       rejects a non-finite epsilon and a sample size that is not finite
 """
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +235,20 @@ def test_binary_round_trip(tmp_path):
     again = read_binary(path)
     assert np.array_equal(again.rows, s.rows)
     assert again.alphabet.size == 5
+
+
+def test_write_binary_writes_the_rows_without_a_copy(tmp_path):
+    rng = np.random.default_rng(23)
+    s = SampleSet(Alphabet(7), rng.integers(0, 7, size=(250_000, 4)))
+    path = tmp_path / "samples.bin"
+    tracemalloc.start()
+    try:
+        write_binary(s, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.rows.nbytes // 8
+    assert path.read_bytes() == struct.pack("<4sIIQ", b"CLS1", 4, 7, 250_000) + s.rows.tobytes()
 
 
 def test_binary_rejects_garbage(tmp_path):

@@ -9,15 +9,20 @@ Core claims:
       mixed-radix decoding;
     - both hold for k in {2, 3, 9} and for tables with zero-probability
       entries, including a zero last entry;
+    - `sample` draws each node's uniforms in chunks of model._DRAW_CHUNK,
+      with the same stream at no draws, one chunk, one chunk and one, and
+      several chunks, and its memory is the rows and one chunk of draws;
     - the conditional inverse CDF, which counts one column at a time, draws
       what comparing each uniform with a whole row of running totals draws,
       also for rows of zero mass and for uniforms equal to a running total.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chowliu import Alphabet, DenseJoint, RootedTree, TreeModel, sample, sample_dense
+from chowliu import Alphabet, DenseJoint, RootedTree, TreeModel, model, random_tree_model, sample, sample_dense
 from chowliu.model import _inverse_cdf
 
 from oracles import ancestral_sample, flat_table_sample
@@ -57,6 +62,28 @@ def test_sample_matches_reference_stream(k, sparse):
         got = sample(m, 400, seed).rows
         want = ancestral_sample(PARENTS, m.root_marginal.tolist(), cpt, 400, seed)
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("count", [0, 64, 65, 4 * 64 + 3], ids=["empty", "one-chunk", "one-chunk-and-one", "several"])
+def test_sample_in_chunks_matches_reference_stream(monkeypatch, count):
+    monkeypatch.setattr(model, "_DRAW_CHUNK", 64)
+    m = sparse_model(3, seed=11)
+    cpt = {node: m.cpt[node].tolist() for node in m.cpt}
+    got = sample(m, count, 5).rows
+    assert got.shape == (count, len(PARENTS))
+    assert got.tolist() == ancestral_sample(PARENTS, m.root_marginal.tolist(), cpt, count, 5)
+
+
+def test_sample_memory_is_the_rows_and_one_chunk_of_draws():
+    m = random_tree_model(16, 2, 1)
+    tracemalloc.start()
+    try:
+        rows = sample(m, 200_000, 5).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 33 bytes a uniform of one chunk, besides the (count, n) rows.
+    assert peak < rows.nbytes + 40 * model._DRAW_CHUNK
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (9, 2)])

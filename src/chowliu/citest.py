@@ -211,6 +211,8 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
         raise ValueError("need at least 100 calibration trials")
     if grid is None:
         grid = sorted(2.0**e * m for e in range(-4, 11) for m in (1.0, 1.5))
+    if len(grid) == 0:
+        raise ValueError("the c_sample grid is empty")
     family = calibration_family(cfg.k, cfg.epsilon)
     diagnostics = {}
     for candidate in grid:

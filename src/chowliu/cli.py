@@ -49,6 +49,8 @@ def _is_binary(path, fmt: str | None) -> bool:
 
 
 def _read_samples(path: str, fmt: str | None, k: int | None):
+    if k is not None and not 2 <= k <= 256:
+        raise ValueError(f"--k must be an alphabet size from 2 to 256, got {k}")
     return read_binary(path, k) if _is_binary(path, fmt) else read_csv(path, k)
 
 
@@ -121,18 +123,19 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
     return 0
 
 
-def cmd_experiment(config_path: str, out_path: str | None = None, timing: bool = False) -> int:
+def cmd_experiment(config_path: str, out_path: str | None = None) -> int:
     with open(config_path) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    options = {**cfg.options, "timing": True} if timing else cfg.options
-    cfg = dataclasses.replace(cfg, options=options,
-                              out_path=out_path if out_path is not None else cfg.out_path)
+    if out_path is not None:
+        cfg = dataclasses.replace(cfg, out_path=out_path)
     start = time.perf_counter()
     rows = run_experiment(cfg)
+    for row in rows:
+        _log(f"row n={row.n} k={row.k} epsilon={row.epsilon} N={row.n_samples} ({row.seconds:.3f}s)")
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
     if cfg.out_path is None:
-        print(_csv_text(rows, cfg.timing), end="")
+        print(_csv_text(rows), end="")
     else:
         _log(f"wrote {cfg.out_path}")
     return 0
@@ -208,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's output CSV path")
-    p.add_argument("--timing", action="store_true", help="record wall time in the CSV (non-reproducible)")
 
     p = sub.add_parser("verify-facts", help="exact hard-instance fact checks")
     p.add_argument("--regime", choices=("realizable", "nonrealizable"), required=True)
@@ -236,7 +238,7 @@ def main(argv=None) -> int:
         if args.command == "citest":
             return cmd_citest(args.samples, args.epsilon, args.delta, args.k, args.config, args.format)
         if args.command == "experiment":
-            return cmd_experiment(args.config, args.out, args.timing)
+            return cmd_experiment(args.config, args.out)
         if args.command == "verify-facts":
             return cmd_verify(args.regime, args.epsilon)
         if args.command == "calibrate":

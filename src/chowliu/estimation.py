@@ -209,14 +209,11 @@ def _pair_counts(s: SampleSet):
             yield us[keep], vs[keep], _variable_tables(_group_pair_counts(codes, a, bs, size), k, g)[keep]
 
 
-def add_one_estimate(counts, k: int | None = None) -> np.ndarray:
-    """Add-1 smoothed distribution (t_i + 1) / (N + k) from a count vector."""
+def add_one_estimate(counts) -> np.ndarray:
+    """Add-1 smoothed distribution (t_i + 1) / (N + k) from a count vector of length k."""
     vec = np.asarray(counts, dtype=np.int64)
     if vec.ndim != 1:
         raise ValueError("expected a 1-dimensional count vector")
-    size = vec.shape[0]
-    if k is not None and k != size:
-        raise ValueError(f"count vector has length {size}, expected alphabet size {k}")
     if np.any(vec < 0):
         raise ValueError("negative count")
     return _add_one(vec)

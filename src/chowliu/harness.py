@@ -3,9 +3,9 @@ stable CSV output schema.
 
 Every trial's randomness comes from a seed derived from (master seed, kind,
 cell index, trial index), so runs are reproducible cell-by-cell and
-independent of execution order.  The CSV's `seconds` column is written as 0.0
-unless timing is explicitly enabled, keeping default output byte-identical
-across runs; measured wall time always goes to the returned rows.
+independent of execution order.  The CSV's `seconds` column is always
+written as 0.0, so every output reproduces byte for byte; measured wall time
+goes only to the returned rows.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def _path_or_none(value):
     return value
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _str(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
@@ -100,8 +94,7 @@ class ExperimentConfig:
     seed: int
     out_path: str | None = None
     options: dict = field(default_factory=dict)
-    # `options` decoded by the kind's spec: wall time in the CSV or not, and the runner's keyword arguments.
-    timing: bool = field(init=False, repr=False, compare=False)
+    # `options` decoded by the kind's spec: the runner's keyword arguments.
     kind_options: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,9 +106,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "grid", tuple(self.grid))
         spec = _KINDS[self.kind][2]
-        *values, timing = _json_fields(self.options, f"{self.kind} 'options'", {**spec, "timing": (_bool, False)})
-        object.__setattr__(self, "timing", timing)
-        object.__setattr__(self, "kind_options", dict(zip(spec, values)))
+        object.__setattr__(self, "kind_options",
+                           dict(zip(spec, _json_fields(self.options, f"{self.kind} 'options'", spec))))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -153,19 +145,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_text(rows, timing: bool) -> str:
+def _csv_text(rows) -> str:
     """The experiment CSV: the header, then one line per row; `seconds` is
-    0.0 unless timing."""
+    always 0.0, as wall time does not reproduce."""
     return CSV_HEADER + "\n" + "".join(
         f"{r.n},{r.k},{_fmt(r.epsilon)},{r.n_samples},{r.trials},{_fmt(r.success_rate)},"
-        f"{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},{_fmt(r.seconds if timing else 0.0)}\n"
+        f"{_fmt(r.mean_excess)},{_fmt(r.p95_excess)},0.0\n"
         for r in rows
     )
 
 
-def write_rows_csv(rows, path, timing: bool = False) -> None:
+def write_rows_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(rows, timing))
+        fh.write(_csv_text(rows))
 
 
 def _p95(values: np.ndarray) -> float:
@@ -422,7 +414,6 @@ def _each_cell(run_cell):
 # The one owner of each experiment kind: its runner, (config, **decoded
 # options) -> rows; the smallest N its grid cells accept; its option keys, as
 # a _json_fields spec; and its other cell rule, as (words, test of a cell).
-# Every kind also takes the key "timing".
 _KINDS = {
     "RealizableRecovery": (_each_cell(_realizable_cell), 1, {"cpt_floor": (_float, 0.05)},
                            ("n at least 1 and an epsilon above 0", lambda cell: cell.n >= 1 and cell.epsilon > 0.0)),
@@ -446,8 +437,8 @@ KINDS = tuple(_KINDS)
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every grid cell and return one ExperimentRow per cell (the
     SeparationCurve kind emits one row per probed sample size).  Writes the
-    CSV to cfg.out_path when set; pass options={"timing": true} to record
-    wall time in the file, at the cost of byte-identical reruns."""
+    CSV to cfg.out_path when set, with a `seconds` column of 0.0; each row's
+    measured wall time is on the returned row only."""
     run, min_samples, _, (needs, accepts) = _KINDS[cfg.kind]
     for index, cell in enumerate(cfg.grid):
         if cell.n_samples < min_samples:
@@ -462,5 +453,5 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                              f"got n {cell.n}, k {cell.k}, epsilon {cell.epsilon}, N {cell.n_samples}")
     rows = run(cfg, **cfg.kind_options)
     if cfg.out_path is not None:
-        write_rows_csv(rows, cfg.out_path, cfg.timing)
+        write_rows_csv(rows, cfg.out_path)
     return rows

@@ -5,13 +5,14 @@ Core claims:
     byte for byte, in both CSV and binary sample formats.
   * citest picks the conditional or unconditional test from the column count
     and emits a JSON verdict document with the effective configuration.
-  * experiment prints the same CSV to stdout that it writes to --out; its
-    seed comes from the config and that of calibrate from --seed, whatever
-    the environment holds.
+  * experiment prints the same CSV to stdout that it writes to --out, with a
+    `seconds` column of 0.0, and logs each row's measured time to stderr;
+    its seed comes from the config and that of calibrate from --seed,
+    whatever the environment holds.
   * verify-facts exits 0 when every flag holds and 1 otherwise, and below
     each regime's epsilon floor prints one error line; calibrate reports
     failures with per-candidate diagnostics and exit 1, and takes k = 2 with
-    epsilon in (1, 2).
+    epsilon in (1, 2); an empty `--grid` is one error line and exit 1.
   * An epsilon or delta at which the sample-size formula is not finite, and
     an infinite epsilon, give one error line and exit 1 in citest and
     calibrate.
@@ -19,12 +20,14 @@ Core claims:
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, running out of memory is one error line and
     exit 1.  `learn --mode params` without `--tree`, checked before the
+    samples are read, a `--k` outside 2..256, also checked before the
     samples are read, and `citest` on neither 2 nor 3 columns are one error
     line and exit 1; only argparse's usage errors raise SystemExit.
   * Two subprocess invocations with the same seed produce identical bytes.
 """
 
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -140,6 +143,21 @@ def test_learn_params_requires_tree(model_path, tmp_path, capsys):
         cmd_learn(str(samples), "everything")
 
 
+@pytest.mark.parametrize("k", [-5, 0, 1, 257, 300])
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("command", [["learn", "--mode", "full"], ["citest", "--epsilon", "0.1", "--delta", "0.1"]])
+def test_k_outside_the_alphabet_sizes_exits_1_naming_the_flag(tmp_path, capsys, command, fmt, k):
+    samples = tmp_path / f"data.{fmt}"
+    s = SampleSet(Alphabet(2), np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    (write_binary if fmt == "bin" else write_csv)(s, samples)
+    # Checked before the samples are read: a missing file is not reported.
+    for path in (samples, tmp_path / f"missing.{fmt}"):
+        assert main([command[0], "--samples", str(path), *command[1:], "--k", str(k)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --k must be an alphabet size from 2 to 256, got {k}"]
+        assert captured.out == ""
+
+
 # -------------------------------------------------------------------- citest
 
 
@@ -249,6 +267,24 @@ def test_experiment_stdout_matches_file(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
+def test_experiment_logs_the_time_of_each_row_to_stderr_only(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "Add1Risk", "grid": [{"n": 1, "k": 3, "epsilon": 0.05, "N": 150},
+                                                               {"n": 1, "k": 4, "epsilon": 0.1, "N": 80}],
+                                  "trials": 5, "seed": 3}))
+    assert main(["experiment", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",0.0") for row in rows)
+    logged = [line for line in captured.err.splitlines() if line.startswith("row ")]
+    assert [line.split(" (")[0] for line in logged] == ["row n=1 k=3 epsilon=0.05 N=150",
+                                                        "row n=1 k=4 epsilon=0.1 N=80"]
+    assert all(re.fullmatch(r".* \(\d+\.\d{3}s\)", line) for line in logged)
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == captured.out.encode()
+
+
 def test_sample_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     model_path.write_text(tree_model_to_json(random_tree_model(3, 2, seed=1)))
@@ -332,6 +368,13 @@ def test_calibrate_success_writes_file(tmp_path, capsys):
     assert doc["c_sample"] == 1024.0
     assert doc["required_samples_cmi"] >= doc["required_samples_mi"]
     assert out.read_text() == stdout
+
+
+def test_calibrate_with_an_empty_grid_exits_1(capsys):
+    assert main(["calibrate", "--epsilon", "0.1", "--delta", "0.1", "--k", "2", "--trials", "100", "--grid"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: the c_sample grid is empty"]
+    assert captured.out == ""
 
 
 def test_calibrate_binary_epsilon_between_one_and_two(capsys):

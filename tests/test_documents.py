@@ -3,10 +3,10 @@ or misread without a word.
 
 Core claims:
   * Every JSON loader rejects a key its document does not define, and each
-    experiment kind takes only its own option keys plus `timing`: the CLI
-    prints one `error:` line naming the key and exits 1.
+    experiment kind takes only its own option keys: the CLI prints one
+    `error:` line naming the key and exits 1.
   * Scalar keys are typed strictly: an integer key takes no boolean, string
-    or fraction, a number key no string, and `timing` only true or false.
+    or fraction, and a number key no string.
   * Grid cells the kind cannot run are errors naming the cell, raised before
     any cell runs: a negative `N` or one above what numpy can draw, SeparationCurve cells other than n = 3,
     k = 2 and an epsilon above 0 without `N`, and the `n`, `k` and epsilon
@@ -30,7 +30,7 @@ from chowliu import Alphabet
 from chowliu import harness
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, write_binary, write_csv
-from chowliu.harness import _KINDS, KINDS, _bool, _grid_maximum, _str
+from chowliu.harness import _KINDS, KINDS, _grid_maximum, _str
 from chowliu.model import (
     _float,
     _int,
@@ -61,8 +61,7 @@ def no_trials(*args):
         ({**ADD1, "options": {"constnat": 3}}, "Add1Risk 'options' has unknown key 'constnat'"),
         ({**ADD1, "options": {"cpt_floor": 0.1}}, "Add1Risk 'options' has unknown key 'cpt_floor'"),
         ({**ADD1, "grid": [{**ADD1["grid"][0], "eps": 0.1}]}, "experiment grid cell has unknown key 'eps'"),
-        ({**ADD1, "options": {"timing": "false"}},
-         "Add1Risk 'options' has a bad value for key 'timing': expected true or false, got 'false'"),
+        ({**ADD1, "options": {"timing": True}}, "Add1Risk 'options' has unknown key 'timing'"),
         ({**ADD1, "options": {"constant": "x"}},
          "Add1Risk 'options' has a bad value for key 'constant': expected a number, got 'x'"),
         ({**ADD1, "options": [["constant", 5.0]]}, "Add1Risk 'options' must be a JSON object"),
@@ -81,7 +80,7 @@ def no_trials(*args):
         ({**SEPARATION, "options": {"max_samples": 1}},
          "SeparationCurve 'options' has a bad value for key 'max_samples': expected an integer of at least 6, got 1"),
     ],
-    ids=["config-key", "option-key", "other-kinds-option", "cell-key", "timing-string", "constant-string",
+    ids=["config-key", "option-key", "other-kinds-option", "cell-key", "timing-key", "constant-string",
          "options-list", "trials-fraction", "seed-string", "N-boolean", "N-negative", "separation-n",
          "separation-k", "separation-N", "separation-max-samples"],
 )
@@ -92,14 +91,6 @@ def test_experiment_config_that_is_not_read_as_written_exits_1(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
-
-
-def test_timing_option_and_flag_both_time_the_printed_csv(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    for doc, flags in (({**ADD1, "options": {"timing": True}}, []), (ADD1, ["--timing"])):
-        config.write_text(json.dumps(doc))
-        assert main(["experiment", "--config", str(config), *flags]) == 0
-        assert not capsys.readouterr().out.splitlines()[1].endswith(",0.0")
 
 
 def test_model_with_an_extra_key_or_a_fractional_n_exits_1(tmp_path, capsys):
@@ -262,9 +253,8 @@ def test_model_with_a_string_in_a_cpt_row_exits_1(tmp_path, capsys):
 def test_strict_converters():
     assert _int(7) == 7 and _int(1e12) == 10**12 and _int(-3.0) == -3
     assert _float(2) == 2.0 and _float(0.5) == 0.5
-    assert _bool(False) is False
     for convert, value in ((_int, True), (_int, "7"), (_int, 2.5), (_int, float("inf")), (_float, False),
-                           (_float, "0.5"), (_bool, 0), (_bool, "true"), (_bool, None)):
+                           (_float, "0.5")):
         with pytest.raises(ValueError, match="^expected "):
             convert(value)
     # Other values keep the messages of int() and float().
@@ -316,8 +306,8 @@ def test_readme_cell_table_matches_the_kinds():
 
 
 def test_readme_option_table_matches_the_kinds():
-    types = {_int: "integer", _float: "number", _bool: "boolean", _str: "string", _grid_maximum: "integer"}
-    want = [("every kind", "`timing`", "boolean", "`false`")]
+    types = {_int: "integer", _float: "number", _str: "string", _grid_maximum: "integer"}
+    want = []
     for kind in KINDS:
         for key, (convert, default) in _KINDS[kind][2].items():
             shown = "the cell's `epsilon`" if default is None else f"`{json.dumps(default)}`"

@@ -145,8 +145,6 @@ def test_add_one_rejects_bad_inputs():
     with pytest.raises(ValueError):
         add_one_estimate([-1, 2])
     with pytest.raises(ValueError):
-        add_one_estimate([1, 2], k=3)
-    with pytest.raises(ValueError):
         add_one_estimate([[1, 2], [3, 4]])
 
 

@@ -4,7 +4,7 @@ Core claims:
   * ExperimentConfig validates its kind, grid, and trial count, and reads
     from a JSON document with every key given as the config built by hand.
   * Rows serialize under a fixed header with repr floats; the seconds column
-    is 0.0 unless timing is requested, so default output is byte-stable.
+    is always 0.0, so the output is byte-stable.
   * run_experiment is deterministic given (kind, grid, trials, seed): two
     runs return identical statistics and identical output files.
   * Each experiment kind produces sane aggregates on small grids, and the
@@ -121,16 +121,6 @@ def test_write_rows_csv_header_and_repr_floats(tmp_path):
     assert lines[0] == CSV_HEADER
     assert lines[0] == "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
     assert lines[1] == "3,2,0.05,200,25,0.88,-0.0125,0.5,0.0"
-
-
-def test_write_rows_csv_timing_flag(tmp_path):
-    row = ExperimentRow(
-        n=1, k=2, epsilon=0.1, n_samples=10, trials=2,
-        success_rate=1.0, mean_excess=0.0, p95_excess=0.0, seconds=1.5,
-    )
-    timed = tmp_path / "timed.csv"
-    write_rows_csv([row], timed, timing=True)
-    assert timed.read_text().splitlines()[1].endswith(",1.5")
 
 
 # -------------------------------------------------------------- determinism

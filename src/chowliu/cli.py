@@ -23,7 +23,7 @@ from .estimation import (
     write_binary,
     write_csv,
 )
-from .harness import ExperimentConfig, _csv_text, run_experiment
+from .harness import ExperimentConfig, _csv_text, run_experiment, write_rows_csv
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
     _float,
@@ -44,24 +44,28 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _is_binary(path, fmt: str | None) -> bool:
-    return fmt == "bin" or (fmt is None and str(path).endswith(".bin"))
+def _is_binary(path) -> bool:
+    return str(path).endswith(".bin")
 
 
-def _read_samples(path: str, fmt: str | None, k: int | None):
+def _check_k(k: int | None) -> None:
     if k is not None and not 2 <= k <= 256:
         raise ValueError(f"--k must be an alphabet size from 2 to 256, got {k}")
-    return read_binary(path, k) if _is_binary(path, fmt) else read_csv(path, k)
 
 
-def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str | None = None) -> int:
+def _read_samples(path: str, k: int | None):
+    _check_k(k)
+    return read_binary(path, k) if _is_binary(path) else read_csv(path, k)
+
+
+def cmd_sample(model_path: str, count: int, seed: int, out_path: str) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     start = time.perf_counter()
     with open(model_path) as fh:
         m = tree_model_from_json(fh.read())
     s = sample(m, count, seed)
-    if _is_binary(out_path, fmt):
+    if _is_binary(out_path):
         write_binary(s, out_path)
     else:
         write_csv(s, out_path)
@@ -70,11 +74,11 @@ def cmd_sample(model_path: str, count: int, seed: int, out_path: str, fmt: str |
 
 
 def cmd_learn(samples_path: str, mode: str, tree_path: str | None = None,
-              out_path: str | None = None, fmt: str | None = None, k: int | None = None) -> int:
+              out_path: str | None = None, k: int | None = None) -> int:
     if mode == "params" and tree_path is None:
         raise ValueError("--tree is required with --mode params")
     start = time.perf_counter()
-    s = _read_samples(samples_path, fmt, k)
+    s = _read_samples(samples_path, k)
     _log(f"read N={s.n_samples} n={s.n_variables} k={s.alphabet.size} from {samples_path}")
     if mode == "structure":
         payload = undirected_tree_to_json(chow_liu_structure(s))
@@ -96,8 +100,8 @@ def cmd_learn(samples_path: str, mode: str, tree_path: str | None = None,
 
 
 def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = None,
-               config_path: str | None = None, fmt: str | None = None) -> int:
-    s = _read_samples(samples_path, fmt, k)
+               config_path: str | None = None) -> int:
+    s = _read_samples(samples_path, k)
     text = "{}"
     if config_path is not None:
         with open(config_path) as fh:
@@ -126,18 +130,17 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
 def cmd_experiment(config_path: str, out_path: str | None = None) -> int:
     with open(config_path) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    if out_path is not None:
-        cfg = dataclasses.replace(cfg, out_path=out_path)
     start = time.perf_counter()
     rows = run_experiment(cfg)
     for row in rows:
         _log(f"row n={row.n} k={row.k} epsilon={row.epsilon} N={row.n_samples} ({row.seconds:.3f}s)")
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
-    if cfg.out_path is None:
+    if out_path is None:
         print(_csv_text(rows), end="")
     else:
-        _log(f"wrote {cfg.out_path}")
+        write_rows_csv(rows, out_path)
+        _log(f"wrote {out_path}")
     return 0
 
 
@@ -161,6 +164,7 @@ def cmd_verify(regime: str, epsilon: float) -> int:
 
 def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
                   out_path: str | None = None, grid=None) -> int:
+    _check_k(k)
     base = citest_mod.TesterConfig(epsilon=epsilon, delta=delta, k=k)
     try:
         tuned = citest_mod.calibrate(base, trials=trials, seed=seed, grid=grid)
@@ -190,14 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "bin"), default=None)
 
     p = sub.add_parser("learn", help="learn structure and/or parameters from samples")
     p.add_argument("--samples", required=True)
     p.add_argument("--mode", choices=("structure", "params", "full"), required=True)
     p.add_argument("--tree", default=None, help="skeleton JSON (required for --mode params)")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "bin"), default=None)
     p.add_argument("--k", type=int, default=None, help="alphabet size (default: inferred)")
 
     p = sub.add_parser("citest", help="(conditional) independence test on a 2- or 3-column sample set")
@@ -206,11 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON with c_sample / c_decision overrides")
-    p.add_argument("--format", choices=("csv", "bin"), default=None)
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="override the config's output CSV path")
+    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("verify-facts", help="exact hard-instance fact checks")
     p.add_argument("--regime", choices=("realizable", "nonrealizable"), required=True)
@@ -232,11 +233,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sample":
-            return cmd_sample(args.model, args.count, args.seed, args.out, args.format)
+            return cmd_sample(args.model, args.count, args.seed, args.out)
         if args.command == "learn":
-            return cmd_learn(args.samples, args.mode, args.tree, args.out, args.format, args.k)
+            return cmd_learn(args.samples, args.mode, args.tree, args.out, args.k)
         if args.command == "citest":
-            return cmd_citest(args.samples, args.epsilon, args.delta, args.k, args.config, args.format)
+            return cmd_citest(args.samples, args.epsilon, args.delta, args.k, args.config)
         if args.command == "experiment":
             return cmd_experiment(args.config, args.out)
         if args.command == "verify-facts":

@@ -66,10 +66,9 @@ def _max_samples(n: int) -> int:
     return np.iinfo(np.intp).max // max(8, n)
 
 
-def _path_or_none(value):
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"expected a path string, got {type(value).__name__}")
-    return value
+# The most trials a cell can run: _run_trials keeps one float64 excess per
+# trial in one array.
+_MAX_TRIALS = np.iinfo(np.intp).max // 8
 
 
 def _str(value) -> str:
@@ -92,7 +91,6 @@ class ExperimentConfig:
     grid: tuple
     trials: int
     seed: int
-    out_path: str | None = None
     options: dict = field(default_factory=dict)
     # `options` decoded by the kind's spec: the runner's keyword arguments.
     kind_options: dict = field(init=False, repr=False, compare=False)
@@ -102,8 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not self.grid:
             raise ValueError("grid must not be empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must be from 1 to {_MAX_TRIALS}, got {self.trials}")
         object.__setattr__(self, "grid", tuple(self.grid))
         spec = _KINDS[self.kind][2]
         object.__setattr__(self, "kind_options",
@@ -111,17 +109,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        kind, cells, trials, seed, out_path, options = _json_document(text, "experiment config", {
+        kind, cells, trials, seed, options = _json_document(text, "experiment config", {
             "kind": lambda kind: kind,  # checked, as are the options, when the config is built
             "grid": list,
             "trials": _int,
             "seed": _int,
-            "out": (_path_or_none, None),
             "options": (lambda options: options, {}),
         })
         cell = {"n": _int, "k": _int, "epsilon": _float, "N": (_int, 0)}
         grid = tuple(ExperimentCell(*_json_fields(c, "experiment grid cell", cell)) for c in cells)
-        return ExperimentConfig(kind, grid, trials, seed, out_path, options)
+        return ExperimentConfig(kind, grid, trials, seed, options)
 
 
 @dataclass(frozen=True)
@@ -436,9 +433,8 @@ KINDS = tuple(_KINDS)
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every grid cell and return one ExperimentRow per cell (the
-    SeparationCurve kind emits one row per probed sample size).  Writes the
-    CSV to cfg.out_path when set, with a `seconds` column of 0.0; each row's
-    measured wall time is on the returned row only."""
+    SeparationCurve kind emits one row per probed sample size), each with
+    its measured wall time; writes nothing (see write_rows_csv)."""
     run, min_samples, _, (needs, accepts) = _KINDS[cfg.kind]
     for index, cell in enumerate(cfg.grid):
         if cell.n_samples < min_samples:
@@ -451,7 +447,4 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         if not accepts(cell):
             raise ValueError(f"{cfg.kind} grid cell {index} needs {needs}, "
                              f"got n {cell.n}, k {cell.k}, epsilon {cell.epsilon}, N {cell.n_samples}")
-    rows = run(cfg, **cfg.kind_options)
-    if cfg.out_path is not None:
-        write_rows_csv(rows, cfg.out_path)
-    return rows
+    return run(cfg, **cfg.kind_options)

@@ -267,17 +267,12 @@ class RootedTree:
 class TreeModel:
     """Tree-factored distribution: a root marginal plus, for every non-root
     node, a k x k conditional table whose row r is the node's distribution
-    given parent symbol r.
-
-    `uniform_rows` records (node, parent_symbol) pairs where a zero-probability
-    conditioning event forced a uniform row; only projection sets it.
-    """
+    given parent symbol r."""
 
     tree: RootedTree
     alphabet: Alphabet
     root_marginal: np.ndarray
     cpt: dict
-    uniform_rows: tuple = ()
 
     def __post_init__(self):
         k = self.alphabet.size
@@ -295,7 +290,6 @@ class TreeModel:
                 raise ValueError(f"cpt of node {node} must be {k} x {k}, got {arr.shape}")
             tables[int(node)] = arr
         object.__setattr__(self, "cpt", tables)
-        object.__setattr__(self, "uniform_rows", tuple(self.uniform_rows))
 
     @property
     def k(self) -> int:
@@ -352,16 +346,15 @@ def to_dense(m: TreeModel) -> DenseJoint:
     return DenseJoint(n, m.alphabet, joint.reshape(-1))
 
 
-def _conditional_rows(joint: np.ndarray) -> tuple:
+def _conditional_rows(joint: np.ndarray) -> np.ndarray:
     """Rows of P(second | first) from a pair table or a stack of them, the
     conditioning variable on the second-to-last axis: C-contiguous rows,
-    uniform where that symbol has no mass, and the mask of those symbols.
-    Rows are summed in C order, so their bits do not depend on the layout."""
+    uniform where that symbol has no mass.  Rows are summed in C order, so
+    their bits do not depend on the layout."""
     joint = np.ascontiguousarray(joint)
     mass = joint.sum(axis=-1, keepdims=True)
     zero = mass <= 0.0
-    rows = np.divide(joint, mass, out=np.full(joint.shape, 1.0 / joint.shape[-1]), where=~zero)
-    return rows, zero[..., 0]
+    return np.divide(joint, mass, out=np.full(joint.shape, 1.0 / joint.shape[-1]), where=~zero)
 
 
 def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
@@ -527,7 +520,7 @@ def pair_marginal(m: TreeModel, u, v) -> np.ndarray:
     if crossed:
         # Zero-mass child symbols never occur; a uniform row keeps the matrix stochastic.
         joint = marginals[parent[crossed]][:, :, None] * np.array([m.cpt[x] for x in crossed])
-        up = dict(zip(crossed, _conditional_rows(joint.transpose(0, 2, 1))[0]))
+        up = dict(zip(crossed, _conditional_rows(joint.transpose(0, 2, 1))))
     for back, xs, ys, down, ended, slots, ended_src in levels:
         steps = [m.cpt[y] if d else up[x] for x, y, d in zip(xs.tolist(), ys.tolist(), down.tolist())]
         held = np.matmul(held[back], np.array(steps))
@@ -549,22 +542,15 @@ def exact_mi_matrix(m: TreeModel) -> np.ndarray:
 
 def project_onto_tree(p: DenseJoint, t: UndirectedTree, root: int) -> TreeModel:
     """Closest tree-factored distribution with skeleton t: the one whose root
-    marginal and edge conditionals are read off p itself.
-
-    Parent symbols with zero probability get uniform rows; those are recorded
-    in the result's `uniform_rows`.
+    marginal and edge conditionals are read off p itself.  Parent symbols
+    with zero probability get uniform rows.
     """
     if p.n != t.n:
         raise ValueError(f"joint has {p.n} variables but tree has {t.n} nodes")
     tree = root_at(t, root)
-    cpt = {}
-    flags = []
-    for node in range(p.n):
-        if node == root:
-            continue
-        cpt[node], zero = _conditional_rows(p.marginal((tree.parent[node], node)))
-        flags.extend((node, int(a)) for a in np.flatnonzero(zero))
-    return TreeModel(tree, p.alphabet, p.marginal((root,)), cpt, tuple(flags))
+    cpt = {node: _conditional_rows(p.marginal((tree.parent[node], node)))
+           for node in range(p.n) if node != root}
+    return TreeModel(tree, p.alphabet, p.marginal((root,)), cpt)
 
 
 def _kl_arrays(p, q) -> float:

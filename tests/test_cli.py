@@ -2,7 +2,9 @@
 
 Core claims:
   * sample/learn round-trip through files reproduces the in-process learner
-    byte for byte, in both CSV and binary sample formats.
+    byte for byte, in both CSV and binary sample formats; a file name ending
+    in `.bin` is binary and any other is CSV, and `--format` is a usage
+    error (exit 2) in sample, learn and citest.
   * citest picks the conditional or unconditional test from the column count
     and emits a JSON verdict document with the effective configuration.
   * experiment prints the same CSV to stdout that it writes to --out, with a
@@ -21,8 +23,9 @@ Core claims:
     a line-numbered message, running out of memory is one error line and
     exit 1.  `learn --mode params` without `--tree`, checked before the
     samples are read, a `--k` outside 2..256, also checked before the
-    samples are read, and `citest` on neither 2 nor 3 columns are one error
-    line and exit 1; only argparse's usage errors raise SystemExit.
+    samples are read or calibrate runs, and `citest` on neither 2 nor 3
+    columns are one error line and exit 1; only argparse's usage errors
+    raise SystemExit.
   * Two subprocess invocations with the same seed produce identical bytes.
 """
 
@@ -377,6 +380,19 @@ def test_calibrate_with_an_empty_grid_exits_1(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k", [-5, 0, 1, 257, 300])
+def test_calibrate_k_outside_the_alphabet_sizes_exits_1_naming_the_flag(capsys, monkeypatch, k):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrate ran")
+
+    monkeypatch.setattr(citest_mod, "calibrate", no_calibration)
+    argv = ["calibrate", "--epsilon", "0.1", "--delta", "0.1", "--k", str(k), "--trials", "100", "--grid", "1024"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --k must be an alphabet size from 2 to 256, got {k}"]
+    assert captured.out == ""
+
+
 def test_calibrate_binary_epsilon_between_one_and_two(capsys):
     # The realizable pair needs epsilon <= 1; above that the family goes without it.
     rc = main(["calibrate", "--epsilon", "1.5", "--delta", "0.1", "--k", "2", "--trials", "100",
@@ -414,6 +430,19 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--model", "model.json", "--count", "10", "--seed", "1", "--out", "data.csv"],
+    ["learn", "--samples", "data.csv", "--mode", "full"],
+    ["citest", "--samples", "data.csv", "--epsilon", "0.1", "--delta", "0.1"],
+], ids=["sample", "learn", "citest"])
+def test_format_flag_is_a_usage_error(capsys, command):
+    # A file name ending in .bin is binary and any other is CSV; no flag overrides it.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--format", "bin"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format bin" in capsys.readouterr().err
 
 
 def test_invalid_model_json_exits_1_without_sampling(model_path, tmp_path, capsys):
@@ -497,10 +526,8 @@ def test_model_json_value_of_wrong_type_exits_1(model_path, tmp_path, capsys):
         ({"kind": "Add1Risk", "grid": [{"n": 1, "k": [4], "epsilon": 0.1}], "trials": 2, "seed": 1},
          "experiment grid cell has a bad value for key 'k': int() argument must be a string, "
          "a bytes-like object or a real number, not 'list'"),
-        ({"kind": "Add1Risk", "grid": [{"n": 1, "k": 4, "epsilon": 0.1}], "trials": 2, "seed": 1, "out": 5},
-         "experiment config has a bad value for key 'out': expected a path string, got int"),
     ],
-    ids=["grid", "cell-k", "out"],
+    ids=["grid", "cell-k"],
 )
 def test_experiment_json_value_of_wrong_type_exits_1(tmp_path, capsys, doc, message):
     bad = tmp_path / "config.json"

@@ -62,6 +62,7 @@ def no_trials(*args):
         ({**ADD1, "options": {"cpt_floor": 0.1}}, "Add1Risk 'options' has unknown key 'cpt_floor'"),
         ({**ADD1, "grid": [{**ADD1["grid"][0], "eps": 0.1}]}, "experiment grid cell has unknown key 'eps'"),
         ({**ADD1, "options": {"timing": True}}, "Add1Risk 'options' has unknown key 'timing'"),
+        ({**ADD1, "out": "rows.csv"}, "experiment config has unknown key 'out'"),
         ({**ADD1, "options": {"constant": "x"}},
          "Add1Risk 'options' has a bad value for key 'constant': expected a number, got 'x'"),
         ({**ADD1, "options": [["constant", 5.0]]}, "Add1Risk 'options' must be a JSON object"),
@@ -80,7 +81,7 @@ def no_trials(*args):
         ({**SEPARATION, "options": {"max_samples": 1}},
          "SeparationCurve 'options' has a bad value for key 'max_samples': expected an integer of at least 6, got 1"),
     ],
-    ids=["config-key", "option-key", "other-kinds-option", "cell-key", "timing-key", "constant-string",
+    ids=["config-key", "option-key", "other-kinds-option", "cell-key", "timing-key", "out-key", "constant-string",
          "options-list", "trials-fraction", "seed-string", "N-boolean", "N-negative", "separation-n",
          "separation-k", "separation-N", "separation-max-samples"],
 )

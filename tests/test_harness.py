@@ -2,15 +2,21 @@
 
 Core claims:
   * ExperimentConfig validates its kind, grid, and trial count, and reads
-    from a JSON document with every key given as the config built by hand.
+    from a JSON document with every key given as the config built by hand;
+    more trials than one float64 array holds (intp max // 8) is an error
+    naming trials when the config is built, before anything runs.
   * Rows serialize under a fixed header with repr floats; the seconds column
     is always 0.0, so the output is byte-stable.
   * run_experiment is deterministic given (kind, grid, trials, seed): two
-    runs return identical statistics and identical output files.
+    runs return identical statistics, which write_rows_csv writes as
+    identical files.
   * Each experiment kind produces sane aggregates on small grids, and the
     NonRealizableRecovery kind rejects grids its families cannot fill, naming
     the cell, before any trial runs; a binary CITesterRates cell runs at an
     epsilon in (1, 2), outside the realizable pair's domain.
+  * NonRealizableRecovery's exact truth, the block-diagonal MI matrix,
+    matches the pairwise MI of the dense block product within 1e-15, and is
+    exactly 0 across blocks.
   * separation_curve probes a doubling sample-size grid from 6 until a
     success rate of 0.8 is reached and fits the log-log slope of N* vs
     1/epsilon; its only option keys are 'regime' and 'max_samples', and it
@@ -38,6 +44,8 @@ from chowliu.harness import (
     separation_curve,
     write_rows_csv,
 )
+from chowliu.hardinstances import block_product, nonrealizable_triple
+from chowliu.info import mutual_information
 from chowliu.seeding import derive_seed
 
 
@@ -70,6 +78,16 @@ def test_config_rejects_empty_grid_and_bad_trials():
         ExperimentConfig("Add1Risk", (ExperimentCell(1, 2, 0.1, 10),), trials=0, seed=0)
 
 
+@pytest.mark.parametrize("trials", ["1e308", str(np.iinfo(np.intp).max // 8 + 1)], ids=["1e308", "most-plus-1"])
+def test_config_rejects_more_trials_than_one_array_holds(trials):
+    # Only built, never run: such a run would not end.
+    most = np.iinfo(np.intp).max // 8
+    text = '{"kind": "Add1Risk", "grid": [{"n": 1, "k": 2, "epsilon": 0.1, "N": 10}], "trials": %s, "seed": 0}'
+    with pytest.raises(ValueError, match=f"^trials must be from 1 to {most}, got {int(float(trials))}$"):
+        ExperimentConfig.from_json(text % trials)
+    assert ExperimentConfig.from_json(text % most).trials == most
+
+
 def test_config_coerces_grid_to_tuple():
     cfg = ExperimentConfig("Add1Risk", [ExperimentCell(1, 2, 0.1, 10)], trials=1, seed=0)
     assert isinstance(cfg.grid, tuple)
@@ -81,7 +99,6 @@ def test_config_json_round_trip():
         "grid": [{"n": 3, "k": 2, "epsilon": 0.3}, {"n": 3, "k": 3, "epsilon": 0.1, "N": 500}],
         "trials": 40,
         "seed": 123,
-        "out": "rates.csv",
         "options": {"delta": 0.05},
     }
     assert ExperimentConfig.from_json(json.dumps(doc)) == ExperimentConfig(
@@ -89,7 +106,6 @@ def test_config_json_round_trip():
         (ExperimentCell(3, 2, 0.3, 0), ExperimentCell(3, 3, 0.1, 500)),
         trials=40,
         seed=123,
-        out_path="rates.csv",
         options={"delta": 0.05},
     )
 
@@ -103,7 +119,6 @@ def test_config_from_json_defaults():
     }
     cfg = ExperimentConfig.from_json(json.dumps(doc))
     assert cfg.grid[0].n_samples == 0
-    assert cfg.out_path is None
     assert cfg.options == {}
 
 
@@ -128,14 +143,10 @@ def test_write_rows_csv_header_and_repr_floats(tmp_path):
 
 def test_run_experiment_is_deterministic(tmp_path):
     def run(path):
-        cfg = ExperimentConfig(
-            "Add1Risk",
-            (ExperimentCell(1, 3, 0.05, 200),),
-            trials=25,
-            seed=9,
-            out_path=str(path),
-        )
-        return run_experiment(cfg)
+        cfg = ExperimentConfig("Add1Risk", (ExperimentCell(1, 3, 0.05, 200),), trials=25, seed=9)
+        rows = run_experiment(cfg)
+        write_rows_csv(rows, path)
+        return rows
 
     rows_a = run(tmp_path / "a.csv")
     rows_b = run(tmp_path / "b.csv")
@@ -193,6 +204,21 @@ def test_nonrealizable_recovery_cell():
     rows = run_experiment(cfg)
     assert rows[0].success_rate >= 0.8
     assert rows[0].mean_excess >= -1e-12
+
+
+@pytest.mark.parametrize("picks", [(1,), (2, 3), (3, 1, 2)])
+def test_block_mi_matrix_matches_the_dense_block_product(picks):
+    blocks = [nonrealizable_triple(index, 0.1) for index in picks]
+    exact = harness._block_mi_matrix(blocks)
+    dense = block_product(blocks)
+    for u in range(dense.n):
+        for v in range(u + 1, dense.n):
+            reference = mutual_information(dense.marginal((u, v)))
+            if u // 3 == v // 3:
+                assert abs(exact[u, v] - reference) <= 1e-15
+            else:
+                assert exact[u, v] == 0.0
+                assert abs(reference) <= 1e-15
 
 
 def test_nonrealizable_recovery_validates_grid():
@@ -287,10 +313,10 @@ def test_separation_curve_runs_through_run_experiment(tmp_path):
         (ExperimentCell(3, 2, 0.1, 0), ExperimentCell(3, 2, 0.2, 0)),
         trials=20,
         seed=5,
-        out_path=str(out),
         options={"regime": "realizable"},
     )
     rows = run_experiment(cfg)
+    write_rows_csv(rows, out)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == len(rows) + 1

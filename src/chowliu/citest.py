@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import SampleSet, _sample_size, empirical_counts
+from .estimation import SampleSet, _sample_size, _trial_counts, empirical_counts
 from .hardinstances import _copy_channel, _mixture, realizable_triple
 from .info import conditional_mi, mutual_information
-from .model import Alphabet, DenseJoint, sample_dense
+from .model import Alphabet, DenseJoint
 from .seeding import derive_seed
 
 __all__ = [
@@ -221,14 +221,9 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
         rates = {}
         ok = True
         for member in family:
-            tables = np.stack([
-                empirical_counts(
-                    sample_dense(member.joint, count, derive_seed(seed, "calibrate", member.name, candidate, t)),
-                    (0, 1, 2),
-                )
-                for t in range(trials)
-            ]) / count
-            stats = conditional_mi(tables)
+            tables = _trial_counts(member.joint, count, trials,
+                                   lambda t: derive_seed(seed, "calibrate", member.name, candidate, t))
+            stats = conditional_mi(tables / count)
             if member.true_cmi == 0.0:
                 failures = int(np.count_nonzero(stats >= cfg.epsilon))
             else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -51,6 +52,12 @@ def _is_binary(path) -> bool:
 def _check_k(k: int | None) -> None:
     if k is not None and not 2 <= k <= 256:
         raise ValueError(f"--k must be an alphabet size from 2 to 256, got {k}")
+
+
+def _check_grid(grid) -> None:
+    for value in grid or ():
+        if not 0 < value < math.inf:  # nan fails both
+            raise ValueError(f"--grid values must be positive and finite, got {value}")
 
 
 def _read_samples(path: str, k: int | None):
@@ -165,6 +172,7 @@ def cmd_verify(regime: str, epsilon: float) -> int:
 def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
                   out_path: str | None = None, grid=None) -> int:
     _check_k(k)
+    _check_grid(grid)
     base = citest_mod.TesterConfig(epsilon=epsilon, delta=delta, k=k)
     try:
         tuned = citest_mod.calibrate(base, trials=trials, seed=seed, grid=grid)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .info import _row_spans
 from .model import Alphabet, RootedTree, TreeModel, _inverse_cdf, _kl_arrays, _variables, kl_divergence
-from .model import random_tree_model, sample, to_dense
+from .model import random_tree_model, sample, sample_dense, to_dense
 from .seeding import derive_seed
 
 __all__ = [
@@ -94,6 +94,17 @@ def empirical_counts(s: SampleSet, variables) -> np.ndarray:
     counts = np.bincount(code, minlength=k ** len(vs)).astype(np.int64).reshape((k,) * len(vs))
     counts.flags.writeable = False
     return counts
+
+
+def _trial_counts(joint, count: int, trials: int, seed_of) -> np.ndarray:
+    """The count tables of `trials` draws of `count` samples each from a dense
+    joint of 1-3 variables, trial t seeded by seed_of(t): an int64 array shaped
+    (trials,) + (k,) * n.  It is allocated before the first draw, so a trial
+    count no memory can hold fails at once."""
+    tables = np.empty((trials,) + (joint.k,) * joint.n, dtype=np.int64)
+    for t in range(trials):
+        tables[t] = empirical_counts(sample_dense(joint, count, seed_of(t)), range(joint.n))
+    return tables
 
 
 # A group of the count pass has at most the largest g variables with

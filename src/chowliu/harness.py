@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .citest import (
-    DEFAULT_C_SAMPLE,
-    INDEPENDENT,
-    TesterConfig,
-    calibration_family,
-    required_samples_cmi,
-    test_conditional_independence,
-)
-from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, add_one_risk_bound
+from .citest import DEFAULT_C_SAMPLE, TesterConfig, calibration_family, required_samples_cmi
+from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, _trial_counts, add_one_risk_bound
 from .hardinstances import nonrealizable_triple, realizable_triple
-from .info import _pairwise_mi
+from .info import _pairwise_mi, conditional_mi
 from .model import (
     Alphabet,
     _float,
@@ -172,15 +165,16 @@ def _p95(values: np.ndarray) -> float:
 
 def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
     """Run trial(t) -> (success, excess) for t in range(trials) and
-    aggregate the cell's row, timing the whole loop."""
+    aggregate the cell's row, timing the whole loop.  The excesses' array is
+    allocated before the first trial, so a trial count no memory can hold
+    fails at once."""
     start = time.perf_counter()
     successes = 0
-    excesses = []
+    excesses = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         success, excess = trial(t)
-        successes += success
-        excesses.append(excess)
-    arr = np.asarray(excesses, dtype=np.float64)
+        successes += bool(success)
+        excesses[t] = excess
     return ExperimentRow(
         n=cell.n,
         k=cell.k,
@@ -188,8 +182,8 @@ def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
         n_samples=cell.n_samples,
         trials=trials,
         success_rate=successes / trials,
-        mean_excess=float(arr.mean()),
-        p95_excess=_p95(arr),
+        mean_excess=float(excesses.mean()),
+        p95_excess=_p95(excesses),
         seconds=time.perf_counter() - start,
     )
 
@@ -367,7 +361,8 @@ def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, const
 
 def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, delta, c_sample) -> ExperimentRow:
     """Each trial tests one conditionally independent and one dependent member
-    of the calibration family; success means both verdicts are correct."""
+    of the calibration family; success means both verdicts are correct: the
+    first statistic below c_decision * epsilon and the second at or above it."""
     cfg = TesterConfig(epsilon=cell.epsilon, delta=delta, k=cell.k, c_sample=c_sample)
     count = cell.n_samples
     if count == 0:
@@ -376,15 +371,17 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
             raise ValueError(f"CITesterRates grid cell {index} needs key 'N' or a larger key 'epsilon': epsilon "
                              f"{cell.epsilon} gives a formula sample size of {count:.3g}, more than numpy can draw")
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
-    ci = family["ci-common-cause"]
-    dep = family["dep-borderline"]
+    threshold = cfg.c_decision * cfg.epsilon
+    stats = {}
 
     def trial(t):
-        s_ci = sample_dense(ci.joint, count, derive_seed(master, "citest", index, t, "ci"))
-        s_dep = sample_dense(dep.joint, count, derive_seed(master, "citest", index, t, "dep"))
-        v_ci = test_conditional_independence(s_ci, cfg)
-        v_dep = test_conditional_independence(s_dep, cfg)
-        return (v_ci.verdict == INDEPENDENT) and (v_dep.verdict != INDEPENDENT), v_ci.statistic - cell.epsilon
+        if not stats:  # every trial's statistics at once, inside _run_trials' clock
+            for tag, name in (("ci", "ci-common-cause"), ("dep", "dep-borderline")):
+                tables = _trial_counts(family[name].joint, count, trials,
+                                       lambda u: derive_seed(master, "citest", index, u, tag))
+                stats[tag] = conditional_mi(tables / count)
+        ci = stats["ci"][t]
+        return ci < threshold <= stats["dep"][t], ci - cell.epsilon
 
     return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, trial)
 

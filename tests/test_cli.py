@@ -14,14 +14,18 @@ Core claims:
   * verify-facts exits 0 when every flag holds and 1 otherwise, and below
     each regime's epsilon floor prints one error line; calibrate reports
     failures with per-candidate diagnostics and exit 1, and takes k = 2 with
-    epsilon in (1, 2); an empty `--grid` is one error line and exit 1.
+    epsilon in (1, 2); an empty `--grid`, and a `--grid` value that is not
+    positive and finite, named by the flag before calibrate runs, are one
+    error line and exit 1.
   * An epsilon or delta at which the sample-size formula is not finite, and
     an infinite epsilon, give one error line and exit 1 in citest and
     calibrate.
   * The SeparationCurve key 'regime' takes only a JSON string.
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, running out of memory is one error line and
-    exit 1.  `learn --mode params` without `--tree`, checked before the
+    exit 1, and so is a `calibrate --trials` count whose count tables no
+    memory can hold, at once.  citest on a file of no rows is one error line
+    and exit 1.  `learn --mode params` without `--tree`, checked before the
     samples are read, a `--k` outside 2..256, also checked before the
     samples are read or calibrate runs, and `citest` on neither 2 nor 3
     columns are one error line and exit 1; only argparse's usage errors
@@ -38,7 +42,7 @@ import sys
 import numpy as np
 import pytest
 
-from chowliu import Alphabet
+from chowliu import Alphabet, estimation
 from chowliu import citest as citest_mod
 from chowliu.cli import (
     cmd_citest,
@@ -219,6 +223,15 @@ def test_citest_rejects_other_column_counts(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_citest_on_a_file_of_no_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.bin"
+    write_binary(SampleSet(Alphabet(2), np.empty((0, 3), dtype=np.uint8)), path)
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.3", "--delta", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need at least one sample"]
+    assert captured.out == ""
+
+
 def test_citest_config_overrides(tmp_path, capsys):
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, 200)
@@ -393,6 +406,31 @@ def test_calibrate_k_outside_the_alphabet_sizes_exits_1_naming_the_flag(capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_calibrate_grid_value_not_positive_and_finite_exits_1_naming_the_flag(capsys, monkeypatch, value):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrate ran")
+
+    monkeypatch.setattr(citest_mod, "calibrate", no_calibration)
+    argv = ["calibrate", "--epsilon", "0.1", "--delta", "0.1", "--k", "2", "--trials", "100", "--grid", "1", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --grid values must be positive and finite, got {float(value)}"]
+    assert captured.out == ""
+
+
+def test_calibrate_trials_no_memory_can_hold_exits_1_at_once(capsys):
+    # 1e14 trials of eight int64 counts take 5.7 PiB, more than any address
+    # space holds, so the one allocation fails before any draw.
+    argv = ["calibrate", "--epsilon", "0.1", "--delta", "0.1", "--k", "2", "--trials", "100000000000000",
+            "--grid", "0.1875"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: out of memory: ")
+    assert captured.out == ""
+
+
 def test_calibrate_binary_epsilon_between_one_and_two(capsys):
     # The realizable pair needs epsilon <= 1; above that the family goes without it.
     rc = main(["calibrate", "--epsilon", "1.5", "--delta", "0.1", "--k", "2", "--trials", "100",
@@ -408,7 +446,7 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     def no_memory(p, count, seed):
         raise MemoryError("Unable to allocate 968. TiB for an array")
 
-    monkeypatch.setattr(citest_mod, "sample_dense", no_memory)
+    monkeypatch.setattr(estimation, "sample_dense", no_memory)
     assert main(["calibrate", "--epsilon", "0.5", "--delta", "0.1", "--k", "2", "--trials", "100"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,7 +3,8 @@
 Core claims:
     - SampleSet enforces byte-sized alphabets and symbol ranges
     - empirical_counts tallies exactly, is additive over chunks, and returns
-      a read-only int64 array
+      a read-only int64 array; _trial_counts stacks, trial by trial, the
+      counts of sample_dense's draws under each trial's seed
     - add_one_estimate matches (t + 1) / (N + k) cell by cell, never zero
     - learn_parameters reproduces the hand-computed add-1 model on degenerate
       data, is uniform at N=0, and is consistent at large N
@@ -24,6 +25,7 @@ import pytest
 
 from chowliu import (
     Alphabet,
+    DenseJoint,
     RootedTree,
     SampleFormatError,
     SampleSet,
@@ -37,6 +39,7 @@ from chowliu import (
     read_binary,
     read_csv,
     sample,
+    sample_dense,
     to_dense,
     validate_tree_model,
     write_binary,
@@ -45,6 +48,7 @@ from chowliu import (
 from chowliu.estimation import (
     DEFAULT_ADD_ONE_CONSTANT,
     DEFAULT_FIXED_STRUCTURE_CONSTANT,
+    _trial_counts,
     calibrate_add_one_constant,
     calibrate_fixed_structure_constant,
 )
@@ -112,6 +116,16 @@ def test_empirical_counts_rejects_bad_variables():
         empirical_counts(s, (0, 1, 2, 2))
     with pytest.raises(ValueError):
         empirical_counts(s, (3,))
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 2), (3, 4)])
+def test_trial_counts_stack_each_trials_counts(n, k):
+    rng = np.random.default_rng(n * 10 + k)
+    joint = DenseJoint(n, Alphabet(k), rng.dirichlet(np.ones(k**n)))
+    tables = _trial_counts(joint, 37, 5, lambda t: 100 + t)
+    assert tables.shape == (5,) + (k,) * n and tables.dtype == np.int64
+    for t in range(5):
+        assert np.array_equal(tables[t], empirical_counts(sample_dense(joint, 37, 100 + t), range(n)))
 
 
 # -- add-1 ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ Core claims:
   * ExperimentConfig validates its kind, grid, and trial count, and reads
     from a JSON document with every key given as the config built by hand;
     more trials than one float64 array holds (intp max // 8) is an error
-    naming trials when the config is built, before anything runs.
+    naming trials when the config is built, before anything runs, and a
+    trial count no memory can hold is one out-of-memory error line at once.
   * Rows serialize under a fixed header with repr floats; the seconds column
     is always 0.0, so the output is byte-stable.
   * run_experiment is deterministic given (kind, grid, trials, seed): two
@@ -13,7 +14,9 @@ Core claims:
   * Each experiment kind produces sane aggregates on small grids, and the
     NonRealizableRecovery kind rejects grids its families cannot fill, naming
     the cell, before any trial runs; a binary CITesterRates cell runs at an
-    epsilon in (1, 2), outside the realizable pair's domain.
+    epsilon in (1, 2), outside the realizable pair's domain, and its row is
+    the one the public conditional tester gives trial by trial, with Python
+    floats in its fields and a time that covers its draws.
   * NonRealizableRecovery's exact truth, the block-diagonal MI matrix,
     matches the pairwise MI of the dense block product within 1e-15, and is
     exactly 0 across blocks.
@@ -26,12 +29,15 @@ Core claims:
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from chowliu import harness
-from chowliu.citest import TesterConfig, required_samples_cmi
+from chowliu.citest import INDEPENDENT, TesterConfig, calibration_family, required_samples_cmi
+from chowliu.citest import test_conditional_independence as cmi_verdict
+from chowliu.cli import main
 from chowliu.harness import (
     CSV_HEADER,
     ExperimentCell,
@@ -46,6 +52,7 @@ from chowliu.harness import (
 )
 from chowliu.hardinstances import block_product, nonrealizable_triple
 from chowliu.info import mutual_information
+from chowliu.model import sample_dense
 from chowliu.seeding import derive_seed
 
 
@@ -80,12 +87,25 @@ def test_config_rejects_empty_grid_and_bad_trials():
 
 @pytest.mark.parametrize("trials", ["1e308", str(np.iinfo(np.intp).max // 8 + 1)], ids=["1e308", "most-plus-1"])
 def test_config_rejects_more_trials_than_one_array_holds(trials):
-    # Only built, never run: such a run would not end.
+    # Only built, never run.
     most = np.iinfo(np.intp).max // 8
     text = '{"kind": "Add1Risk", "grid": [{"n": 1, "k": 2, "epsilon": 0.1, "N": 10}], "trials": %s, "seed": 0}'
     with pytest.raises(ValueError, match=f"^trials must be from 1 to {most}, got {int(float(trials))}$"):
         ExperimentConfig.from_json(text % trials)
     assert ExperimentConfig.from_json(text % most).trials == most
+
+
+def test_trials_no_memory_can_hold_exit_1_at_once(tmp_path, capsys):
+    # 1e15 float64 excesses take 7.1 PiB, more than any address space holds,
+    # so the one allocation fails before the first trial.
+    config = tmp_path / "config.json"
+    config.write_text('{"kind": "Add1Risk", "grid": [{"n": 1, "k": 3, "epsilon": 0.05, "N": 10}], '
+                      '"trials": 1e15, "seed": 1}')
+    assert main(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: out of memory: ")
+    assert captured.out == ""
 
 
 def test_config_coerces_grid_to_tuple():
@@ -256,6 +276,38 @@ def test_citester_rates_cell_fills_sample_size():
     want = required_samples_cmi(TesterConfig(epsilon=0.3, delta=0.1, k=2))
     assert rows[0].n_samples == want
     assert rows[0].success_rate >= 0.9
+
+
+# At N = 10 some verdicts are wrong, so the rows tell each member's draws apart.
+@pytest.mark.parametrize("k,epsilon,N", [(2, 0.3, 0), (2, 0.3, 10), (3, 0.5, 10)])
+def test_citester_rates_row_is_the_testers_trial_by_trial(k, epsilon, N):
+    trials, seed = 30, 5
+    row, = run_experiment(ExperimentConfig("CITesterRates", (ExperimentCell(3, k, epsilon, N),), trials, seed))
+    cfg = TesterConfig(epsilon=epsilon, delta=0.1, k=k)
+    count = N or required_samples_cmi(cfg)
+    family = {m.name: m.joint for m in calibration_family(k, epsilon)}
+    successes, excesses = 0, []
+    for t in range(trials):
+        v_ci = cmi_verdict(sample_dense(family["ci-common-cause"], count, derive_seed(seed, "citest", 0, t, "ci")), cfg)
+        v_dep = cmi_verdict(sample_dense(family["dep-borderline"], count, derive_seed(seed, "citest", 0, t, "dep")), cfg)
+        successes += v_ci.verdict == INDEPENDENT and v_dep.verdict != INDEPENDENT
+        excesses.append(v_ci.statistic - epsilon)
+    assert (row.n_samples, row.success_rate, row.mean_excess) == (count, successes / trials, float(np.mean(excesses)))
+    assert row.p95_excess == float(np.percentile(excesses, 95))
+    for value in (row.success_rate, row.mean_excess, row.p95_excess, row.seconds):
+        assert type(value) is float
+
+
+def test_citester_rates_row_time_covers_the_draws(monkeypatch):
+    draw = harness._trial_counts
+
+    def slow_draw(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "_trial_counts", slow_draw)
+    row, = run_experiment(ExperimentConfig("CITesterRates", (ExperimentCell(3, 2, 0.3, 20),), trials=3, seed=1))
+    assert row.seconds >= 0.1  # both members' draws
 
 
 def test_citester_rates_binary_cell_above_epsilon_one():

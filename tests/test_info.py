@@ -132,6 +132,13 @@ def test_deviation_bounds_examples():
     assert kl_deviation_term(-0.3, 0.3) == pytest.approx(b.upper, abs=1e-15)
 
 
+def test_deviation_bounds_on_a_zero_base_are_infinite():
+    # A cell with no mass under the base and some under the table: the KL term is infinite.
+    b = kl_deviation_bounds(0.1, 0.0)
+    assert (b.envelope, b.lower, b.upper) == (math.inf, math.inf, math.inf)
+    assert kl_deviation_term(0.1, 0.0) == math.inf
+
+
 def test_deviation_sandwich_on_grid():
     bases = np.linspace(1e-6, 1.0, 60)
     for base in bases:

@@ -233,6 +233,40 @@ def test_rooted_tree_rejects_cycles():
         RootedTree(3, 0, (-1, 0, 5))
 
 
+def test_tree_constructors_name_a_duplicate_edge_a_root_with_a_parent_and_a_self_parent():
+    with pytest.raises(ValueError, match="^duplicate edge$"):
+        UndirectedTree(3, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="^parent of the root must be -1$"):
+        RootedTree(3, 0, (1, -1, 1))
+    with pytest.raises(ValueError, match="^cycle: node 2 is its own parent$"):
+        RootedTree(3, 0, (-1, 0, 2))
+
+
+def test_dense_joint_needs_a_variable_and_a_table_within_the_cap():
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        DenseJoint(0, Alphabet(2), [1.0])
+    # 5**11 entries: n is below the bit length of the cap, so the power is taken.
+    with pytest.raises(ValueError, match=f"^dense table of {5**11} entries exceeds cap {DENSE_CAP}$"):
+        DenseJoint(11, Alphabet(5), [1.0])
+
+
+def test_divergences_and_projections_reject_mismatched_spaces():
+    p = to_dense(random_tree_model(3, 2, seed=1))
+    wider = to_dense(random_tree_model(4, 2, seed=1))
+    larger_k = to_dense(random_tree_model(3, 3, seed=1))
+    for q in (wider, larger_k):
+        for compare in (kl_divergence, statistical_distances):
+            with pytest.raises(ValueError, match="^distributions live on different spaces$"):
+                compare(p, q)
+    with pytest.raises(ValueError, match="^distributions live on different spaces$"):
+        kl_decomposition(p, random_tree_model(4, 2, seed=1))
+    tree = random_tree_model(4, 2, seed=1).tree.skeleton()
+    with pytest.raises(ValueError, match="^joint has 3 variables but tree has 4 nodes$"):
+        project_onto_tree(p, tree, 0)
+    with pytest.raises(ValueError, match="^joint has 3 variables but tree has 4 nodes$"):
+        kl_to_tree_projection(p, tree)
+
+
 def test_root_at_orients_path():
     t = UndirectedTree(4, ((0, 1), (1, 2), (2, 3)))
     r = root_at(t, 2)

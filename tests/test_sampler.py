@@ -105,6 +105,13 @@ def test_sample_dense_never_draws_zero_mass_assignments():
     assert set(flat.tolist()) <= {0, 5, 13}
 
 
+def test_samplers_reject_a_negative_count():
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        sample(random_tree_model(3, 2, seed=1), -1, 1)
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        sample_dense(DenseJoint(2, Alphabet(2), np.full(4, 0.25)), -1, 1)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 8, 17, 64])
 def test_conditional_inverse_cdf_equals_the_whole_row_comparison(k):
     rng = np.random.default_rng(k)

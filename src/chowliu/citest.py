@@ -223,7 +223,9 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
         for member in family:
             tables = _trial_counts(member.joint, count, trials,
                                    lambda t: derive_seed(seed, "calibrate", member.name, candidate, t))
-            stats = conditional_mi(tables / count)
+            tables /= count
+            stats = conditional_mi(tables)
+            del tables  # one member's stack at a time
             if member.true_cmi == 0.0:
                 failures = int(np.count_nonzero(stats >= cfg.epsilon))
             else:

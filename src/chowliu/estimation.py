@@ -98,10 +98,12 @@ def empirical_counts(s: SampleSet, variables) -> np.ndarray:
 
 def _trial_counts(joint, count: int, trials: int, seed_of) -> np.ndarray:
     """The count tables of `trials` draws of `count` samples each from a dense
-    joint of 1-3 variables, trial t seeded by seed_of(t): an int64 array shaped
-    (trials,) + (k,) * n.  It is allocated before the first draw, so a trial
-    count no memory can hold fails at once."""
-    tables = np.empty((trials,) + (joint.k,) * joint.n, dtype=np.int64)
+    joint of 1-3 variables, trial t seeded by seed_of(t): a float64 array
+    shaped (trials,) + (k,) * n, so callers can divide it in place.  Its
+    counts are exact integers: a count reaches 2^53 only in a draw of 2^53
+    rows, 8 PiB, which no memory holds.  It is allocated before the first
+    draw, so a trial count no memory can hold fails at once."""
+    tables = np.empty((trials,) + (joint.k,) * joint.n, dtype=np.float64)
     for t in range(trials):
         tables[t] = empirical_counts(sample_dense(joint, count, seed_of(t)), range(joint.n))
     return tables

@@ -6,12 +6,20 @@ cell index, trial index), so runs are reproducible cell-by-cell and
 independent of execution order.  The CSV's `seconds` column is always
 written as 0.0, so every output reproduces byte for byte; measured wall time
 goes only to the returned rows.
+
+One loop, `_run_trials`, aggregates each row from its trials' (success,
+excess) outcomes, timing the pass over them.  RealizableRecovery,
+NonRealizableRecovery and Add1Risk run one trial per outcome.  SeparationCurve
+and CITesterRates pass a generator whose first step draws every trial of each
+member into one count stack (`estimation._trial_counts`, as `calibrate` does)
+and takes the member's statistics from one MI or CMI call on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +28,7 @@ import numpy as np
 from .citest import DEFAULT_C_SAMPLE, TesterConfig, calibration_family, required_samples_cmi
 from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, _trial_counts, add_one_risk_bound
 from .hardinstances import nonrealizable_triple, realizable_triple
-from .info import _pairwise_mi, conditional_mi
+from .info import _pairwise_mi, conditional_mi, mutual_information
 from .model import (
     Alphabet,
     _float,
@@ -33,7 +41,7 @@ from .model import (
     sample_dense,
 )
 from .seeding import derive_seed
-from .structure import MIMatrix, chow_liu_structure, max_weight_spanning_tree, tree_weight
+from .structure import MIMatrix, max_weight_spanning_tree, mi_matrix, tree_weight
 
 __all__ = [
     "KINDS",
@@ -62,6 +70,12 @@ def _max_samples(n: int) -> int:
 # The most trials a cell can run: _run_trials keeps one float64 excess per
 # trial in one array.
 _MAX_TRIALS = np.iinfo(np.intp).max // 8
+
+
+def _check_trials(trials) -> None:
+    """A ValueError unless trials is an integer from 1 to _MAX_TRIALS."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be from 1 to {_MAX_TRIALS}, got {trials}")
 
 
 def _str(value) -> str:
@@ -93,8 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not self.grid:
             raise ValueError("grid must not be empty")
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"trials must be from 1 to {_MAX_TRIALS}, got {self.trials}")
+        _check_trials(self.trials)
         object.__setattr__(self, "grid", tuple(self.grid))
         spec = _KINDS[self.kind][2]
         object.__setattr__(self, "kind_options",
@@ -163,16 +176,15 @@ def _p95(values: np.ndarray) -> float:
     return float(x[i + 1] - step * (1 - t) if t >= 0.5 else x[i] + step * t)
 
 
-def _run_trials(cell: ExperimentCell, trials: int, trial) -> ExperimentRow:
-    """Run trial(t) -> (success, excess) for t in range(trials) and
-    aggregate the cell's row, timing the whole loop.  The excesses' array is
-    allocated before the first trial, so a trial count no memory can hold
-    fails at once."""
+def _run_trials(cell: ExperimentCell, trials: int, outcomes) -> ExperimentRow:
+    """Aggregate the cell's row from outcomes, the trials' (success, excess)
+    pairs in trial order, timing the whole pass over them, draws included.
+    The excesses' array is allocated before the first outcome, so a trial
+    count no memory can hold fails at once."""
     start = time.perf_counter()
     successes = 0
     excesses = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        success, excess = trial(t)
+    for t, (success, excess) in enumerate(outcomes):
         successes += bool(success)
         excesses[t] = excess
     return ExperimentRow(
@@ -194,10 +206,10 @@ def _truth(weights: np.ndarray) -> tuple:
     return truth, tree_weight(truth, max_weight_spanning_tree(truth))
 
 
-def _shortfall(truth: MIMatrix, best: float, s: SampleSet) -> float:
+def _shortfall(truth: MIMatrix, best: float, learned) -> float:
     """best, the true weight of the best tree, minus the true weight of the
-    tree learned from s."""
-    return best - tree_weight(truth, chow_liu_structure(s))
+    tree learned from the weights `learned`."""
+    return best - tree_weight(truth, max_weight_spanning_tree(learned))
 
 
 # -- recovery kinds -------------------------------------------------------------
@@ -207,10 +219,10 @@ def _realizable_cell(cell: ExperimentCell, trials: int, master: int, index: int,
     def trial(t):
         m = random_tree_model(cell.n, cell.k, derive_seed(master, "real", index, t, "model"), cpt_floor)
         s = sample(m, cell.n_samples, derive_seed(master, "real", index, t, "data"))
-        excess = _shortfall(*_truth(exact_mi_matrix(m)), s)
+        excess = _shortfall(*_truth(exact_mi_matrix(m)), mi_matrix(s))
         return excess <= cell.epsilon, excess
 
-    return _run_trials(cell, trials, trial)
+    return _run_trials(cell, trials, map(trial, range(trials)))
 
 
 def _block_mi_matrix(blocks) -> np.ndarray:
@@ -234,10 +246,10 @@ def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: i
         rng = np.random.default_rng(derive_seed(master, "nonreal", index, t, "pick"))
         blocks = [nonrealizable_triple(int(rng.integers(1, 4)), instance_eps) for _ in range(cell.n // 3)]
         s = _sample_blocks(blocks, cell.n_samples, derive_seed(master, "nonreal", index, t, "data"))
-        excess = _shortfall(*_truth(_block_mi_matrix(blocks)), s)
+        excess = _shortfall(*_truth(_block_mi_matrix(blocks)), mi_matrix(s))
         return excess <= cell.epsilon, excess
 
-    return _run_trials(cell, trials, trial)
+    return _run_trials(cell, trials, map(trial, range(trials)))
 
 
 # -- separation curve -----------------------------------------------------------
@@ -291,6 +303,18 @@ def _sample_size_grid(maximum: int) -> list:
     return out
 
 
+def _learned_weights(joint, count: int, trials: int, seed_of) -> np.ndarray:
+    """mi_matrix of each trial's draw from a three-variable joint, bit for bit,
+    as a (trials, 3, 3) stack: the pair tables sum the integer counts, as the
+    count pass does, before the division."""
+    tables = _trial_counts(joint, count, trials, seed_of)
+    pairs = np.stack([tables.sum(axis=3), tables.sum(axis=2), tables.sum(axis=1)], axis=1) / count
+    us, vs = np.triu_indices(3, 1)
+    weights = np.zeros((trials, 3, 3))
+    weights[:, us, vs] = weights[:, vs, us] = mutual_information(pairs.reshape(-1, 2, 2)).reshape(trials, 3)
+    return weights
+
+
 def separation_curve(
     regime: str,
     epsilons,
@@ -313,6 +337,7 @@ def separation_curve(
     """
     if regime not in ("realizable", "nonrealizable"):
         raise ValueError(f"unknown regime {regime!r}")
+    _check_trials(trials)
     epsilons = list(epsilons)
     if len(set(epsilons)) < 2 or not min(epsilons) > 0.0:
         raise ValueError(f"need at least two distinct epsilons, all above 0, to fit a slope, got {epsilons}")
@@ -324,14 +349,16 @@ def separation_curve(
         instances = [(joint, *_truth(_block_mi_matrix([joint]))) for joint in joints]
         for count in _sample_size_grid(max_samples):
 
-            def trial(t):
-                worst = 0.0
-                for index, (joint, truth, best) in enumerate(instances):
-                    s = sample_dense(joint, count, derive_seed(seed, regime, eps, count, t, index))
-                    worst = max(worst, _shortfall(truth, best, s))
-                return worst <= eps, worst
+            def outcomes():  # every member's trials at once, on the first step
+                learned = [_learned_weights(joint, count, trials, lambda t: derive_seed(seed, regime, eps, count, t, i))
+                           for i, (joint, _, _) in enumerate(instances)]
+                for t in range(trials):
+                    worst = 0.0
+                    for (_, truth, best), weights in zip(instances, learned):
+                        worst = max(worst, _shortfall(truth, best, weights[t]))
+                    yield worst <= eps, worst
 
-            rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, trial))
+            rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, outcomes()))
             if rows[-1].success_rate >= 0.8:
                 break
         else:
@@ -356,7 +383,7 @@ def _add1_cell(cell: ExperimentCell, trials: int, master: int, index: int, const
         d = _add_one_kl(rng.dirichlet(np.ones(cell.k)), cell.n_samples, rng)
         return d <= bound, d - bound
 
-    return _run_trials(cell, trials, trial)
+    return _run_trials(cell, trials, map(trial, range(trials)))
 
 
 def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, delta, c_sample) -> ExperimentRow:
@@ -372,18 +399,19 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
                              f"{cell.epsilon} gives a formula sample size of {count:.3g}, more than numpy can draw")
     family = {m.name: m for m in calibration_family(cell.k, cell.epsilon)}
     threshold = cfg.c_decision * cfg.epsilon
-    stats = {}
 
-    def trial(t):
-        if not stats:  # every trial's statistics at once, inside _run_trials' clock
-            for tag, name in (("ci", "ci-common-cause"), ("dep", "dep-borderline")):
-                tables = _trial_counts(family[name].joint, count, trials,
-                                       lambda u: derive_seed(master, "citest", index, u, tag))
-                stats[tag] = conditional_mi(tables / count)
-        ci = stats["ci"][t]
-        return ci < threshold <= stats["dep"][t], ci - cell.epsilon
+    def outcomes():  # every trial's statistics at once, on the first step
+        stats = []
+        for tag, name in (("ci", "ci-common-cause"), ("dep", "dep-borderline")):
+            tables = _trial_counts(family[name].joint, count, trials,
+                                   lambda t: derive_seed(master, "citest", index, t, tag))
+            tables /= count
+            stats.append(conditional_mi(tables))
+            del tables  # one member's stack at a time
+        for ci, dep in zip(*stats):
+            yield ci < threshold <= dep, ci - cell.epsilon
 
-    return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, trial)
+    return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, outcomes())
 
 
 def _separation_kind(cfg: ExperimentConfig, **options) -> list:

@@ -4,7 +4,7 @@ Core claims:
     - SampleSet enforces byte-sized alphabets and symbol ranges
     - empirical_counts tallies exactly, is additive over chunks, and returns
       a read-only int64 array; _trial_counts stacks, trial by trial, the
-      counts of sample_dense's draws under each trial's seed
+      counts of sample_dense's draws under each trial's seed, as float64
     - add_one_estimate matches (t + 1) / (N + k) cell by cell, never zero
     - learn_parameters reproduces the hand-computed add-1 model on degenerate
       data, is uniform at N=0, and is consistent at large N
@@ -123,7 +123,7 @@ def test_trial_counts_stack_each_trials_counts(n, k):
     rng = np.random.default_rng(n * 10 + k)
     joint = DenseJoint(n, Alphabet(k), rng.dirichlet(np.ones(k**n)))
     tables = _trial_counts(joint, 37, 5, lambda t: 100 + t)
-    assert tables.shape == (5,) + (k,) * n and tables.dtype == np.int64
+    assert tables.shape == (5,) + (k,) * n and tables.dtype == np.float64
     for t in range(5):
         assert np.array_equal(tables[t], empirical_counts(sample_dense(joint, 37, 100 + t), range(n)))
 

@@ -3,6 +3,8 @@
 Core claims:
   * ExperimentConfig validates its kind, grid, and trial count, and reads
     from a JSON document with every key given as the config built by hand;
+    it and separation_curve share one check that trials is an integer from
+    1, made before any draw;
     more trials than one float64 array holds (intp max // 8) is an error
     naming trials when the config is built, before anything runs, and a
     trial count no memory can hold is one out-of-memory error line at once.
@@ -16,20 +18,26 @@ Core claims:
     the cell, before any trial runs; a binary CITesterRates cell runs at an
     epsilon in (1, 2), outside the realizable pair's domain, and its row is
     the one the public conditional tester gives trial by trial, with Python
-    floats in its fields and a time that covers its draws.
+    floats in its fields and a time that covers its draws; the cell holds one
+    member's count stack at a time (tracemalloc peak at most 1.5 stacks).
   * NonRealizableRecovery's exact truth, the block-diagonal MI matrix,
     matches the pairwise MI of the dense block product within 1e-15, and is
     exactly 0 across blocks.
   * separation_curve probes a doubling sample-size grid from 6 until a
     success rate of 0.8 is reached and fits the log-log slope of N* vs
     1/epsilon; its only option keys are 'regime' and 'max_samples', and it
-    rejects epsilons that cannot give a slope before any trial runs.
+    rejects epsilons that cannot give a slope before any trial runs.  Its
+    rows, points and slope are the public learner's run trial by trial, ties
+    of the learned weights at N = 6 included, and each row's time covers its
+    draws.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
 """
 
 import json
 import math
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,10 +58,11 @@ from chowliu.harness import (
     separation_curve,
     write_rows_csv,
 )
-from chowliu.hardinstances import block_product, nonrealizable_triple
+from chowliu.hardinstances import block_product, nonrealizable_triple, realizable_triple
 from chowliu.info import mutual_information
 from chowliu.model import sample_dense
 from chowliu.seeding import derive_seed
+from chowliu.structure import chow_liu_structure, max_weight_spanning_tree, mi_matrix, tree_weight
 
 
 def stats(row):
@@ -106,6 +115,19 @@ def test_trials_no_memory_can_hold_exit_1_at_once(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: out of memory: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+def test_config_and_separation_curve_take_an_integer_count_of_trials_before_any_draw(trials, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a trial drew samples")
+
+    monkeypatch.setattr(harness, "_trial_counts", no_draws)
+    message = re.escape(f"trials must be from 1 to {np.iinfo(np.intp).max // 8}, got {trials}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig("Add1Risk", (ExperimentCell(1, 2, 0.1, 10),), trials=trials, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        separation_curve("realizable", (0.1, 0.2), trials=trials, seed=1)
 
 
 def test_config_coerces_grid_to_tuple():
@@ -310,6 +332,20 @@ def test_citester_rates_row_time_covers_the_draws(monkeypatch):
     assert row.seconds >= 0.1  # both members' draws
 
 
+def test_citester_rates_cell_holds_one_count_stack_at_a_time():
+    # One member's stack is 100 trials of 16^3 float64 counts, 3.125 MiB.  The
+    # second run is measured, so caches the first run fills do not count.
+    cfg = ExperimentConfig("CITesterRates", (ExperimentCell(3, 16, 0.2, 300),), trials=100, seed=3)
+    run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 100 * 16**3 * 8
+
+
 def test_citester_rates_binary_cell_above_epsilon_one():
     cfg = ExperimentConfig("CITesterRates", (ExperimentCell(3, 2, 1.5, 50),), trials=2, seed=11)
     rows = run_experiment(cfg)
@@ -356,6 +392,64 @@ def test_separation_curve_small_run_is_deterministic():
     for point in result.points:
         assert by_eps[point.epsilon].n_samples == point.n_star
         assert by_eps[point.epsilon].success_rate >= 0.8
+
+
+def separation_by_trial(regime, epsilons, trials, seed):
+    """separation_curve's rows, points and slope, with each member's tree of
+    each trial learned by the public learner from its own sample set; and
+    whether the learned weights of some trial tied."""
+    make = realizable_triple if regime == "realizable" else nonrealizable_triple
+    rows, points, tied = [], [], False
+    for eps in epsilons:
+        members = []
+        for index in (1, 2, 3):
+            joint = make(index, eps)
+            truth = np.zeros((3, 3))
+            for u, v in ((0, 1), (0, 2), (1, 2)):
+                truth[u, v] = truth[v, u] = mutual_information(joint.marginal((u, v)))
+            members.append((joint, truth, tree_weight(truth, max_weight_spanning_tree(truth))))
+        count = 6
+        while True:
+            successes, excesses = 0, []
+            for t in range(trials):
+                worst = 0.0
+                for index, (joint, truth, best) in enumerate(members):
+                    s = sample_dense(joint, count, derive_seed(seed, regime, eps, count, t, index))
+                    weights = mi_matrix(s).weights
+                    tied = tied or len({weights[0, 1], weights[0, 2], weights[1, 2]}) < 3
+                    worst = max(worst, best - tree_weight(truth, chow_liu_structure(s)))
+                successes += worst <= eps
+                excesses.append(worst)
+            rows.append((3, 2, eps, count, trials, successes / trials, float(np.mean(excesses)),
+                         float(np.percentile(excesses, 95))))
+            if successes / trials >= 0.8:
+                break
+            count *= 2
+        points.append(SeparationPoint(eps, count))
+    return rows, points, fitted_slope(points), tied
+
+
+@pytest.mark.parametrize("regime", ["realizable", "nonrealizable"])
+def test_separation_curve_is_the_learners_trial_by_trial(regime):
+    # Every probe starts at N = 6, where some trials' learned weights tie and
+    # the pinned Kruskal order alone picks the tree.
+    rows, points, slope, tied = separation_by_trial(regime, (0.1, 0.2), trials=20, seed=4)
+    result = separation_curve(regime, (0.1, 0.2), trials=20, seed=4)
+    assert tied and rows[0][3] == 6
+    assert [stats(row) for row in result.rows] == rows
+    assert (list(result.points), result.slope) == (points, slope)
+
+
+def test_separation_row_time_covers_the_draws(monkeypatch):
+    draw = harness._trial_counts
+
+    def slow_draw(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "_trial_counts", slow_draw)
+    result = separation_curve("realizable", (0.2, 0.3), trials=3, seed=1)
+    assert all(row.seconds >= 0.15 for row in result.rows)  # the three members' draws
 
 
 def test_separation_curve_runs_through_run_experiment(tmp_path):

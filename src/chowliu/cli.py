@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: sample, learn, citest, experiment, verify-facts, calibrate.
+`main` is the one entry: the parser is the one place that knows the flags
+and their defaults, and each subcommand's handler reads the parsed arguments.
 Results go to stdout or to --out files; progress and timing go to stderr so
 that outputs stay byte-identical for identical inputs and seeds.  The seed of
 `experiment` comes from its config file, and that of `calibrate` from --seed.
@@ -38,7 +40,7 @@ from .model import (
 )
 from .structure import chow_liu_structure, learn_tree_distribution
 
-__all__ = ["main", "cmd_sample", "cmd_learn", "cmd_citest", "cmd_experiment", "cmd_verify", "cmd_calibrate"]
+__all__ = ["main"]
 
 
 def _log(message: str) -> None:
@@ -65,58 +67,54 @@ def _read_samples(path: str, k: int | None):
     return read_binary(path, k) if _is_binary(path) else read_csv(path, k)
 
 
-def cmd_sample(model_path: str, count: int, seed: int, out_path: str) -> int:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+def _sample(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     start = time.perf_counter()
-    with open(model_path) as fh:
+    with open(args.model) as fh:
         m = tree_model_from_json(fh.read())
-    s = sample(m, count, seed)
-    if _is_binary(out_path):
-        write_binary(s, out_path)
+    s = sample(m, args.count, args.seed)
+    if _is_binary(args.out):
+        write_binary(s, args.out)
     else:
-        write_csv(s, out_path)
-    _log(f"sampled N={count} n={m.n} k={m.k} -> {out_path} ({time.perf_counter() - start:.3f}s)")
+        write_csv(s, args.out)
+    _log(f"sampled N={args.count} n={m.n} k={m.k} -> {args.out} ({time.perf_counter() - start:.3f}s)")
     return 0
 
 
-def cmd_learn(samples_path: str, mode: str, tree_path: str | None = None,
-              out_path: str | None = None, k: int | None = None) -> int:
-    if mode == "params" and tree_path is None:
+def _learn(args: argparse.Namespace) -> int:
+    if args.mode == "params" and args.tree is None:
         raise ValueError("--tree is required with --mode params")
     start = time.perf_counter()
-    s = _read_samples(samples_path, k)
-    _log(f"read N={s.n_samples} n={s.n_variables} k={s.alphabet.size} from {samples_path}")
-    if mode == "structure":
+    s = _read_samples(args.samples, args.k)
+    _log(f"read N={s.n_samples} n={s.n_variables} k={s.alphabet.size} from {args.samples}")
+    if args.mode == "structure":
         payload = undirected_tree_to_json(chow_liu_structure(s))
-    elif mode == "params":
-        with open(tree_path) as fh:
+    elif args.mode == "params":
+        with open(args.tree) as fh:
             skeleton = undirected_tree_from_json(fh.read())
         payload = tree_model_to_json(learn_parameters(s, root_at(skeleton, 0)))
-    elif mode == "full":
-        payload = tree_model_to_json(learn_tree_distribution(s))
     else:
-        raise SystemExit(f"unknown mode {mode!r}")
-    if out_path is None:
+        payload = tree_model_to_json(learn_tree_distribution(s))
+    if args.out is None:
         print(payload)
     else:
-        with open(out_path, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(payload + "\n")
-    _log(f"learn mode={mode} done ({time.perf_counter() - start:.3f}s)")
+    _log(f"learn mode={args.mode} done ({time.perf_counter() - start:.3f}s)")
     return 0
 
 
-def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = None,
-               config_path: str | None = None) -> int:
-    s = _read_samples(samples_path, k)
+def _citest(args: argparse.Namespace) -> int:
+    s = _read_samples(args.samples, args.k)
     text = "{}"
-    if config_path is not None:
-        with open(config_path) as fh:
+    if args.config is not None:
+        with open(args.config) as fh:
             text = fh.read()
     c_sample, c_decision = _json_document(
         text, "tester config", {"c_sample": (_float, citest_mod.DEFAULT_C_SAMPLE), "c_decision": (_float, 0.5)}
     )
-    cfg = citest_mod.TesterConfig(epsilon, delta, s.alphabet.size, c_sample, c_decision)
+    cfg = citest_mod.TesterConfig(args.epsilon, args.delta, s.alphabet.size, c_sample, c_decision)
     if s.n_variables == 3:
         verdict = citest_mod.test_conditional_independence(s, cfg)
         kind = "conditional"
@@ -134,8 +132,8 @@ def cmd_citest(samples_path: str, epsilon: float, delta: float, k: int | None = 
     return 0
 
 
-def cmd_experiment(config_path: str, out_path: str | None = None) -> int:
-    with open(config_path) as fh:
+def _experiment(args: argparse.Namespace) -> int:
+    with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     start = time.perf_counter()
     rows = run_experiment(cfg)
@@ -143,22 +141,17 @@ def cmd_experiment(config_path: str, out_path: str | None = None) -> int:
         _log(f"row n={row.n} k={row.k} epsilon={row.epsilon} N={row.n_samples} ({row.seconds:.3f}s)")
     _log(f"experiment kind={cfg.kind} cells={len(cfg.grid)} trials={cfg.trials} "
          f"seed={cfg.seed} ({time.perf_counter() - start:.3f}s)")
-    if out_path is None:
+    if args.out is None:
         print(_csv_text(rows), end="")
     else:
-        write_rows_csv(rows, out_path)
-        _log(f"wrote {out_path}")
+        write_rows_csv(rows, args.out)
+        _log(f"wrote {args.out}")
     return 0
 
 
-def cmd_verify(regime: str, epsilon: float) -> int:
-    if regime == "nonrealizable":
-        facts = verify_nonrealizable_facts(epsilon)
-    elif regime == "realizable":
-        facts = verify_realizable_facts(epsilon)
-    else:
-        raise SystemExit(f"unknown regime {regime!r}")
-    doc = dataclasses.asdict(facts)
+def _verify(args: argparse.Namespace) -> int:
+    verify = verify_realizable_facts if args.regime == "realizable" else verify_nonrealizable_facts
+    doc = dataclasses.asdict(verify(args.epsilon))
     checks = [value for name, value in doc.items() if name.endswith("_ok")]
     doc["pass"] = all(checks)
     print(json.dumps(doc))
@@ -169,13 +162,12 @@ def cmd_verify(regime: str, epsilon: float) -> int:
     return 0
 
 
-def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
-                  out_path: str | None = None, grid=None) -> int:
-    _check_k(k)
-    _check_grid(grid)
-    base = citest_mod.TesterConfig(epsilon=epsilon, delta=delta, k=k)
+def _calibrate(args: argparse.Namespace) -> int:
+    _check_k(args.k)
+    _check_grid(args.grid)
+    base = citest_mod.TesterConfig(epsilon=args.epsilon, delta=args.delta, k=args.k)
     try:
-        tuned = citest_mod.calibrate(base, trials=trials, seed=seed, grid=grid)
+        tuned = citest_mod.calibrate(base, trials=args.trials, seed=args.seed, grid=args.grid)
     except citest_mod.CalibrationError as err:
         _log(f"calibration failed: {err}")
         for candidate, rates in err.diagnostics.items():
@@ -187,8 +179,8 @@ def cmd_calibrate(epsilon: float, delta: float, k: int, trials: int, seed: int,
         "required_samples_mi": citest_mod.required_samples_mi(tuned),
     })
     print(payload)
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
+    if args.out is not None:
+        with open(args.out, "w", newline="") as fh:
             fh.write(payload + "\n")
     return 0
 
@@ -198,12 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw samples from a tree model JSON file")
+    p.set_defaults(run=_sample)
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("learn", help="learn structure and/or parameters from samples")
+    p.set_defaults(run=_learn)
     p.add_argument("--samples", required=True)
     p.add_argument("--mode", choices=("structure", "params", "full"), required=True)
     p.add_argument("--tree", default=None, help="skeleton JSON (required for --mode params)")
@@ -211,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="alphabet size (default: inferred)")
 
     p = sub.add_parser("citest", help="(conditional) independence test on a 2- or 3-column sample set")
+    p.set_defaults(run=_citest)
     p.add_argument("--samples", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -218,14 +213,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON with c_sample / c_decision overrides")
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
+    p.set_defaults(run=_experiment)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p = sub.add_parser("verify-facts", help="exact hard-instance fact checks")
+    p.set_defaults(run=_verify)
     p.add_argument("--regime", choices=("realizable", "nonrealizable"), required=True)
     p.add_argument("--epsilon", type=float, required=True)
 
     p = sub.add_parser("calibrate", help="calibrate the tester's sample-size constant")
+    p.set_defaults(run=_calibrate)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -240,19 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sample":
-            return cmd_sample(args.model, args.count, args.seed, args.out)
-        if args.command == "learn":
-            return cmd_learn(args.samples, args.mode, args.tree, args.out, args.k)
-        if args.command == "citest":
-            return cmd_citest(args.samples, args.epsilon, args.delta, args.k, args.config)
-        if args.command == "experiment":
-            return cmd_experiment(args.config, args.out)
-        if args.command == "verify-facts":
-            return cmd_verify(args.regime, args.epsilon)
-        if args.command == "calibrate":
-            return cmd_calibrate(args.epsilon, args.delta, args.k, args.trials, args.seed,
-                                 args.out, args.grid)
+        return args.run(args)
     except SampleFormatError as err:
         _log(f"error: {err}")
         return 2
@@ -262,7 +248,6 @@ def main(argv=None) -> int:
     except MemoryError as err:  # numpy names the allocation it could not make
         _log(f"error: out of memory: {err}" if str(err) else "error: out of memory")
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ Core claims:
     samples are read, a `--k` outside 2..256, also checked before the
     samples are read or calibrate runs, and `citest` on neither 2 nor 3
     columns are one error line and exit 1; only argparse's usage errors
-    raise SystemExit.
+    raise SystemExit, with code 2: among them an unknown `--mode` or
+    `--regime`.  Every subcommand is run through `main`, so through the
+    parser.
   * Two subprocess invocations with the same seed produce identical bytes.
 """
 
@@ -44,15 +46,7 @@ import pytest
 
 from chowliu import Alphabet, estimation
 from chowliu import citest as citest_mod
-from chowliu.cli import (
-    cmd_citest,
-    cmd_calibrate,
-    cmd_experiment,
-    cmd_learn,
-    cmd_sample,
-    cmd_verify,
-    main,
-)
+from chowliu.cli import main
 from chowliu.estimation import SampleSet, read_csv, write_binary, write_csv
 from chowliu.model import (
     random_tree_model,
@@ -84,8 +78,8 @@ def columns(*cols):
 def test_sample_then_learn_full_matches_library(model_path, tmp_path, capsys):
     samples = tmp_path / "data.csv"
     learned = tmp_path / "learned.json"
-    assert cmd_sample(str(model_path), 2000, 5, str(samples)) == 0
-    assert cmd_learn(str(samples), "full", out_path=str(learned)) == 0
+    assert main(["sample", "--model", str(model_path), "--count", "2000", "--seed", "5", "--out", str(samples)]) == 0
+    assert main(["learn", "--samples", str(samples), "--mode", "full", "--out", str(learned)]) == 0
     want = tree_model_to_json(learn_tree_distribution(read_csv(samples)))
     assert learned.read_text() == want + "\n"
     # JSON parses back into a model over the right shape.
@@ -96,12 +90,12 @@ def test_sample_then_learn_full_matches_library(model_path, tmp_path, capsys):
 def test_binary_and_csv_routes_agree(model_path, tmp_path):
     csv_out = tmp_path / "data.csv"
     bin_out = tmp_path / "data.bin"
-    cmd_sample(str(model_path), 500, 21, str(csv_out))
-    cmd_sample(str(model_path), 500, 21, str(bin_out))
+    for out in (csv_out, bin_out):
+        assert main(["sample", "--model", str(model_path), "--count", "500", "--seed", "21", "--out", str(out)]) == 0
     learned_csv = tmp_path / "from_csv.json"
     learned_bin = tmp_path / "from_bin.json"
-    cmd_learn(str(csv_out), "full", out_path=str(learned_csv))
-    cmd_learn(str(bin_out), "full", out_path=str(learned_bin))
+    assert main(["learn", "--samples", str(csv_out), "--mode", "full", "--out", str(learned_csv)]) == 0
+    assert main(["learn", "--samples", str(bin_out), "--mode", "full", "--out", str(learned_bin)]) == 0
     # Same seed, same draws; only the container format differs.
     assert learned_csv.read_text() == learned_bin.read_text()
 
@@ -115,9 +109,9 @@ def test_learn_on_a_binary_file_without_variables_exits_1(tmp_path, capsys):
 
 def test_learn_structure_to_stdout(model_path, tmp_path, capsys):
     samples = tmp_path / "data.csv"
-    cmd_sample(str(model_path), 1500, 6, str(samples))
+    assert main(["sample", "--model", str(model_path), "--count", "1500", "--seed", "6", "--out", str(samples)]) == 0
     capsys.readouterr()
-    assert cmd_learn(str(samples), "structure") == 0
+    assert main(["learn", "--samples", str(samples), "--mode", "structure"]) == 0
     payload = capsys.readouterr().out
     tree = undirected_tree_from_json(payload)
     assert tree == chow_liu_structure(read_csv(samples))
@@ -125,20 +119,20 @@ def test_learn_structure_to_stdout(model_path, tmp_path, capsys):
 
 def test_learn_params_uses_given_skeleton(model_path, tmp_path, capsys):
     samples = tmp_path / "data.csv"
-    cmd_sample(str(model_path), 1000, 8, str(samples))
+    assert main(["sample", "--model", str(model_path), "--count", "1000", "--seed", "8", "--out", str(samples)]) == 0
     s = read_csv(samples)
     skeleton = chow_liu_structure(s)
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(undirected_tree_to_json(skeleton))
     capsys.readouterr()
-    assert cmd_learn(str(samples), "params", tree_path=str(tree_path)) == 0
+    assert main(["learn", "--samples", str(samples), "--mode", "params", "--tree", str(tree_path)]) == 0
     payload = capsys.readouterr().out.strip()
     assert payload == tree_model_to_json(learn_parameters(s, root_at(skeleton, 0)))
 
 
 def test_learn_params_requires_tree(model_path, tmp_path, capsys):
     samples = tmp_path / "data.csv"
-    cmd_sample(str(model_path), 100, 8, str(samples))
+    assert main(["sample", "--model", str(model_path), "--count", "100", "--seed", "8", "--out", str(samples)]) == 0
     capsys.readouterr()
     # Checked before the samples are read: a missing file is not reported.
     for path in (samples, tmp_path / "missing.csv"):
@@ -146,8 +140,11 @@ def test_learn_params_requires_tree(model_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: --tree is required with --mode params"]
         assert captured.out == ""
-    with pytest.raises(SystemExit, match="mode"):
-        cmd_learn(str(samples), "everything")
+    # An unknown mode is argparse's usage error, before any handler runs.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn", "--samples", str(samples), "--mode", "everything"])
+    assert exit_info.value.code == 2
+    assert "chowliu learn: error: argument --mode: invalid choice: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [-5, 0, 1, 257, 300])
@@ -174,7 +171,7 @@ def test_citest_three_columns_dependent(tmp_path, capsys):
     path = tmp_path / "dep3.csv"
     write_csv(columns(x, x, np.zeros(600)), path)
     capsys.readouterr()
-    assert cmd_citest(str(path), 0.3, 0.1) == 0
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.3", "--delta", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "conditional"
     assert doc["verdict"] == "dependent"
@@ -190,7 +187,7 @@ def test_citest_three_columns_independent(tmp_path, capsys):
     # X = Y = Z is constant given Z, hence conditionally independent.
     write_csv(columns(x, x, x), path)
     capsys.readouterr()
-    assert cmd_citest(str(path), 0.3, 0.1) == 0
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.3", "--delta", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "conditional"
     assert doc["verdict"] == "independent"
@@ -205,10 +202,10 @@ def test_citest_two_columns(tmp_path, capsys):
     ind = tmp_path / "ind2.csv"
     write_csv(columns(rng.integers(0, 2, 800), rng.integers(0, 2, 800)), ind)
     capsys.readouterr()
-    assert cmd_citest(str(dep), 0.3, 0.1) == 0
+    assert main(["citest", "--samples", str(dep), "--epsilon", "0.3", "--delta", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "unconditional" and doc["verdict"] == "dependent"
-    assert cmd_citest(str(ind), 0.3, 0.1) == 0
+    assert main(["citest", "--samples", str(ind), "--epsilon", "0.3", "--delta", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "unconditional" and doc["verdict"] == "independent"
 
@@ -240,7 +237,7 @@ def test_citest_config_overrides(tmp_path, capsys):
     config = tmp_path / "tester.json"
     config.write_text(json.dumps({"c_sample": 2.0, "c_decision": 0.25}))
     capsys.readouterr()
-    assert cmd_citest(str(path), 0.2, 0.1, config_path=str(config)) == 0
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.2", "--delta", "0.1", "--config", str(config)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["c_sample"] == 2.0
     assert doc["c_decision"] == 0.25
@@ -253,7 +250,7 @@ def test_citest_warns_when_undersampled(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     write_csv(columns(x, x), path)
     capsys.readouterr()
-    cmd_citest(str(path), 0.1, 0.1)
+    assert main(["citest", "--samples", str(path), "--epsilon", "0.1", "--delta", "0.1"]) == 0
     err = capsys.readouterr().err
     assert "below the recommended" in err
 
@@ -276,7 +273,7 @@ def experiment_config(tmp_path, seed):
 def test_experiment_stdout_matches_file(tmp_path, capsys):
     config = experiment_config(tmp_path, 9)
     capsys.readouterr()
-    assert cmd_experiment(str(config)) == 0
+    assert main(["experiment", "--config", str(config)]) == 0
     stdout = capsys.readouterr().out
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
@@ -328,18 +325,21 @@ def test_seeds_ignore_the_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_facts_pass_and_fail(capsys):
-    assert cmd_verify("realizable", 0.1) == 0
+    assert main(["verify-facts", "--regime", "realizable", "--epsilon", "0.1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert doc["hellinger_sq"] == pytest.approx(0.05, abs=1e-12)
     # At epsilon = 0.2 the quadratic-ratio flag trips, so the command fails.
-    assert cmd_verify("nonrealizable", 0.2) == 1
+    assert main(["verify-facts", "--regime", "nonrealizable", "--epsilon", "0.2"]) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["pass"] is False
     assert "kl_quadratic_ok" in captured.err
-    with pytest.raises(SystemExit, match="regime"):
-        cmd_verify("gaussian", 0.1)
+    # An unknown regime is argparse's usage error, before any handler runs.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-facts", "--regime", "gaussian", "--epsilon", "0.1"])
+    assert exit_info.value.code == 2
+    assert "chowliu verify-facts: error: argument --regime: invalid choice: " in capsys.readouterr().err
 
 
 def test_verify_facts_epsilon_out_of_range_exits_1(capsys):
@@ -368,7 +368,8 @@ def test_verify_facts_below_the_floor_exits_1(capsys, regime, epsilon, message):
 
 
 def test_calibrate_failure_reports_diagnostics(capsys):
-    rc = cmd_calibrate(0.5, 0.1, 2, trials=100, seed=1, grid=[1e-9])
+    rc = main(["calibrate", "--epsilon", "0.5", "--delta", "0.1", "--k", "2", "--trials", "100", "--seed", "1",
+               "--grid", "1e-9"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "calibration failed" in err
@@ -377,7 +378,8 @@ def test_calibrate_failure_reports_diagnostics(capsys):
 
 def test_calibrate_success_writes_file(tmp_path, capsys):
     out = tmp_path / "tuned.json"
-    rc = cmd_calibrate(0.5, 0.1, 2, trials=100, seed=1, out_path=str(out), grid=[1024.0])
+    rc = main(["calibrate", "--epsilon", "0.5", "--delta", "0.1", "--k", "2", "--trials", "100", "--seed", "1",
+               "--out", str(out), "--grid", "1024"])
     assert rc == 0
     stdout = capsys.readouterr().out
     doc = json.loads(stdout)

@@ -16,9 +16,12 @@ Core claims:
   * Probability arrays take numbers only: a boolean or a string at any depth
     of `root_marginal` or a `cpt` row names its key.
   * `--k` sets the alphabet of CSV and CLS1 input alike.
-  * The README's tables of cell rules and option keys match the harness.
+  * The README's tables of cell rules and option keys match the harness,
+    and its one flag table per subcommand matches the parser: every flag,
+    in order, with `required` or its default.
 """
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -28,7 +31,7 @@ import pytest
 
 from chowliu import Alphabet
 from chowliu import harness
-from chowliu.cli import main
+from chowliu.cli import _build_parser, main
 from chowliu.estimation import SampleSet, write_binary, write_csv
 from chowliu.harness import _KINDS, KINDS, _grid_maximum, _str
 from chowliu.model import (
@@ -316,6 +319,20 @@ def test_readme_option_table_matches_the_kinds():
     rows = readme_table("| Kind | Key | Type | Default | Meaning |")
     assert [tuple(row[:4]) for row in rows] == want
     assert all(re.search(r"\w", row[4]) for row in rows)
+
+
+def test_readme_flag_tables_match_the_parser():
+    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subcommands.choices.items():
+        want = []
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            shown = "required" if action.required else "none" if action.default is None else f"`{action.default}`"
+            want.append((", ".join(f"`{option}`" for option in action.option_strings), shown))
+        rows = readme_table(f"| `chowliu {name}` flag | Required or default | Meaning |")
+        assert [tuple(row[:2]) for row in rows] == want, name
+        assert all(re.search(r"\w", row[2]) for row in rows)
 
 
 def test_float_takes_only_finite_numbers():

@@ -49,7 +49,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentRow,
     run_experiment,
-    separation_curve,
     write_rows_csv,
 )
 from .info import (
@@ -131,5 +130,5 @@ __all__ = [
     "block_product", "verify_nonrealizable_facts", "verify_realizable_facts",
     # harness
     "ExperimentCell", "ExperimentConfig", "ExperimentRow",
-    "run_experiment", "separation_curve", "write_rows_csv",
+    "run_experiment", "write_rows_csv",
 ]

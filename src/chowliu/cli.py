@@ -186,51 +186,61 @@ def _calibrate(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each flag's help is its Meaning cell in the README's flag tables."""
     parser = argparse.ArgumentParser(prog="chowliu", description="Tree-structured distribution learning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw samples from a tree model JSON file")
     p.set_defaults(run=_sample)
-    p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--model", required=True, help="tree model JSON file to draw from")
+    p.add_argument("--count", type=int, required=True, help="number of samples N")
+    p.add_argument("--seed", type=int, required=True, help="seed, a non-negative integer")
+    p.add_argument("--out", required=True, help="sample file to write")
 
     p = sub.add_parser("learn", help="learn structure and/or parameters from samples")
     p.set_defaults(run=_learn)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--mode", choices=("structure", "params", "full"), required=True)
-    p.add_argument("--tree", default=None, help="skeleton JSON (required for --mode params)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--k", type=int, default=None, help="alphabet size (default: inferred)")
+    p.add_argument("--samples", required=True, help="sample file to learn from")
+    p.add_argument("--mode", choices=("structure", "params", "full"), required=True,
+                   help="structure, params or full")
+    p.add_argument("--tree", default=None, help="skeleton JSON file; required with --mode params")
+    p.add_argument("--out", default=None, help="JSON file to write; without it, stdout")
+    p.add_argument("--k", type=int, default=None,
+                   help="alphabet size from 2 to 256; without it, inferred from the file")
 
     p = sub.add_parser("citest", help="(conditional) independence test on a 2- or 3-column sample set")
     p.set_defaults(run=_citest)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON with c_sample / c_decision overrides")
+    p.add_argument("--samples", required=True, help="sample file of 2 or 3 columns")
+    p.add_argument("--epsilon", type=float, required=True, help="distance parameter, positive and finite")
+    p.add_argument("--delta", type=float, required=True, help="failure probability")
+    p.add_argument("--k", type=int, default=None,
+                   help="alphabet size from 2 to 256; without it, inferred from the file")
+    p.add_argument("--config", default=None,
+                   help="tester-config JSON with c_sample (default 0.1875) and c_decision (default 0.5)")
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
     p.set_defaults(run=_experiment)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p.add_argument("--config", required=True, help="experiment config JSON (see File formats)")
+    p.add_argument("--out", default=None, help="CSV file to write; without it, stdout")
 
     p = sub.add_parser("verify-facts", help="exact hard-instance fact checks")
     p.set_defaults(run=_verify)
-    p.add_argument("--regime", choices=("realizable", "nonrealizable"), required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--regime", choices=("realizable", "nonrealizable"), required=True,
+                   help="realizable or nonrealizable")
+    p.add_argument("--epsilon", type=float, required=True,
+                   help="the family's epsilon: at least 1e-13 and below 1 for realizable, "
+                        "at least 1e-6 and below 0.25 for nonrealizable")
 
     p = sub.add_parser("calibrate", help="calibrate the tester's sample-size constant")
     p.set_defaults(run=_calibrate)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=20260814)
-    p.add_argument("--out", default=None)
-    p.add_argument("--grid", type=float, nargs="*", default=None)
+    p.add_argument("--epsilon", type=float, required=True, help="distance parameter, positive and finite")
+    p.add_argument("--delta", type=float, required=True, help="failure probability")
+    p.add_argument("--k", type=int, required=True, help="alphabet size from 2 to 256")
+    p.add_argument("--trials", type=int, default=200, help="trials per candidate and family member, at least 100")
+    p.add_argument("--seed", type=int, default=20260814, help="master seed of the trials")
+    p.add_argument("--out", default=None, help="JSON file to write as well as stdout")
+    p.add_argument("--grid", type=float, nargs="*", default=None,
+                   help="c_sample candidates, tried in the order given; without it, the ascending default grid "
+                        "(see Calibrated constants)")
 
     return parser
 

@@ -13,6 +13,9 @@ NonRealizableRecovery and Add1Risk run one trial per outcome.  SeparationCurve
 and CITesterRates pass a generator whose first step draws every trial of each
 member into one count stack (`estimation._trial_counts`, as `calibrate` does)
 and takes the member's statistics from one MI or CMI call on it.
+
+Each kind has one entry, `run_experiment` on an `ExperimentConfig`; the
+SeparationCurve slope is `fitted_slope` of that kind's rows.
 """
 
 from __future__ import annotations
@@ -49,16 +52,14 @@ __all__ = [
     "ExperimentCell",
     "ExperimentConfig",
     "ExperimentRow",
-    "SeparationPoint",
-    "SeparationResult",
     "run_experiment",
     "write_rows_csv",
-    "separation_curve",
     "fitted_slope",
 ]
 
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 _GRID_START = 6  # first sample size of the separation curve's doubling grid
+_TARGET_RATE = 0.8  # success rate at which a separation probe stops
 
 
 def _max_samples(n: int) -> int:
@@ -70,18 +71,6 @@ def _max_samples(n: int) -> int:
 # The most trials a cell can run: _run_trials keeps one float64 excess per
 # trial in one array.
 _MAX_TRIALS = np.iinfo(np.intp).max // 8
-
-
-def _check_trials(trials) -> None:
-    """A ValueError unless trials is an integer from 1 to _MAX_TRIALS."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be from 1 to {_MAX_TRIALS}, got {trials}")
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not self.grid:
             raise ValueError("grid must not be empty")
-        _check_trials(self.trials)
+        trials = self.trials
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or not 1 <= trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must be from 1 to {_MAX_TRIALS}, got {trials}")
         object.__setattr__(self, "grid", tuple(self.grid))
         spec = _KINDS[self.kind][2]
         object.__setattr__(self, "kind_options",
@@ -255,25 +246,15 @@ def _nonrealizable_cell(cell: ExperimentCell, trials: int, master: int, index: i
 # -- separation curve -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparationPoint:
-    epsilon: float
-    n_star: int
-
-
-@dataclass(frozen=True)
-class SeparationResult:
-    regime: str
-    points: tuple
-    slope: float  # of log N* against log(1 / epsilon)
-    rows: tuple   # one ExperimentRow per probed (epsilon, N)
-
-
-def fitted_slope(points) -> float:
-    xs = np.array([math.log(1.0 / p.epsilon) for p in points])
-    ys = np.array([math.log(p.n_star) for p in points])
-    if len(xs) < 2:
+def fitted_slope(rows) -> float:
+    """The least-squares slope of log N* against log(1 / epsilon) over a
+    SeparationCurve run's rows at which a probe stopped, those whose success
+    rate reached the target: one row per grid epsilon, repeats included."""
+    stops = [row for row in rows if row.success_rate >= _TARGET_RATE]
+    if len(stops) < 2:
         raise ValueError("need at least two points to fit a slope")
+    xs = np.array([math.log(1.0 / row.epsilon) for row in stops])
+    ys = np.array([math.log(row.n_samples) for row in stops])
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -285,12 +266,16 @@ def _grid_maximum(value) -> int:
     return value
 
 
-class _Unreached(RuntimeError):
-    """No sample size of the grid reached the target rate at epsilons[index]."""
+_FAMILIES = {"realizable": realizable_triple, "nonrealizable": nonrealizable_triple}
 
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
+
+def _regime(value) -> str:
+    """A SeparationCurve 'regime': the name of a family of three-bit triples."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    if value not in _FAMILIES:
+        raise ValueError(f"expected {' or '.join(map(repr, _FAMILIES))}, got {value!r}")
+    return value
 
 
 def _sample_size_grid(maximum: int) -> list:
@@ -315,16 +300,10 @@ def _learned_weights(joint, count: int, trials: int, seed_of) -> np.ndarray:
     return weights
 
 
-def separation_curve(
-    regime: str,
-    epsilons,
-    trials: int,
-    seed: int,
-    max_samples: int = 1 << 20,
-) -> SeparationResult:
-    """Smallest sample size (on the doubling grid from 6) at which the
-    structure learner is epsilon-approximate in at least 80 % of trials, per
-    construction epsilon, plus the fitted log-log slope of N* against 1/eps.
+def _separation_kind(cfg: ExperimentConfig, regime: str, max_samples: int) -> list:
+    """Per grid epsilon, a probe of the doubling grid from 6 up to max_samples
+    that stops at the first sample size where the structure learner is
+    epsilon-approximate in at least 80 % of trials; one row per probed size.
 
     A trial succeeds when the learner is epsilon-approximate on every member
     of the three-member family, each member judged on its own independent
@@ -335,38 +314,34 @@ def separation_curve(
     true weight within epsilon of the true optimum); the recorded excess is
     the worst member's.
     """
-    if regime not in ("realizable", "nonrealizable"):
-        raise ValueError(f"unknown regime {regime!r}")
-    _check_trials(trials)
-    epsilons = list(epsilons)
-    if len(set(epsilons)) < 2 or not min(epsilons) > 0.0:
-        raise ValueError(f"need at least two distinct epsilons, all above 0, to fit a slope, got {epsilons}")
-    make = realizable_triple if regime == "realizable" else nonrealizable_triple
-    points = []
+    epsilons = [cell.epsilon for cell in cfg.grid]
+    if len(set(epsilons)) < 2:  # each is above 0 by the cell rule
+        raise ValueError(f"SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, "
+                         f"got {epsilons}")
     rows = []
-    for probe, eps in enumerate(epsilons):
-        joints = [make(index, eps) for index in (1, 2, 3)]
+    for index, cell in enumerate(cfg.grid):
+        eps = cell.epsilon
+        joints = [_FAMILIES[regime](member, eps) for member in (1, 2, 3)]
         instances = [(joint, *_truth(_block_mi_matrix([joint]))) for joint in joints]
         for count in _sample_size_grid(max_samples):
 
             def outcomes():  # every member's trials at once, on the first step
-                learned = [_learned_weights(joint, count, trials, lambda t: derive_seed(seed, regime, eps, count, t, i))
+                learned = [_learned_weights(joint, count, cfg.trials,
+                                            lambda t: derive_seed(cfg.seed, regime, eps, count, t, i))
                            for i, (joint, _, _) in enumerate(instances)]
-                for t in range(trials):
+                for t in range(cfg.trials):
                     worst = 0.0
                     for (_, truth, best), weights in zip(instances, learned):
                         worst = max(worst, _shortfall(truth, best, weights[t]))
                     yield worst <= eps, worst
 
-            rows.append(_run_trials(ExperimentCell(n=3, k=2, epsilon=eps, n_samples=count), trials, outcomes()))
-            if rows[-1].success_rate >= 0.8:
+            rows.append(_run_trials(ExperimentCell(cell.n, cell.k, eps, count), cfg.trials, outcomes()))
+            if rows[-1].success_rate >= _TARGET_RATE:
                 break
         else:
-            raise _Unreached(probe, f"no sample size up to {max_samples} reached the target rate at epsilon={eps}")
-        points.append(SeparationPoint(epsilon=float(eps), n_star=count))
-    return SeparationResult(
-        regime=regime, points=tuple(points), slope=fitted_slope(points), rows=tuple(rows)
-    )
+            raise ValueError(f"SeparationCurve grid cell {index} reached a success rate of {_TARGET_RATE} at no "
+                             f"sample size up to 'options' key 'max_samples' {max_samples}, got epsilon {eps}")
+    return rows
 
 
 # -- bound-checking kinds ---------------------------------------------------------
@@ -414,20 +389,6 @@ def _citester_cell(cell: ExperimentCell, trials: int, master: int, index: int, d
     return _run_trials(ExperimentCell(cell.n, cell.k, cell.epsilon, count), trials, outcomes())
 
 
-def _separation_kind(cfg: ExperimentConfig, **options) -> list:
-    """Every probe runs the three-bit families, at sample sizes of its own."""
-    epsilons = [cell.epsilon for cell in cfg.grid]
-    if len(set(epsilons)) < 2:  # each is above 0 by the cell rule
-        raise ValueError(f"SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, "
-                         f"got {epsilons}")
-    try:
-        return list(separation_curve(epsilons=epsilons, trials=cfg.trials, seed=cfg.seed, **options).rows)
-    except _Unreached as err:
-        raise ValueError(f"SeparationCurve grid cell {err.index} reached a success rate of 0.8 at no sample size "
-                         f"up to 'options' key 'max_samples' {options['max_samples']}, "
-                         f"got epsilon {cfg.grid[err.index].epsilon}") from None
-
-
 def _each_cell(run_cell):
     """A kind's runner that runs run_cell on each grid cell in turn."""
     return lambda cfg, **options: [run_cell(c, cfg.trials, cfg.seed, i, **options) for i, c in enumerate(cfg.grid)]
@@ -442,7 +403,7 @@ _KINDS = {
     "NonRealizableRecovery": (_each_cell(_nonrealizable_cell), 1, {"instance_epsilon": (_float, None)},
                               ("n a positive multiple of 3 and k 2 (the triples are binary)",
                                lambda cell: cell.n >= 3 and cell.n % 3 == 0 and cell.k == 2)),
-    "SeparationCurve": (_separation_kind, 0, {"regime": (_str, "realizable"),
+    "SeparationCurve": (_separation_kind, 0, {"regime": (_regime, "realizable"),
                                               "max_samples": (_grid_maximum, 1 << 20)},
                         ("n 3, k 2, an epsilon above 0 and no key 'N'",
                          lambda cell: (cell.n, cell.k, cell.n_samples) == (3, 2, 0) and cell.epsilon > 0.0)),

@@ -58,7 +58,7 @@ from chowliu.citest import (
     calibration_family,
     required_samples_cmi,
 )
-from chowliu.harness import ExperimentCell, ExperimentConfig, run_experiment, separation_curve
+from chowliu.harness import ExperimentCell, ExperimentConfig, fitted_slope, run_experiment
 from chowliu.model import sample_dense
 from chowliu.seeding import derive_seed
 
@@ -220,13 +220,18 @@ def test_criterion_08_realizable_recovery():
 
 
 def test_criterion_09_separation_slopes():
+    grid = tuple(ExperimentCell(3, 2, eps, 0) for eps in (0.05, 0.1, 0.2))
+
+    def slope(regime):
+        cfg = ExperimentConfig("SeparationCurve", grid, trials=200, seed=1, options={"regime": regime})
+        return fitted_slope(run_experiment(cfg))
+
     start = time.perf_counter()
-    realizable = separation_curve("realizable", (0.05, 0.1, 0.2), trials=200, seed=1)
-    nonrealizable = separation_curve("nonrealizable", (0.05, 0.1, 0.2), trials=200, seed=1)
+    realizable, nonrealizable = slope("realizable"), slope("nonrealizable")
     elapsed = time.perf_counter() - start
-    check(9, realizable.slope <= 1.4 and nonrealizable.slope >= 1.6 and elapsed < 900.0,
-          f"slopes: realizable={realizable.slope:.2f} (<= 1.4), "
-          f"nonrealizable={nonrealizable.slope:.2f} (>= 1.6), {elapsed:.1f}s")
+    check(9, realizable <= 1.4 and nonrealizable >= 1.6 and elapsed < 900.0,
+          f"slopes: realizable={realizable:.2f} (<= 1.4), "
+          f"nonrealizable={nonrealizable:.2f} (>= 1.6), {elapsed:.1f}s")
 
 
 def test_criterion_10_ci_tester_rates():

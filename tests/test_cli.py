@@ -20,7 +20,9 @@ Core claims:
   * An epsilon or delta at which the sample-size formula is not finite, and
     an infinite epsilon, give one error line and exit 1 in citest and
     calibrate.
-  * The SeparationCurve key 'regime' takes only a JSON string.
+  * The SeparationCurve key 'regime' takes only a JSON string, and only the
+    name of a family: an unknown name is one error line naming 'options' and
+    the key, and exit 1, before any cell runs.
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, running out of memory is one error line and
     exit 1, and so is a `calibrate --trials` count whose count tables no
@@ -44,7 +46,7 @@ import sys
 import numpy as np
 import pytest
 
-from chowliu import Alphabet, estimation
+from chowliu import Alphabet, estimation, harness
 from chowliu import citest as citest_mod
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, read_csv, write_binary, write_csv
@@ -756,15 +758,23 @@ def test_sample_size_that_is_not_finite_exits_1(tmp_path, capsys, command, optio
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("regime", [5, True, ["realizable"], None])
-def test_separation_regime_takes_only_a_string(tmp_path, capsys, regime):
+@pytest.mark.parametrize("regime", [5, True, ["realizable"], None, "gaussian"])
+def test_separation_regime_takes_only_a_string(tmp_path, capsys, monkeypatch, regime):
+    def no_trials(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_run_trials", no_trials)
     bad = tmp_path / "config.json"
-    bad.write_text(json.dumps({"kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.1}],
+    bad.write_text(json.dumps({"kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.1},
+                                                                   {"n": 3, "k": 2, "epsilon": 0.2}],
                                "trials": 2, "seed": 1, "options": {"regime": regime}}))
     assert main(["experiment", "--config", str(bad)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: SeparationCurve 'options' has a bad value for key 'regime': expected a string, got {regime!r}"
+    captured = capsys.readouterr()
+    expected = "'realizable' or 'nonrealizable'" if isinstance(regime, str) else "a string"
+    assert captured.err.splitlines() == [
+        f"error: SeparationCurve 'options' has a bad value for key 'regime': expected {expected}, got {regime!r}"
     ]
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- subprocess

@@ -3,8 +3,8 @@
 Core claims:
   * ExperimentConfig validates its kind, grid, and trial count, and reads
     from a JSON document with every key given as the config built by hand;
-    it and separation_curve share one check that trials is an integer from
-    1, made before any draw;
+    its check that trials is an integer from 1, for every kind, is made
+    before any draw;
     more trials than one float64 array holds (intp max // 8) is an error
     naming trials when the config is built, before anything runs, and a
     trial count no memory can hold is one out-of-memory error line at once.
@@ -23,13 +23,15 @@ Core claims:
   * NonRealizableRecovery's exact truth, the block-diagonal MI matrix,
     matches the pairwise MI of the dense block product within 1e-15, and is
     exactly 0 across blocks.
-  * separation_curve probes a doubling sample-size grid from 6 until a
-    success rate of 0.8 is reached and fits the log-log slope of N* vs
-    1/epsilon; its only option keys are 'regime' and 'max_samples', and it
-    rejects epsilons that cannot give a slope before any trial runs.  Its
-    rows, points and slope are the public learner's run trial by trial, ties
-    of the learned weights at N = 6 included, and each row's time covers its
-    draws.
+  * The SeparationCurve kind probes a doubling sample-size grid from 6 until
+    a success rate of 0.8 is reached, and fitted_slope fits the log-log
+    slope of N* vs 1/epsilon over the rows at which a probe stopped, one per
+    grid epsilon, repeats included; its only option keys are 'regime' and
+    'max_samples', a grid that cannot give a slope is rejected before any
+    trial runs, and an epsilon that reaches the target at no sample size
+    names its cell.  Its rows and slope are the public learner's run trial
+    by trial, ties of the learned weights at N = 6 included, and each row's
+    time covers its draws.
   * derive_seed maps label tuples to stable, order-sensitive 63-bit seeds.
 """
 
@@ -51,11 +53,9 @@ from chowliu.harness import (
     ExperimentCell,
     ExperimentConfig,
     ExperimentRow,
-    SeparationPoint,
     _sample_size_grid,
     fitted_slope,
     run_experiment,
-    separation_curve,
     write_rows_csv,
 )
 from chowliu.hardinstances import block_product, nonrealizable_triple, realizable_triple
@@ -127,7 +127,7 @@ def test_config_and_separation_curve_take_an_integer_count_of_trials_before_any_
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig("Add1Risk", (ExperimentCell(1, 2, 0.1, 10),), trials=trials, seed=0)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        separation_curve("realizable", (0.1, 0.2), trials=trials, seed=1)
+        separation_config((0.1, 0.2), trials=trials, seed=1)
 
 
 def test_config_coerces_grid_to_tuple():
@@ -355,49 +355,49 @@ def test_citester_rates_binary_cell_above_epsilon_one():
 # ----------------------------------------------------------- separation curve
 
 
-def test_separation_curve_rejects_an_unknown_regime():
-    with pytest.raises(ValueError, match="^unknown regime 'gaussian'$"):
-        separation_curve("gaussian", [0.1], trials=1, seed=1)
-
-
 def test_sample_size_grid_doubles():
     assert _sample_size_grid(100) == [6, 12, 24, 48, 96]
     assert _sample_size_grid(6) == [6]
     assert _sample_size_grid(5) == []
 
 
+def separation_config(epsilons, trials, seed, **options):
+    return ExperimentConfig("SeparationCurve", tuple(ExperimentCell(3, 2, eps, 0) for eps in epsilons),
+                            trials=trials, seed=seed, options=options)
+
+
 def test_fitted_slope_on_exact_powers():
-    points = [SeparationPoint(0.1, 100), SeparationPoint(0.2, 25)]
-    # N* = const / eps^2 exactly, so the log-log slope is 2.
-    assert fitted_slope(points) == pytest.approx(2.0, abs=1e-12)
+    def row(epsilon, n_samples, success_rate):
+        return ExperimentRow(3, 2, epsilon, n_samples, 10, success_rate, 0.0, 0.0, 0.0)
+
+    # N* = const / eps^2 exactly, so the log-log slope is 2; the rows below
+    # the 0.8 target are probes that went on, and a repeated epsilon is a
+    # point of its own.
+    rows = [row(0.1, 50, 0.5), row(0.1, 100, 0.8), row(0.1, 50, 0.7), row(0.1, 100, 0.9), row(0.2, 25, 1.0)]
+    assert fitted_slope(rows) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="two points"):
-        fitted_slope([SeparationPoint(0.1, 100)])
+        fitted_slope(rows[:2])
 
 
 def test_separation_curve_small_run_is_deterministic():
-    result = separation_curve("realizable", (0.1, 0.2), trials=30, seed=1)
-    again = separation_curve("realizable", (0.1, 0.2), trials=30, seed=1)
-    assert result.points == again.points
-    assert result.slope == again.slope
-    assert result.regime == "realizable"
-    assert [p.epsilon for p in result.points] == [0.1, 0.2]
-    # N* never grows as epsilon loosens, and every probed row is a 3-bit cell
-    # whose final probe met the 0.8 target.
-    assert result.points[0].n_star >= result.points[1].n_star
-    for row in result.rows:
+    rows = run_experiment(separation_config((0.1, 0.2), trials=30, seed=1))
+    again = run_experiment(separation_config((0.1, 0.2), trials=30, seed=1))
+    assert [stats(row) for row in rows] == [stats(row) for row in again]
+    assert fitted_slope(rows) == fitted_slope(again)
+    # Every probed row is a 3-bit cell; each probe's last row, and only it,
+    # met the 0.8 target, and N* never grows as epsilon loosens.
+    for row in rows:
         assert row.n == 3 and row.k == 2
-    by_eps = {}
-    for row in result.rows:
-        by_eps[row.epsilon] = row
-    for point in result.points:
-        assert by_eps[point.epsilon].n_samples == point.n_star
-        assert by_eps[point.epsilon].success_rate >= 0.8
+    last = {row.epsilon: row for row in rows}
+    stops = [row for row in rows if row.success_rate >= 0.8]
+    assert stops == list(last.values()) and list(last) == [0.1, 0.2]
+    assert stops[0].n_samples >= stops[1].n_samples
 
 
 def separation_by_trial(regime, epsilons, trials, seed):
-    """separation_curve's rows, points and slope, with each member's tree of
-    each trial learned by the public learner from its own sample set; and
-    whether the learned weights of some trial tied."""
+    """The SeparationCurve rows and slope, with each member's tree of each
+    trial learned by the public learner from its own sample set; and whether
+    the learned weights of some trial tied."""
     make = realizable_triple if regime == "realizable" else nonrealizable_triple
     rows, points, tied = [], [], False
     for eps in epsilons:
@@ -425,19 +425,20 @@ def separation_by_trial(regime, epsilons, trials, seed):
             if successes / trials >= 0.8:
                 break
             count *= 2
-        points.append(SeparationPoint(eps, count))
-    return rows, points, fitted_slope(points), tied
+        points.append((math.log(1.0 / eps), math.log(count)))
+    slope = float(np.polyfit(*np.array(points).T, 1)[0])
+    return rows, slope, tied
 
 
 @pytest.mark.parametrize("regime", ["realizable", "nonrealizable"])
 def test_separation_curve_is_the_learners_trial_by_trial(regime):
     # Every probe starts at N = 6, where some trials' learned weights tie and
     # the pinned Kruskal order alone picks the tree.
-    rows, points, slope, tied = separation_by_trial(regime, (0.1, 0.2), trials=20, seed=4)
-    result = separation_curve(regime, (0.1, 0.2), trials=20, seed=4)
+    rows, slope, tied = separation_by_trial(regime, (0.1, 0.2), trials=20, seed=4)
+    got = run_experiment(separation_config((0.1, 0.2), trials=20, seed=4, regime=regime))
     assert tied and rows[0][3] == 6
-    assert [stats(row) for row in result.rows] == rows
-    assert (list(result.points), result.slope) == (points, slope)
+    assert [stats(row) for row in got] == rows
+    assert fitted_slope(got) == slope
 
 
 def test_separation_row_time_covers_the_draws(monkeypatch):
@@ -448,20 +449,13 @@ def test_separation_row_time_covers_the_draws(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(harness, "_trial_counts", slow_draw)
-    result = separation_curve("realizable", (0.2, 0.3), trials=3, seed=1)
-    assert all(row.seconds >= 0.15 for row in result.rows)  # the three members' draws
+    rows = run_experiment(separation_config((0.2, 0.3), trials=3, seed=1))
+    assert all(row.seconds >= 0.15 for row in rows)  # the three members' draws
 
 
 def test_separation_curve_runs_through_run_experiment(tmp_path):
     out = tmp_path / "sep.csv"
-    cfg = ExperimentConfig(
-        "SeparationCurve",
-        (ExperimentCell(3, 2, 0.1, 0), ExperimentCell(3, 2, 0.2, 0)),
-        trials=20,
-        seed=5,
-        options={"regime": "realizable"},
-    )
-    rows = run_experiment(cfg)
+    rows = run_experiment(separation_config((0.1, 0.2), trials=20, seed=5, regime="realizable"))
     write_rows_csv(rows, out)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -475,25 +469,30 @@ def test_separation_curve_options_are_regime_and_max_samples():
             ExperimentConfig("SeparationCurve", (ExperimentCell(3, 2, 0.1, 0),), 1, 1, options={key: value})
 
 
-def test_separation_curve_rejects_unknown_regime():
-    with pytest.raises(ValueError, match="regime"):
-        separation_curve("gaussian", (0.1,), trials=5, seed=1)
-
-
 def test_separation_curve_reports_unreachable_target():
-    with pytest.raises(RuntimeError, match="no sample size"):
-        separation_curve("realizable", (0.01, 0.02), trials=5, seed=1, max_samples=6)
+    cfg = separation_config((0.01, 0.02), trials=5, seed=1, max_samples=6)
+    with pytest.raises(ValueError, match=re.escape(
+            "SeparationCurve grid cell 0 reached a success rate of 0.8 at no sample size up to "
+            "'options' key 'max_samples' 6, got epsilon 0.01")):
+        run_experiment(cfg)
 
 
-@pytest.mark.parametrize("epsilons", [(0.0, 0.3), (-0.1, 0.3), (0.3,), (0.3, 0.3), ()],
-                         ids=["zero", "negative", "one", "repeated", "none"])
-def test_separation_curve_needs_two_distinct_positive_epsilons_before_any_trial(epsilons, monkeypatch):
+@pytest.mark.parametrize("epsilons,message", [
+    ((0.0, 0.3), "SeparationCurve grid cell 0 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 2, "
+                 "epsilon 0.0, N 0"),
+    ((-0.1, 0.3), "SeparationCurve grid cell 0 needs n 3, k 2, an epsilon above 0 and no key 'N', got n 3, k 2, "
+                  "epsilon -0.1, N 0"),
+    ((0.3,), "SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, got [0.3]"),
+    ((0.3, 0.3), "SeparationCurve key 'grid' needs at least two distinct epsilons to fit a slope, got [0.3, 0.3]"),
+    ((), "grid must not be empty"),
+], ids=["zero", "negative", "one", "repeated", "none"])
+def test_separation_curve_needs_two_distinct_positive_epsilons_before_any_trial(epsilons, message, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(harness, "_run_trials", no_trials)
-    with pytest.raises(ValueError, match=r"^need at least two distinct epsilons, all above 0, to fit a slope"):
-        separation_curve("realizable", epsilons, trials=5, seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(separation_config(epsilons, trials=5, seed=1))
 
 
 # ---------------------------------------------------------------- seed deriving

@@ -469,6 +469,29 @@ def test_separation_curve_options_are_regime_and_max_samples():
             ExperimentConfig("SeparationCurve", (ExperimentCell(3, 2, 0.1, 0),), 1, 1, options={key: value})
 
 
+def test_separation_curve_rejects_an_unknown_regime():
+    with pytest.raises(ValueError, match=re.escape(
+            "SeparationCurve 'options' has a bad value for key 'regime': "
+            "expected 'realizable' or 'nonrealizable', got 'gaussian'")):
+        separation_config((0.1, 0.2), trials=1, seed=1, regime="gaussian")
+
+
+def test_separation_curve_rejects_unknown_regime(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    # The names are matched exactly, when the config is read and before any
+    # trial; the two known names pass.
+    monkeypatch.setattr(harness, "_run_trials", no_trials)
+    for regime in ("Realizable", "realizable ", "non-realizable", ""):
+        with pytest.raises(ValueError, match="'regime'"):
+            ExperimentConfig.from_json(json.dumps({
+                "kind": "SeparationCurve", "grid": [{"n": 3, "k": 2, "epsilon": 0.1}, {"n": 3, "k": 2, "epsilon": 0.2}],
+                "trials": 5, "seed": 1, "options": {"regime": regime}}))
+    for regime in ("realizable", "nonrealizable"):
+        assert separation_config((0.1, 0.2), trials=5, seed=1, regime=regime).kind_options["regime"] == regime
+
+
 def test_separation_curve_reports_unreachable_target():
     cfg = separation_config((0.01, 0.02), trials=5, seed=1, max_samples=6)
     with pytest.raises(ValueError, match=re.escape(

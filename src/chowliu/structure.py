@@ -42,7 +42,10 @@ class MIMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not (arr >= 0).all():
             raise ValueError("negative or NaN weight")
-        if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
+        # Entries further apart than 1e-12 are asymmetric; only unequal pairs
+        # are subtracted, so equal infinities pass without an inf - inf.
+        unequal = arr != arr.T
+        if unequal.any() and (np.abs(arr[unequal] - arr.T[unequal]) > 1e-12).any():
             raise ValueError("weight matrix must be symmetric")
         arr = (arr + arr.T) / 2.0
         np.fill_diagonal(arr, 0.0)

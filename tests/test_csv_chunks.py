@@ -9,13 +9,21 @@ Core claims:
       blank lines or other non-canonical text give the reference reader's
       result or its exception type and message
     - bytes that are not valid UTF-8 are a format error naming the line
+    - with chunks of a few lines, the reader gives the reference reader's
+      result where a chunk ends exactly at a newline, where a line is longer
+      than a chunk, with no final newline, with blank lines across a chunk
+      boundary, and with a non-canonical chunk after canonical ones, whose
+      errors name the file's own line; a file whose size is reported wrong
+      reads the same, and so does a pipe, which is read once
     - the writer gives the reference writer's bytes for every symbol width,
       in chunks of one-digit text, of padded text and of unpadded wider text
     - the extra memory of reading and writing is set by the chunk size, not
-      by the file size; a one-digit file takes under one chunk to read besides
-      its rows, and under four to write
+      by the file size; a one-digit file takes under two chunks to read
+      besides its one copy of the rows, and under one to write
 """
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,6 +144,124 @@ def test_bytes_that_are_not_utf8_name_the_line(tmp_path):
         read_csv(path)
 
 
+def no_per_line_reader(*args):
+    raise AssertionError("canonical input reached the per-line reader")
+
+
+def blank_lines_across_a_boundary(lines):
+    lines[3] += "\n\n"  # blank lines 5 and 6, the first ending a chunk of 4 * LINE + 1 bytes
+    return lines
+
+
+def no_final_newline(lines):
+    lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit,chunk",
+    [
+        (lambda lines: lines, 4 * LINE),
+        (lambda lines: lines, LINE // 2 - 1),
+        (no_final_newline, 4 * LINE),
+        (no_final_newline, 4 * LINE + 3),
+        (blank_lines_across_a_boundary, 4 * LINE + 1),
+        (lambda lines: ["0,1,2,3,4,5,6,7,8,9," * 20 + "9\n"] * 12, 64),
+    ],
+    ids=["chunk-ends-at-a-newline", "line-longer-than-a-chunk", "no-final-newline",
+         "no-final-newline-mid-chunk", "blank-lines-across-a-boundary", "long-lines"],
+)
+def test_canonical_files_in_small_chunks(tmp_path, monkeypatch, canonical, edit, chunk):
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(edit(list(canonical[:40]))))
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(estimation, "_read_csv_lines", no_per_line_reader)
+    assert_matches_reference(path)
+
+
+@pytest.mark.parametrize(
+    "line,text,k",
+    [
+        (30, " 0,1,0,1,0,1,0,1\n", None),
+        (30, "0,1,0,1,0,1,0,1\r\n", None),
+        (30, "0,1,0,1,0,1,0,x\n", None),
+        (30, "0,1,0,1,0,1,0\n", None),
+        (9, "0,1,0,1,0,1,0,1\r", None),
+        (30, "0,1,0,1,0,1,0,1\n0,1\r", None),
+        (39, "0,1,0,1,0,1,0,7\n", 5),
+    ],
+    ids=["leading-space", "crlf", "bad-symbol", "width-change", "lone-cr", "width-change-after-lone-cr",
+         "digit-above-k"],
+)
+def test_non_canonical_chunk_after_canonical_ones(tmp_path, monkeypatch, canonical, line, text, k):
+    lines = list(canonical[:40])
+    lines[line - 1] = text
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(lines), newline="")
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 4 * LINE + 5)
+    assert_matches_reference(path, k)
+
+
+@pytest.mark.parametrize("size", [0, 100, 10**6], ids=["none", "too-small", "too-large"])
+def test_a_wrong_file_size_reads_the_same(tmp_path, monkeypatch, canonical, size):
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(canonical[:200]))
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 4 * LINE + 5)
+    want = outcome(lambda: read_csv(path))
+    fstat = os.fstat
+
+    def wrong_size(fd):
+        return os.stat_result(fstat(fd)[:6] + (size,) + fstat(fd)[7:])
+
+    monkeypatch.setattr(os, "fstat", wrong_size)
+    assert outcome(lambda: read_csv(path)) == want
+
+
+def read_pipe(data: bytes):
+    """outcome() of read_csv on a pipe that carries `data`, with the pipe's
+    path in a message replaced by <path>."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with open(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = outcome(lambda: read_csv(f"/dev/fd/{r}"))
+    finally:
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    if isinstance(got[1], str):
+        return got[0], got[1].replace(f"/dev/fd/{r}", "<path>")
+    return got
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize(
+    "line,text",
+    [(None, None), (NEXT_CHUNK_LINE + 40, " 0,1,0,1,0,1,0,1\n"), (NEXT_CHUNK_LINE + 40, "0,1,0,x,0,1,0,1\n")],
+    ids=["canonical", "late-leading-space", "late-bad-symbol"],
+)
+def test_pipe_input_reads_what_the_file_does(tmp_path, canonical, line, text):
+    lines = list(canonical)
+    if line is not None:
+        lines[line - 1] = text
+    data = "".join(lines).encode()
+    assert len(data) > estimation._CSV_CHUNK_BYTES
+    path = tmp_path / "samples.csv"
+    path.write_bytes(data)
+    want = outcome(lambda: read_csv(path))
+    if isinstance(want[1], str):
+        want = want[0], want[1].replace(str(path), "<path>")
+    assert read_pipe(data) == want
+
+
 def test_writer_matches_reference_on_several_chunks(tmp_path):
     rng = np.random.default_rng(9)
     s = SampleSet(Alphabet(256), rng.integers(0, 256, size=(80_000, WIDTH)))
@@ -180,10 +306,10 @@ def test_extra_memory_is_set_by_the_chunk_size(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     s = SampleSet(Alphabet(10), rng.integers(0, 10, size=(100_000, WIDTH)))
     path = tmp_path / "s.csv"
-    assert peak_bytes(lambda: write_csv(s, path)) < 16 * chunk
+    assert peak_bytes(lambda: write_csv(s, path)) < chunk
     assert path.stat().st_size > 20 * chunk
-    # The parsed blocks and their concatenation hold the output twice.
-    assert peak_bytes(lambda: read_csv(path)) < 2 * s.rows.nbytes + 32 * chunk
+    # One copy of the rows, sized from the file, and a few chunks.
+    assert peak_bytes(lambda: read_csv(path)) < s.rows.nbytes + 4 * chunk
 
 
 @pytest.fixture
@@ -206,8 +332,8 @@ def test_one_digit_file_is_written_in_under_four_chunks(one_digit_file):
     assert peak_bytes(lambda: write_csv(s, path)) < 4 * estimation._CSV_CHUNK_BYTES
 
 
-def test_one_digit_file_is_read_in_under_one_chunk_besides_its_rows(one_digit_file):
-    # A one-digit chunk is read off its own bytes, with no index arrays; the
-    # parsed blocks and their concatenation hold the rows twice.
+def test_one_digit_file_is_read_in_under_two_chunks_besides_its_rows(one_digit_file):
+    # A one-digit chunk is read off its own bytes, with no index arrays, into
+    # the one rows array: the buffer and one block's rows, half a chunk.
     s, path = one_digit_file
-    assert peak_bytes(lambda: read_csv(path)) < 2 * s.rows.nbytes + estimation._CSV_CHUNK_BYTES
+    assert peak_bytes(lambda: read_csv(path)) < s.rows.nbytes + 2 * estimation._CSV_CHUNK_BYTES

@@ -8,6 +8,9 @@ Core claims:
     - add_one_estimate matches (t + 1) / (N + k) cell by cell, never zero
     - learn_parameters reproduces the hand-computed add-1 model on degenerate
       data, is uniform at N=0, and is consistent at large N
+    - empirical_counts and learn_parameters give the same tables in row
+      chunks of any size, and their extra memory is set by the chunk size,
+      not by the number of rows
     - CSV and binary round-trips are lossless; malformed input errors name
       the offending line or byte-level defect; write_binary writes the rows
       in the documented layout without copying them
@@ -45,6 +48,7 @@ from chowliu import (
     write_binary,
     write_csv,
 )
+from chowliu import estimation
 from chowliu.estimation import (
     DEFAULT_ADD_ONE_CONSTANT,
     DEFAULT_FIXED_STRUCTURE_CONSTANT,
@@ -191,6 +195,44 @@ def test_learn_parameters_consistent_at_large_n():
     assert np.max(np.abs(learned.root_marginal - truth.root_marginal)) <= 0.01
     for node in truth.cpt:
         assert np.max(np.abs(learned.cpt[node] - truth.cpt[node])) <= 0.01
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_in_row_chunks_match_one_pass(monkeypatch):
+    m = random_tree_model(5, 3, seed=6)
+    s = sample(m, 1000, seed=7)
+    variables = [(3,), (0, 2), (4, 0, 1)]
+    whole = [empirical_counts(s, vs) for vs in variables]
+    learned = learn_parameters(s, m.tree)
+    # 15 chunks of 64 rows and one of 40.
+    monkeypatch.setattr(estimation, "_COUNT_CHUNK_ROWS", 64)
+    monkeypatch.setattr(estimation, "_CODE_CHUNK_BYTES", 64 * s.n_variables)
+    for vs, counts in zip(variables, whole):
+        assert np.array_equal(empirical_counts(s, vs), counts)
+    chunked = learn_parameters(s, m.tree)
+    assert np.array_equal(chunked.root_marginal, learned.root_marginal)
+    assert all(np.array_equal(chunked.cpt[node], learned.cpt[node]) for node in learned.cpt)
+
+
+def test_counting_memory_is_set_by_the_chunk_size(monkeypatch):
+    monkeypatch.setattr(estimation, "_COUNT_CHUNK_ROWS", 1 << 13)
+    monkeypatch.setattr(estimation, "_CODE_CHUNK_BYTES", 1 << 16)
+    m = random_tree_model(6, 3, seed=2)
+    for count in (50_000, 200_000):
+        s = sample(m, count, seed=1)
+        # An int64 code of every row would take 8 bytes a row, 1.6 MB at the
+        # larger count; a chunk's codes take 8-16 bytes a row of the chunk.
+        assert peak_bytes(lambda: empirical_counts(s, (0, 1, 2))) < 24 * estimation._COUNT_CHUNK_ROWS
+        # The transposed symbols of one chunk of rows and their pair codes.
+        assert peak_bytes(lambda: learn_parameters(s, m.tree)) < 6 * estimation._CODE_CHUNK_BYTES
 
 
 def test_learn_parameters_dimension_mismatch():

@@ -12,6 +12,9 @@ Core claims:
     - `sample` draws each node's uniforms in chunks of model._DRAW_CHUNK,
       with the same stream at no draws, one chunk, one chunk and one, and
       several chunks, and its memory is the rows and one chunk of draws;
+    - `sample_dense` draws in the same chunks, with the rows of one
+      unchunked draw at a chunk less one, one chunk, one chunk and one, and
+      three chunks and five, and its memory too is the rows and one chunk;
     - the conditional inverse CDF, which counts one column at a time, draws
       what comparing each uniform with a whole row of running totals draws,
       also for rows of zero mass and for uniforms equal to a running total.
@@ -74,16 +77,44 @@ def test_sample_in_chunks_matches_reference_stream(monkeypatch, count):
     assert got.tolist() == ancestral_sample(PARENTS, m.root_marginal.tolist(), cpt, count, 5)
 
 
-def test_sample_memory_is_the_rows_and_one_chunk_of_draws():
-    m = random_tree_model(16, 2, 1)
+def rows_and_peak(draw):
+    """The rows `draw` returns and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        rows = sample(m, 200_000, 5).rows
-        peak = tracemalloc.get_traced_memory()[1]
+        rows = draw().rows
+        return rows, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sample_memory_is_the_rows_and_one_chunk_of_draws():
+    rows, peak = rows_and_peak(lambda: sample(random_tree_model(16, 2, 1), 200_000, 5))
     # About 33 bytes a uniform of one chunk, besides the (count, n) rows.
-    assert peak < rows.nbytes + 40 * model._DRAW_CHUNK
+    assert peak < rows.nbytes + 36 * model._DRAW_CHUNK
+
+
+CHUNK = 64
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5],
+                         ids=["chunk-less-one", "one-chunk", "one-chunk-and-one", "three-chunks-and-five"])
+def test_sample_dense_in_chunks_matches_one_unchunked_draw(monkeypatch, count):
+    rng = np.random.default_rng(21)
+    p = DenseJoint(3, Alphabet(3), sparse_rows(rng, (), 27))
+    whole = sample_dense(p, count, 8).rows  # the default chunk holds every draw
+    assert count < model._DRAW_CHUNK
+    monkeypatch.setattr(model, "_DRAW_CHUNK", CHUNK)
+    got = sample_dense(p, count, 8).rows
+    assert np.array_equal(got, whole)
+    assert got.tolist() == flat_table_sample(p.probs.tolist(), 3, 3, count, 8)
+
+
+def test_sample_dense_memory_is_the_rows_and_one_chunk_of_draws():
+    p = DenseJoint(3, Alphabet(2), np.random.default_rng(4).dirichlet(np.ones(8)))
+    rows, peak = rows_and_peak(lambda: sample_dense(p, 40 * model._DRAW_CHUNK, 5))
+    # The uniforms, the flat indices and their remainders, 8 bytes a draw
+    # each, of one chunk, besides the (count, n) rows.
+    assert peak < rows.nbytes + 36 * model._DRAW_CHUNK
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (9, 2)])

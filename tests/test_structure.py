@@ -1,7 +1,10 @@
 """Structure learning: MI matrices, maximum-weight trees, edge exchanges.
 
 Core claims:
-    - MIMatrix rejects asymmetry and negative weights, zeroes the diagonal
+    - MIMatrix rejects asymmetry and negative weights, zeroes the diagonal;
+      its symmetry check decides as np.allclose(w, w.T, rtol=0, atol=1e-12)
+      does: equal infinities pass, NaN fails as a weight, and entries more
+      than 1e-12 apart fail
     - mi_matrix matches hand-computed plug-in values and concentrates on
       product data
     - Kruskal output weight equals the exhaustive maximum over all labeled
@@ -57,6 +60,36 @@ def test_mi_matrix_type_validation():
         MIMatrix([[0.0, -0.1], [-0.1, 0.0]])
     with pytest.raises(ValueError):
         MIMatrix([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3]])
+
+
+def test_mi_matrix_symmetry_check_keeps_the_allclose_decisions():
+    inf, nan = math.inf, math.nan
+    m = MIMatrix([[0.0, inf], [inf, 0.0]])  # no inf - inf warning either
+    assert m.weights[0, 1] == inf
+    with pytest.raises(ValueError, match="symmetric"):
+        MIMatrix([[0.0, inf], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="NaN weight"):
+        MIMatrix([[0.0, nan], [inf, 0.0]])
+    MIMatrix([[0.0, 0.0], [1e-12, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        MIMatrix([[0.0, 0.0], [2e-12, 0.0]])
+    # Off-diagonal gaps either side of 1e-12, at several magnitudes.
+    rng = np.random.default_rng(12)
+    decisions = set()
+    for scale in (1e-6, 1.0, 1e3):
+        for _ in range(50):
+            w = rng.random((4, 4)) * scale + scale
+            w = w + w.T
+            w[1, 2] += rng.choice([0.5e-12, 1e-12, 1.5e-12, 3e-12]) * rng.choice([-1, 1])
+            symmetric = np.allclose(w, w.T, rtol=0.0, atol=1e-12)
+            try:
+                MIMatrix(w)
+            except ValueError as err:
+                assert not symmetric and "symmetric" in str(err)
+            else:
+                assert symmetric
+            decisions.add(symmetric)
+    assert decisions == {True, False}
 
 
 def test_mi_matrix_identical_columns():

@@ -26,7 +26,7 @@ from .estimation import (
     write_binary,
     write_csv,
 )
-from .harness import ExperimentConfig, _csv_text, run_experiment, write_rows_csv
+from .harness import ExperimentConfig, _csv_text, _max_samples, run_experiment, write_rows_csv
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
     _float,
@@ -73,6 +73,9 @@ def _sample(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     with open(args.model) as fh:
         m = tree_model_from_json(fh.read())
+    most = _max_samples(m.n)
+    if not 0 <= args.count <= most:
+        raise ValueError(f"--count must be from 0 to {most} for a model of {m.n} variables, got {args.count}")
     s = sample(m, args.count, args.seed)
     if _is_binary(args.out):
         write_binary(s, args.out)

@@ -288,8 +288,15 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 #   parsed rows; any other takes 17-19 in the general parse's temporaries;
 # - the writer formats rows of about a quarter this many symbols at a time:
 #   one-digit rows into one reused buffer of half a chunk, and wider text in
-#   6-9.2, which also pays for np.take's intp copy and np.extract.
-_CSV_CHUNK_BYTES = 1 << 20
+#   6-9.2, which also pays for np.take's intp copy and np.extract;
+# - the per-line reader gathers half a chunk of symbols in a list at a time
+#   and takes about 7-9 besides the rows.
+# At 128 KiB, on a 200,000 x 16 file the reader holds 0.20 MiB besides the
+# rows and the writer 0.07 MiB with one-digit symbols, and 2.7 and 0.74 MiB
+# with two-digit ones (1.5, 0.51, 17.4 and 5.9 MiB at 1 MiB chunks); the
+# general parse takes 0.075 s, not 0.15 s, and one-digit files still take
+# about 7 ms to read or write.
+_CSV_CHUNK_BYTES = 1 << 17
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # Row i holds the text of symbol i followed by a comma, padded with zero bytes.
 _SYMBOL_TEXT = np.array([list(f"{v},".encode().ljust(4, b"\0")) for v in range(256)], dtype=np.uint8)
@@ -350,7 +357,8 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
     file has left, grown when that size was wrong (a pipe has none) and cut
     to the rows read at the end; the unfinished last line moves to the front
     of the buffer for the next read.  From the first block that is not
-    canonical on, _read_csv_lines reads the rest of the handle."""
+    canonical on, _read_csv_lines reads the rest of the handle, and its
+    blocks go into the same rows array."""
     limit = 256 if k is None else min(k, 256)
     left = os.fstat(fh.fileno()).st_size  # bytes not yet in the buffer, if the size is right
     buf = bytearray(_CSV_CHUNK_BYTES)
@@ -375,17 +383,17 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
         block, block_lines = _canonical_block(buf, stop, width, limit)
         if block is None:
             head = bytes(buf[:end]) + fh.readline()  # the block and its unfinished line
-            rest = _read_csv_lines(path, _text_lines(head, fh), k, width, lines)
-            return rest if rows is None else np.concatenate((rows[:count], rest))
+            del buf
+            first, rest = count, max(0, left + end)  # bytes from the block on, if the size is right
+            for block in _read_csv_lines(path, _text_lines(head, fh), k, width, lines):
+                most = first + -(-rest // (2 * block.shape[1]))  # a row takes 2 * width bytes at least
+                rows = _put_rows(rows, count, block, max(count + len(block), most))
+                count += len(block)
+            break
         if len(block):
             width = block.shape[1]
             # The file holds at most one more row per 2 * width bytes.
-            need = count + len(block) + -(-max(0, left + end - stop) // (2 * width))
-            if rows is None:
-                rows = np.empty((need, width), dtype=np.uint8)
-            elif need > len(rows):
-                rows.resize((max(need, len(rows) + len(rows) // 2), width), refcheck=False)
-            rows[count:count + len(block)] = block
+            rows = _put_rows(rows, count, block, count + len(block) + -(-max(0, left + end - stop) // (2 * width)))
             count += len(block)
         del block  # freed before the next block is parsed
         if not got:
@@ -394,8 +402,20 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
         held = end - stop
         buf[:held] = buf[stop:end]
     if rows is None:
-        return _read_csv_lines(path, (), k, None, lines)  # no samples
-    rows.resize((count, width), refcheck=False)
+        raise SampleFormatError(f"{path}: no samples")
+    rows.resize((count, rows.shape[1]), refcheck=False)
+    return rows
+
+
+def _put_rows(rows: np.ndarray | None, count: int, block: np.ndarray, need: int) -> np.ndarray:
+    """The uint8 rows array with `block` written from row `count` on: `rows`
+    itself, grown to `need` rows (by half, at least) when it holds fewer, or
+    a new array of `need` rows when `rows` is None."""
+    if rows is None:
+        rows = np.empty((need, block.shape[1]), dtype=np.uint8)
+    elif need > len(rows):
+        rows.resize((max(need, len(rows) + len(rows) // 2), rows.shape[1]), refcheck=False)
+    rows[count:count + len(block)] = block
     return rows
 
 
@@ -469,13 +489,18 @@ def _canonical_block(buf: bytearray, stop: int, width: int | None, limit):
     return values.astype(np.uint8, copy=False).reshape(rows, width), rows + blanks
 
 
-def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int) -> np.ndarray:
+def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int):
     """The per-line reader: Python int() semantics for every field, and the
-    one place that words CSV format errors.  `lines` are the text lines that
-    follow the file's first `start` lines, whose rows, if any, have `width`
-    fields; the result is the int64 rows of `lines`."""
-    rows = []
-    limit = 256 if k is None else k  # symbols are stored in one byte
+    one place that words CSV format errors besides "no samples".  `lines` are
+    the text lines that follow the file's first `start` lines, whose rows, if
+    any, have `width` fields.  It yields their rows in blocks of about half
+    a chunk of symbols, the rows one canonical chunk holds, so no more than
+    one block's rows are ever Python ints."""
+    limit = 256 if k is None else k
+    # Under a k above 256 a symbol may not fit a byte, and SampleSet refuses
+    # the alphabet after the read, whatever the rows hold.
+    dtype = np.uint8 if limit <= 256 else np.int64
+    symbols = []  # the next block's symbols, row after row
     # Undecodable bytes are lone surrogates, which no field accepts, so the
     # line that holds them is found and named.
     for lineno, line in enumerate(lines, start=start + 1):
@@ -502,10 +527,12 @@ def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int) -
                 if k is None:
                     raise SampleFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
                 raise SampleFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
-        rows.append(values)
-    if width is None:
-        raise SampleFormatError(f"{path}: no samples")
-    return np.array(rows, dtype=np.int64).reshape(-1, width)
+        symbols += values
+        if len(symbols) >= _CSV_CHUNK_BYTES // 2:
+            yield np.array(symbols, dtype=dtype).reshape(-1, width)
+            symbols = []
+    if symbols:
+        yield np.array(symbols, dtype=dtype).reshape(-1, width)
 
 
 def write_binary(s: SampleSet, path) -> None:

@@ -34,25 +34,35 @@ Core claims:
     raise SystemExit, with code 2: among them an unknown `--mode` or
     `--regime`.  Every subcommand is run through `main`, so through the
     parser.
+  * `sample --count` outside 0 to the most rows an array of the model's
+    width can hold is one error line naming the flag and exit 1, before any
+    row is drawn.
   * Two subprocess invocations with the same seed produce identical bytes.
+  * `learn` on either sample format, `citest` and `verify-facts` derive no
+    seed and never load hashlib's OpenSSL module; `sample` does, through
+    numpy.random.
 """
 
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chowliu import Alphabet, estimation, harness
+import chowliu
+from chowliu import Alphabet, cli, estimation, harness
 from chowliu import citest as citest_mod
 from chowliu.cli import main
 from chowliu.estimation import SampleSet, read_csv, write_binary, write_csv
 from chowliu.model import (
     random_tree_model,
     root_at,
+    sample,
     tree_model_from_json,
     tree_model_to_json,
     undirected_tree_from_json,
@@ -307,6 +317,37 @@ def test_sample_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
     assert main(["sample", "--model", str(model_path), "--count", "10", "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: --seed must be a non-negative integer, got -1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [-1, 10**20], ids=["negative", "oversized"])
+def test_sample_rejects_a_count_out_of_range_naming_the_flag(tmp_path, capsys, monkeypatch, count):
+    # The bound is checked before any row is drawn, so nothing is allocated.
+    monkeypatch.setattr(cli, "sample", lambda *args: pytest.fail("sample ran"))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(tree_model_to_json(random_tree_model(3, 2, seed=1)))
+    out = tmp_path / "data.csv"
+    assert main(["sample", "--model", str(model_path), "--count", str(count), "--seed", "1", "--out", str(out)]) == 1
+    most = harness._max_samples(3)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --count must be from 0 to {most} for a model of 3 variables, got {count}"
+    ]
+    assert not out.exists()
+
+
+def test_sample_draws_the_largest_count_in_range(tmp_path, monkeypatch):
+    drawn = []
+
+    def stub(m, count, seed):
+        drawn.append(count)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sample", stub)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(tree_model_to_json(random_tree_model(3, 2, seed=1)))
+    count = harness._max_samples(3)
+    assert main(["sample", "--model", str(model_path), "--count", str(count), "--seed", "1",
+                 "--out", str(tmp_path / "data.csv")]) == 1
+    assert drawn == [count]
 
 
 def test_seeds_ignore_the_environment(tmp_path, capsys, monkeypatch):
@@ -806,3 +847,40 @@ def test_subprocess_runs_are_byte_identical(model_path, tmp_path):
     first = run(tmp_path / "a.csv")
     second = run(tmp_path / "b.csv")
     assert first == second
+
+
+# Runs one command through main in a fresh process and prints its exit code
+# and whether hashlib's OpenSSL module, about 3.5 MB of the process, is loaded.
+HASHLIB_CHILD = """
+import sys
+from chowliu.cli import main
+code = main(sys.argv[1:])
+print(code, "_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command,loaded",
+    [
+        (["learn", "--samples", "{csv}", "--mode", "full"], False),
+        (["learn", "--samples", "{bin}", "--mode", "full"], False),
+        (["citest", "--samples", "{pair}", "--epsilon", "0.5", "--delta", "0.1"], False),
+        (["verify-facts", "--regime", "realizable", "--epsilon", "0.1"], False),
+        # sample loads it through numpy.random, so the check can see it.
+        (["sample", "--model", "{model}", "--count", "100", "--seed", "1", "--out", "{out}"], True),
+    ],
+    ids=["learn-csv", "learn-cls1", "citest", "verify-facts", "sample"],
+)
+def test_only_commands_that_draw_load_openssl(model_path, tmp_path, command, loaded):
+    s = sample(tree_model_from_json(model_path.read_text()), 500, seed=2)
+    files = {"csv": tmp_path / "s.csv", "bin": tmp_path / "s.bin", "pair": tmp_path / "pair.csv",
+             "model": model_path, "out": tmp_path / "out.csv"}
+    write_csv(s, files["csv"])
+    write_binary(s, files["bin"])
+    write_csv(SampleSet(s.alphabet, s.rows[:, :2]), files["pair"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(chowliu.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HASHLIB_CHILD, *(arg.format(**files) for arg in command)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"

@@ -14,12 +14,15 @@ Core claims:
       than a chunk, with no final newline, with blank lines across a chunk
       boundary, and with a non-canonical chunk after canonical ones, whose
       errors name the file's own line; a file whose size is reported wrong
-      reads the same, and so does a pipe, which is read once
+      reads the same, through either reader, and so does a pipe, which is
+      read once
     - the writer gives the reference writer's bytes for every symbol width,
       in chunks of one-digit text, of padded text and of unpadded wider text
     - the extra memory of reading and writing is set by the chunk size, not
       by the file size; a one-digit file takes under two chunks to read
-      besides its one copy of the rows, and under one to write
+      besides its one copy of the rows, and under one to write; the
+      per-line reader holds its rows in bytes, so a CR LF file takes under
+      one more copy of the rows and a few chunks
 """
 
 import os
@@ -202,10 +205,11 @@ def test_non_canonical_chunk_after_canonical_ones(tmp_path, monkeypatch, canonic
     assert_matches_reference(path, k)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["canonical", "per-line"])
 @pytest.mark.parametrize("size", [0, 100, 10**6], ids=["none", "too-small", "too-large"])
-def test_a_wrong_file_size_reads_the_same(tmp_path, monkeypatch, canonical, size):
+def test_a_wrong_file_size_reads_the_same(tmp_path, monkeypatch, canonical, size, newline):
     path = tmp_path / "samples.csv"
-    path.write_text("".join(canonical[:200]))
+    path.write_text("".join(canonical[:200]), newline=newline)
     monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 4 * LINE + 5)
     want = outcome(lambda: read_csv(path))
     fstat = os.fstat
@@ -326,8 +330,8 @@ def one_digit_file(tmp_path, monkeypatch):
 
 
 def test_one_digit_file_is_written_in_under_four_chunks(one_digit_file):
-    # Two-byte cells need no np.extract; most of the peak is np.take's intp
-    # copy of the symbols.
+    # Two-byte cells need neither np.take nor np.extract; the peak is their
+    # one reused buffer, half a chunk.
     s, path = one_digit_file
     assert peak_bytes(lambda: write_csv(s, path)) < 4 * estimation._CSV_CHUNK_BYTES
 
@@ -337,3 +341,17 @@ def test_one_digit_file_is_read_in_under_two_chunks_besides_its_rows(one_digit_f
     # the one rows array: the buffer and one block's rows, half a chunk.
     s, path = one_digit_file
     assert peak_bytes(lambda: read_csv(path)) < s.rows.nbytes + 2 * estimation._CSV_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("count", [20_000, 80_000])
+def test_per_line_reader_holds_its_rows_in_bytes(tmp_path, monkeypatch, count):
+    # A CR LF file goes through the per-line reader from its first line.  Its
+    # rows are kept as one byte a symbol, a block at a time, not as Python
+    # lists of ints (about 25 times the rows' bytes).
+    chunk = 1 << 14
+    monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", chunk)
+    rows = np.random.default_rng(6).integers(0, 2, size=(count, WIDTH), dtype=np.uint8)
+    path = tmp_path / "crlf.csv"
+    path.write_bytes("".join(",".join(map(str, row)) + "\r\n" for row in rows.tolist()).encode())
+    assert np.array_equal(read_csv(path).rows, rows)
+    assert peak_bytes(lambda: read_csv(path)) < 2 * rows.nbytes + 8 * chunk

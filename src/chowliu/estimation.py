@@ -293,9 +293,9 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 #   and takes about 7-9 besides the rows.
 # At 128 KiB, on a 200,000 x 16 file the reader holds 0.20 MiB besides the
 # rows and the writer 0.07 MiB with one-digit symbols, and 2.7 and 0.74 MiB
-# with two-digit ones (1.5, 0.51, 17.4 and 5.9 MiB at 1 MiB chunks); the
-# general parse takes 0.075 s, not 0.15 s, and one-digit files still take
-# about 7 ms to read or write.
+# with symbols below 12, six to eight times less than at 1 MiB; the general
+# parse is twice as fast, and one-digit files still take about 7 ms to read
+# or write.
 _CSV_CHUNK_BYTES = 1 << 17
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # Row i holds the text of symbol i followed by a comma, padded with zero bytes.

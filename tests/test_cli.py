@@ -39,8 +39,8 @@ Core claims:
     row is drawn.
   * Two subprocess invocations with the same seed produce identical bytes.
   * `learn` on either sample format, `citest` and `verify-facts` derive no
-    seed and never load hashlib's OpenSSL module; `sample` does, through
-    numpy.random.
+    seed and never load hashlib's OpenSSL module where numpy does not load
+    it on import (numpy 2); `sample` does, through numpy.random.
 """
 
 import json
@@ -859,6 +859,22 @@ print(code, "_hashlib" in sys.modules)
 """
 
 
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(chowliu.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_openssl() -> bool:
+    """Whether importing numpy alone loads OpenSSL: numpy 1.x imports
+    numpy.random, and with it secrets and hmac, on import; numpy 2 on first
+    use."""
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy; print('_hashlib' in sys.modules)"],
+                          env=child_env(), capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.strip() == "True"
+
+
 @pytest.mark.parametrize(
     "command,loaded",
     [
@@ -871,16 +887,16 @@ print(code, "_hashlib" in sys.modules)
     ],
     ids=["learn-csv", "learn-cls1", "citest", "verify-facts", "sample"],
 )
-def test_only_commands_that_draw_load_openssl(model_path, tmp_path, command, loaded):
+def test_only_commands_that_draw_load_openssl(model_path, tmp_path, numpy_loads_openssl, command, loaded):
+    if numpy_loads_openssl and not loaded:
+        pytest.skip("this numpy loads OpenSSL on import")
     s = sample(tree_model_from_json(model_path.read_text()), 500, seed=2)
     files = {"csv": tmp_path / "s.csv", "bin": tmp_path / "s.bin", "pair": tmp_path / "pair.csv",
              "model": model_path, "out": tmp_path / "out.csv"}
     write_csv(s, files["csv"])
     write_binary(s, files["bin"])
     write_csv(SampleSet(s.alphabet, s.rows[:, :2]), files["pair"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(chowliu.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", HASHLIB_CHILD, *(arg.format(**files) for arg in command)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loaded}"

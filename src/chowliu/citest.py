@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import SampleSet, _sample_size, _trial_counts, empirical_counts
+from .estimation import SampleSet, _max_samples, _sample_size, _trial_counts, empirical_counts
 from .hardinstances import _copy_channel, _mixture, realizable_triple
 from .info import conditional_mi, mutual_information
 from .model import Alphabet, DenseJoint
@@ -205,7 +205,8 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
     - dependent members: statistic > c_decision * true CMI in >= 1 - delta.
 
     Trials use seeds derived from (seed, member, candidate, trial), so the
-    search is deterministic and order-independent.
+    search is deterministic and order-independent.  A candidate whose sample
+    size numpy cannot draw is a ValueError before any trial runs.
     """
     if trials < 100:
         raise ValueError("need at least 100 calibration trials")
@@ -213,11 +214,15 @@ def calibrate(cfg: TesterConfig, trials: int = 200, seed: int = 20260814, grid=N
         grid = sorted(2.0**e * m for e in range(-4, 11) for m in (1.0, 1.5))
     if len(grid) == 0:
         raise ValueError("the c_sample grid is empty")
+    counts = [required_samples_cmi(replace(cfg, c_sample=float(candidate))) for candidate in grid]
+    for candidate, count in zip(grid, counts):
+        if count > _max_samples(3):
+            raise ValueError(f"epsilon {cfg.epsilon} and c_sample {float(candidate)} give a formula sample size "
+                             f"of {count:.3g}, more than numpy can draw")
     family = calibration_family(cfg.k, cfg.epsilon)
     diagnostics = {}
-    for candidate in grid:
+    for candidate, count in zip(grid, counts):
         tuned = replace(cfg, c_sample=float(candidate))
-        count = required_samples_cmi(tuned)
         rates = {}
         ok = True
         for member in family:

@@ -20,13 +20,14 @@ import time
 from . import citest as citest_mod
 from .estimation import (
     SampleFormatError,
+    _max_samples,
     learn_parameters,
     read_binary,
     read_csv,
     write_binary,
     write_csv,
 )
-from .harness import ExperimentConfig, _csv_text, _max_samples, run_experiment, write_rows_csv
+from .harness import ExperimentConfig, _csv_text, run_experiment, write_rows_csv
 from .hardinstances import verify_nonrealizable_facts, verify_realizable_facts
 from .model import (
     _float,

@@ -289,8 +289,10 @@ def learn_parameters(s: SampleSet, tree: RootedTree) -> TreeModel:
 # - the writer formats rows of about a quarter this many symbols at a time:
 #   one-digit rows into one reused buffer of half a chunk, and wider text in
 #   6-9.2, which also pays for np.take's intp copy and np.extract;
-# - the per-line reader gathers half a chunk of symbols in a list at a time
-#   and takes about 7-9 besides the rows.
+# - a block that is not canonical is refused after three byte masks and read
+#   line by line, one byte a symbol: a file of such blocks (CR LF lines, say)
+#   takes 4-5 besides the rows, and 7 at one field a line, whose rows array,
+#   sized for two bytes a symbol, is half again too long until the end.
 # At 128 KiB, on a 200,000 x 16 file the reader holds 0.20 MiB besides the
 # rows and the writer 0.07 MiB with one-digit symbols, and 2.7 and 0.74 MiB
 # with symbols below 12, six to eight times less than at 1 MiB; the general
@@ -337,10 +339,10 @@ def read_csv(path, k: int | None = None) -> SampleSet:
 
     The alphabet size is inferred as max(symbol) + 1 (at least 2) unless `k`
     is given.  Malformed content raises SampleFormatError naming the line.
-    Lines in the form write_csv writes are parsed in chunks with numpy; from
-    the first chunk that holds any other line on, the rest of the file is read
-    line by line, with Python int() semantics per field.  The file is read
-    once, front to back, so a pipe such as /dev/stdin works too.
+    The file is parsed in blocks of whole lines: a block in the form
+    write_csv writes is parsed with numpy, and any other block line by line,
+    with Python int() semantics per field.  The file is read once, front to
+    back, so a pipe such as /dev/stdin works too.
     """
     with open(path, "rb") as fh:
         rows = _read_csv_rows(fh, path, k)
@@ -353,12 +355,11 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
 
     Each read fills one reused buffer of _CSV_CHUNK_BYTES, which grows only
     for a line longer than itself.  Its whole lines are one block, parsed by
-    _canonical_block into one rows array that is sized from the bytes the
-    file has left, grown when that size was wrong (a pipe has none) and cut
-    to the rows read at the end; the unfinished last line moves to the front
-    of the buffer for the next read.  From the first block that is not
-    canonical on, _read_csv_lines reads the rest of the handle, and its
-    blocks go into the same rows array."""
+    _canonical_block or, when that block is not canonical, by
+    _read_csv_lines; the unfinished last line moves to the front of the
+    buffer for the next read.  Every block's rows go into one rows array,
+    sized from the bytes the file has left, grown when that size was wrong
+    (a pipe has none) and cut to the rows read at the end."""
     limit = 256 if k is None else min(k, 256)
     left = os.fstat(fh.fileno()).st_size  # bytes not yet in the buffer, if the size is right
     buf = bytearray(_CSV_CHUNK_BYTES)
@@ -382,18 +383,16 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
             break
         block, block_lines = _canonical_block(buf, stop, width, limit)
         if block is None:
-            head = bytes(buf[:end]) + fh.readline()  # the block and its unfinished line
-            del buf
-            first, rest = count, max(0, left + end)  # bytes from the block on, if the size is right
-            for block in _read_csv_lines(path, _text_lines(head, fh), k, width, lines):
-                most = first + -(-rest // (2 * block.shape[1]))  # a row takes 2 * width bytes at least
-                rows = _put_rows(rows, count, block, max(count + len(block), most))
-                count += len(block)
-            break
+            block, block_lines = _read_csv_lines(path, buf, stop, k, width, lines)
         if len(block):
             width = block.shape[1]
             # The file holds at most one more row per 2 * width bytes.
-            rows = _put_rows(rows, count, block, count + len(block) + -(-max(0, left + end - stop) // (2 * width)))
+            need = count + len(block) + -(-max(0, left + end - stop) // (2 * width))
+            if rows is None:
+                rows = np.empty((need, width), dtype=np.uint8)
+            elif need > len(rows):
+                rows.resize((max(need, len(rows) + len(rows) // 2), width), refcheck=False)
+            rows[count:count + len(block)] = block
             count += len(block)
         del block  # freed before the next block is parsed
         if not got:
@@ -403,31 +402,8 @@ def _read_csv_rows(fh, path, k: int | None) -> np.ndarray:
         buf[:held] = buf[stop:end]
     if rows is None:
         raise SampleFormatError(f"{path}: no samples")
-    rows.resize((count, rows.shape[1]), refcheck=False)
+    rows.resize((count, width), refcheck=False)
     return rows
-
-
-def _put_rows(rows: np.ndarray | None, count: int, block: np.ndarray, need: int) -> np.ndarray:
-    """The uint8 rows array with `block` written from row `count` on: `rows`
-    itself, grown to `need` rows (by half, at least) when it holds fewer, or
-    a new array of `need` rows when `rows` is None."""
-    if rows is None:
-        rows = np.empty((need, block.shape[1]), dtype=np.uint8)
-    elif need > len(rows):
-        rows.resize((max(need, len(rows) + len(rows) // 2), rows.shape[1]), refcheck=False)
-    rows[count:count + len(block)] = block
-    return rows
-
-
-def _text_lines(head: bytes, fh):
-    """The text lines of `head`, which ends where a line does, and then of the
-    rest of the binary handle `fh`, as text mode reads a file: UTF-8 with
-    undecodable bytes as lone surrogates, and LF, CR LF and CR each ending a
-    line.  Binary lines end at LF, so no character or CR LF straddles two."""
-    yield from io.StringIO(head.decode("utf-8", "surrogateescape"), newline=None)
-    for raw in fh:
-        text = raw.decode("utf-8", "surrogateescape")
-        yield from io.StringIO(text, newline=None) if "\r" in text else (text,)
 
 
 def _canonical_block(buf: bytearray, stop: int, width: int | None, limit):
@@ -449,18 +425,24 @@ def _canonical_block(buf: bytearray, stop: int, width: int | None, limit):
             values = lines[:, 0::2] - ord("0")  # wraps round for bytes below "0"
             if values.max() < min(10, limit):
                 return values, len(values)
+    # A byte other than a digit, a comma or a newline refuses the block after
+    # three masks, before any other temporary is made.
+    is_digit = text - ord("0") < 10  # wraps round for bytes below "0"
     newline = text == _NEWLINE
+    valid = text == _COMMA
+    valid |= is_digit
+    valid |= newline
+    if not valid.all():
+        return None, 0
+    del valid
     blank = newline.copy()  # a newline at the start or after a newline
     blank[1:] &= newline[:-1]
     blanks = int(np.count_nonzero(blank))
     if blanks:
-        text, newline = text[~blank], newline[~blank]
+        text, newline, is_digit = text[~blank], newline[~blank], is_digit[~blank]
         if not text.size:
             return np.empty((0, width or 0), dtype=np.uint8), blanks
-    digit = text - ord("0")  # wraps round for bytes below "0"
-    is_digit = digit < 10
-    if not (is_digit | newline | (text == _COMMA)).all():
-        return None, 0
+    digit = text - ord("0")
     separator = ~is_digit
     # One separator ends each field, so no two are adjacent and none leads.
     if separator[0] or (separator[1:] & separator[:-1]).any():
@@ -489,21 +471,20 @@ def _canonical_block(buf: bytearray, stop: int, width: int | None, limit):
     return values.astype(np.uint8, copy=False).reshape(rows, width), rows + blanks
 
 
-def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int):
-    """The per-line reader: Python int() semantics for every field, and the
-    one place that words CSV format errors besides "no samples".  `lines` are
-    the text lines that follow the file's first `start` lines, whose rows, if
-    any, have `width` fields.  It yields their rows in blocks of about half
-    a chunk of symbols, the rows one canonical chunk holds, so no more than
-    one block's rows are ever Python ints."""
+def _read_csv_lines(path, buf: bytearray, stop: int, k: int | None, width: int | None, start: int):
+    """(rows, lines) of buf[:stop], whole lines that follow the file's first
+    `start` lines, whose rows, if any, have `width` fields: the rows as a
+    uint8 array and the number of lines.  The per-line reader: Python int()
+    semantics for every field, and the one place that words CSV format errors
+    besides "no samples".  The lines are read as text mode reads a file:
+    UTF-8 with undecodable bytes as lone surrogates, and LF, CR LF and CR
+    each ending a line.  A block ends at LF, so no character or CR LF
+    straddles two blocks."""
     limit = 256 if k is None else k
-    # Under a k above 256 a symbol may not fit a byte, and SampleSet refuses
-    # the alphabet after the read, whatever the rows hold.
-    dtype = np.uint8 if limit <= 256 else np.int64
-    symbols = []  # the next block's symbols, row after row
+    symbols = bytearray()  # one byte a symbol, row after row
     # Undecodable bytes are lone surrogates, which no field accepts, so the
     # line that holds them is found and named.
-    for lineno, line in enumerate(lines, start=start + 1):
+    for lineno, line in enumerate(_text_lines(bytes(memoryview(buf)[:stop])), start=start + 1):
         text = line.strip()
         if not text:
             continue
@@ -527,12 +508,18 @@ def _read_csv_lines(path, lines, k: int | None, width: int | None, start: int):
                 if k is None:
                     raise SampleFormatError(f"{path}:{lineno}: symbol {v} above 255, the largest one-byte symbol")
                 raise SampleFormatError(f"{path}:{lineno}: symbol {v} out of range for k={k}")
-        symbols += values
-        if len(symbols) >= _CSV_CHUNK_BYTES // 2:
-            yield np.array(symbols, dtype=dtype).reshape(-1, width)
-            symbols = []
-    if symbols:
-        yield np.array(symbols, dtype=dtype).reshape(-1, width)
+        # Under a k above 256 a symbol may not fit a byte, and SampleSet
+        # refuses the alphabet after the read, whatever the rows hold.
+        symbols.extend(values if limit <= 256 else (v & 255 for v in values))
+    # width is None only where no line held a row.
+    return np.frombuffer(symbols, dtype=np.uint8).reshape(-1, width or 1), lineno - start
+
+
+def _text_lines(data: bytes):
+    """The text lines of `data` as text mode reads them."""
+    for raw in io.BytesIO(data):
+        text = raw.decode("utf-8", "surrogateescape")
+        yield from io.StringIO(text, newline=None) if "\r" in text else (text,)
 
 
 def write_binary(s: SampleSet, path) -> None:
@@ -596,6 +583,12 @@ def _sample_size(constant: float, lead: int, scale: int, epsilon: float, delta: 
     if not math.isfinite(value):
         raise ValueError(f"no finite sample size at epsilon={epsilon!r} and delta={delta!r}")
     return max(1, math.ceil(value))
+
+
+def _max_samples(n: int) -> int:
+    """The most samples of n variables numpy can draw: beyond it the (N, n)
+    uint8 rows or the N float64 draws of one variable would not fit an array."""
+    return np.iinfo(np.intp).max // max(8, n)
 
 
 def _add_one_kl(p: np.ndarray, count: int, rng: np.random.Generator) -> float:

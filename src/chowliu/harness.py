@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .citest import DEFAULT_C_SAMPLE, TesterConfig, calibration_family, required_samples_cmi
-from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, _trial_counts, add_one_risk_bound
+from .estimation import DEFAULT_ADD_ONE_CONSTANT, SampleSet, _add_one_kl, _max_samples, _trial_counts
+from .estimation import add_one_risk_bound
 from .hardinstances import nonrealizable_triple, realizable_triple
 from .info import _pairwise_mi, conditional_mi, mutual_information
 from .model import (
@@ -60,12 +61,6 @@ __all__ = [
 CSV_HEADER = "n,k,epsilon,N,trials,success_rate,mean_excess,p95_excess,seconds"
 _GRID_START = 6  # first sample size of the separation curve's doubling grid
 _TARGET_RATE = 0.8  # success rate at which a separation probe stops
-
-
-def _max_samples(n: int) -> int:
-    """The most samples of n variables numpy can draw: beyond it the (N, n)
-    uint8 rows or the N float64 draws of one variable would not fit an array."""
-    return np.iinfo(np.intp).max // max(8, n)
 
 
 # The most trials a cell can run: _run_trials keeps one float64 excess per

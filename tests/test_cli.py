@@ -26,7 +26,9 @@ Core claims:
   * Error taxonomy: missing files exit 1, malformed sample files exit 2 with
     a line-numbered message, running out of memory is one error line and
     exit 1, and so is a `calibrate --trials` count whose count tables no
-    memory can hold, at once.  citest on a file of no rows is one error line
+    memory can hold, at once; a `calibrate` candidate whose sample size
+    numpy cannot draw is one error line naming epsilon and the candidate and
+    exit 1, before any trial is drawn.  citest on a file of no rows is one error line
     and exit 1.  `learn --mode params` without `--tree`, checked before the
     samples are read, a `--k` outside 2..256, also checked before the
     samples are read or calibrate runs, and `citest` on neither 2 nor 3
@@ -43,6 +45,7 @@ Core claims:
     it on import (numpy 2); `sample` does, through numpy.random.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -473,6 +476,27 @@ def test_calibrate_trials_no_memory_can_hold_exits_1_at_once(capsys):
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: out of memory: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("epsilon,grid,oversized", [("1e-300", ["1"], 1.0), ("0.1", ["1024", "1e300"], 1e300)],
+                         ids=["tiny-epsilon", "huge-candidate-after-a-fine-one"])
+def test_calibrate_sample_size_numpy_cannot_draw_exits_1_at_once(capsys, monkeypatch, epsilon, grid, oversized):
+    # Every candidate's sample size is checked before the first draw, so no
+    # trial runs, not even those of a candidate before the oversized one.
+    monkeypatch.setattr(citest_mod, "_trial_counts", lambda *args: pytest.fail("a trial was drawn"))
+    cfg = citest_mod.TesterConfig(epsilon=float(epsilon), delta=0.1, k=2)
+    count = citest_mod.required_samples_cmi(dataclasses.replace(cfg, c_sample=oversized))
+    assert count > estimation._max_samples(3)
+    message = (f"epsilon {float(epsilon)} and c_sample {oversized} give a formula sample size of {count:.3g}, "
+               f"more than numpy can draw")
+    with pytest.raises(ValueError) as err:
+        citest_mod.calibrate(cfg, trials=100, grid=[float(value) for value in grid])
+    assert str(err.value) == message
+    argv = ["calibrate", "--epsilon", epsilon, "--delta", "0.1", "--k", "2", "--trials", "100", "--grid", *grid]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
 
 

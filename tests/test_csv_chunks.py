@@ -16,11 +16,15 @@ Core claims:
       errors name the file's own line; a file whose size is reported wrong
       reads the same, through either reader, and so does a pipe, which is
       read once
+    - only a block that holds a non-canonical line reaches the per-line
+      reader, and a lone CR in it keeps the text-mode line numbers of the
+      canonical blocks after it
     - the writer gives the reference writer's bytes for every symbol width,
       in chunks of one-digit text, of padded text and of unpadded wider text
     - the extra memory of reading and writing is set by the chunk size, not
       by the file size; a one-digit file takes under two chunks to read
-      besides its one copy of the rows, and under one to write; the
+      besides its one copy of the rows, also with one non-canonical line
+      early on, and under one to write; the
       per-line reader holds its rows in bytes, so a CR LF file takes under
       one more copy of the rows and a few chunks
 """
@@ -205,6 +209,41 @@ def test_non_canonical_chunk_after_canonical_ones(tmp_path, monkeypatch, canonic
     assert_matches_reference(path, k)
 
 
+def test_only_the_non_canonical_block_reaches_the_per_line_reader(tmp_path, monkeypatch, canonical):
+    # A leading space on line 5 makes the first block non-canonical; the
+    # blocks after it are canonical again and skip the per-line reader.
+    lines = list(canonical)
+    lines[4] = " " + lines[4]
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(lines))
+    seen = []
+    per_line = estimation._read_csv_lines
+
+    def spy(*args):
+        rows, count = per_line(*args)
+        seen.append(count)
+        return rows, count
+
+    monkeypatch.setattr(estimation, "_read_csv_lines", spy)
+    rows, size = assert_matches_reference(path)
+    assert len(rows) == LINES and size == 2
+    # The first block: the whole lines of the first chunk, one byte longer.
+    assert seen == [(estimation._CSV_CHUNK_BYTES - 1) // LINE]
+
+
+def test_lone_cr_in_an_early_block_keeps_later_line_numbers(tmp_path, canonical):
+    # Line 5 ends in a lone CR, so text mode reads one more line than there
+    # are LFs; a bad symbol in a later, otherwise canonical, block must be
+    # named by the text-mode line number.
+    lines = list(canonical)
+    lines[4] = lines[4].replace("\n", "\r")
+    lines[NEXT_CHUNK_LINE + 40] = "0,1,0,x,0,1,0,1\n"
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(lines), newline="")
+    kind, message = assert_matches_reference(path)
+    assert kind is SampleFormatError and message.startswith(f"{path}:{NEXT_CHUNK_LINE + 41}: ")
+
+
 @pytest.mark.parametrize("size", [0, 100, 10**6], ids=["none", "too-small", "too-large"])
 def test_a_wrong_file_size_reads_the_same(tmp_path, monkeypatch, canonical, size):
     monkeypatch.setattr(estimation, "_CSV_CHUNK_BYTES", 4 * LINE + 5)
@@ -342,6 +381,17 @@ def test_one_digit_file_is_read_in_under_two_chunks_besides_its_rows(one_digit_f
     # A one-digit chunk is read off its own bytes, with no index arrays, into
     # the one rows array: the buffer and one block's rows, half a chunk.
     s, path = one_digit_file
+    assert peak_bytes(lambda: read_csv(path)) < s.rows.nbytes + 2 * estimation._CSV_CHUNK_BYTES
+
+
+def test_one_early_non_canonical_line_keeps_the_one_digit_bound(one_digit_file):
+    # A leading space on line 11 sends the first block alone through the
+    # per-line reader, which keeps one byte a symbol; every later block is
+    # read off its bytes, so the bound of a canonical file holds.
+    s, path = one_digit_file
+    data = path.read_bytes()
+    path.write_bytes(data[:10 * LINE] + b" " + data[10 * LINE:])
+    assert np.array_equal(read_csv(path).rows, s.rows)
     assert peak_bytes(lambda: read_csv(path)) < s.rows.nbytes + 2 * estimation._CSV_CHUNK_BYTES
 
 
